@@ -21,7 +21,7 @@ of the system is built around:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,36 +32,6 @@ Tensor = np.ndarray
 # Epsilon used by log_eps callers throughout the package; keeps logarithms
 # of saturated probabilities finite.
 LOG_EPS = 1e-12
-
-_kron_invocations = 0
-
-
-def kron_call_count() -> int:
-    """Number of kron_rows forward calls since the last reset."""
-    return _kron_invocations
-
-
-def reset_kron_call_count() -> None:
-    global _kron_invocations
-    _kron_invocations = 0
-
-
-def tensor(data, shape: Sequence[int] | None = None) -> Tensor:
-    """Build a float64 row-major tensor and validate it is finite.
-
-    ``data`` may be a scalar, a (nested) sequence, or an ndarray; ``shape``
-    optionally reshapes a flat payload.
-    """
-    arr = np.array(data, dtype=np.float64, order="C")
-    if shape is not None:
-        arr = arr.reshape(tuple(shape))
-    if not np.all(np.isfinite(arr)):
-        raise ContractError("tensor data must be finite")
-    return arr
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return np.zeros(tuple(shape), dtype=np.float64)
 
 
 def one_hot(indices: Sequence[int], num_classes: int) -> Tensor:
@@ -74,6 +44,14 @@ def one_hot(indices: Sequence[int], num_classes: int) -> Tensor:
     out = np.zeros((idx.size, num_classes), dtype=np.float64)
     out[np.arange(idx.size), idx] = 1.0
     return out
+
+
+def is_one_hot(y: Tensor) -> bool:
+    """True when ``y`` is 2-d with exactly one 1.0 per row and 0.0 elsewhere."""
+    if y.ndim != 2:
+        return False
+    ones = y == 1.0
+    return bool(np.all((y == 0.0) | ones) and np.all(ones.sum(axis=1) == 1))
 
 
 BackwardRule = Callable[[np.ndarray], tuple]
@@ -253,13 +231,11 @@ def kron_rows(f: Var, y: Var) -> Var:
     Feature-major ordering: each feature entry contributes a contiguous
     block of c entries. Gradients flow to both operands.
     """
-    global _kron_invocations
     fv, yv = f.value, y.value
     if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
         raise ShapeError(
             f"kron_rows row counts disagree: {fv.shape} vs {yv.shape}"
         )
-    _kron_invocations += 1
     n, m = fv.shape
     c = yv.shape[1]
     out = (fv[:, :, None] * yv[:, None, :]).reshape(n, m * c)

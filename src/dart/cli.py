@@ -26,6 +26,7 @@ from dart.errors import (
     ContractError,
     DataFormatError,
     NumericError,
+    ShapeError,
 )
 from dart.rng import STREAM_DATA, STREAM_INIT, Prng, derive_seed
 
@@ -33,6 +34,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# error class -> (exit code, message prefix), looked up along the class's MRO
+EXIT_CODES = {
+    ConfigError: (EXIT_CONFIG, "configuration error"),
+    ContractError: (EXIT_CONFIG, "invalid request"),
+    ShapeError: (EXIT_CONFIG, "invalid request"),
+    DataFormatError: (EXIT_DATA, "data error"),
+    OSError: (EXIT_DATA, "data error"),
+    NumericError: (EXIT_NUMERIC, "numeric failure"),
+}
 
 _LOG_LEVELS = ("quiet", "info", "debug")
 
@@ -188,6 +199,10 @@ _KEYS = {
     "seeds": ("run", "seeds", _parse_ints),
 }
 
+# keys that also get a dedicated --KEY flag; flags win over file and --set
+_FLAGS = ("alpha", "beta", "eta0", "steps", "batch", "seed", "variant",
+          "seeds", "checkpoint", "out")
+
 
 def _assign(cfg: RunConfig, key: str, raw: str) -> None:
     if key not in _KEYS:
@@ -221,8 +236,15 @@ def _read_config_file(cfg: RunConfig, path: str) -> None:
         _assign(cfg, key.strip(), raw)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad flags as ConfigError instead of exiting on its own."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dart",
         description="Adversarial domain adaptation with joint feature-label "
                     "alignment and a residual source classifier.",
@@ -233,17 +255,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default="", help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--eta0", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--variant")
-        p.add_argument("--seeds", help="comma list for ablate")
-        p.add_argument("--checkpoint", help="checkpoint path for eval")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--overwrite", action="store_true", default=None)
+        for key in _FLAGS:
+            p.add_argument(f"--{key}", metavar="VALUE", help=f"sets {key}")
+        p.add_argument("--overwrite", action="store_true")
     return parser
 
 
@@ -257,16 +271,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         _assign(cfg, key.strip(), raw)
-    # dedicated flags win over both file and --set values
-    for key, flag in (
-        ("alpha", args.alpha), ("beta", args.beta), ("eta0", args.eta0),
-        ("steps", args.steps), ("batch", args.batch), ("seed", args.seed),
-        ("variant", args.variant), ("seeds", args.seeds),
-        ("checkpoint", args.checkpoint), ("out", args.out),
-    ):
-        if flag is not None:
-            _assign(cfg, key, str(flag))
-    if args.overwrite is not None:
+    for key in _FLAGS:
+        if getattr(args, key) is not None:
+            _assign(cfg, key, getattr(args, key))
+    if args.overwrite:
         cfg.overwrite = True
     cfg.task.validate()
     cfg.train.validate()
@@ -357,10 +365,12 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError("eval needs a checkpoint (checkpoint=... or --checkpoint)")
     model = dm.load_checkpoint(cfg.checkpoint)
     task = build_task(cfg)
-    if model.input_dim != cfg.train.input_dim:
+    ckpt_shape = (model.input_dim, model.class_count)
+    task_shape = (cfg.train.input_dim, cfg.train.class_count)
+    if ckpt_shape != task_shape:
         raise ConfigError(
-            f"checkpoint input width {model.input_dim} does not match "
-            f"task width {cfg.train.input_dim}"
+            f"checkpoint (input width, class count) {ckpt_shape} does not "
+            f"match the task's {task_shape}"
         )
     report = ev.evaluate_model(model, task, cfg.train.seed, cfg.train.variant)
     out = _prepare_out_dir(cfg, ["report.txt"])
@@ -421,18 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(argv)
         return _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        log("quiet", f"configuration error: {exc}")
-        return EXIT_CONFIG
-    except ContractError as exc:
-        log("quiet", f"invalid request: {exc}")
-        return EXIT_CONFIG
-    except (DataFormatError, OSError) as exc:
-        log("quiet", f"data error: {exc}")
-        return EXIT_DATA
-    except NumericError as exc:
-        log("quiet", f"numeric failure: {exc}")
-        return EXIT_NUMERIC
+    except tuple(EXIT_CODES) as exc:
+        code, what = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        log("quiet", f"{what}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

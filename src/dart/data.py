@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dart.autodiff import Tensor, one_hot
+from dart.autodiff import Tensor, is_one_hot, one_hot
 from dart.errors import ContractError, DataFormatError
 from dart.rng import Prng
 
@@ -57,7 +57,7 @@ class Dataset:
                     f"{attr} shape {lab.shape} does not match "
                     f"{self.samples.shape[0]} samples x {self.class_count} classes"
                 )
-            if not _rows_one_hot(lab):
+            if not is_one_hot(lab):
                 raise ContractError(f"{attr} rows must be exact one-hot")
             lab.flags.writeable = False
             object.__setattr__(self, attr, lab)
@@ -70,11 +70,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-
-def _rows_one_hot(lab: Tensor) -> bool:
-    ones = lab == 1.0
-    return bool(np.all((lab == 0.0) | ones) and np.all(ones.sum(axis=1) == 1))
 
 
 def true_label_indices(ds: Dataset) -> np.ndarray:
@@ -230,12 +225,6 @@ def apply_standardization(ds: Dataset, mean: np.ndarray,
     )
 
 
-def normalize(ds: Dataset) -> Dataset:
-    """Standardize a dataset by its own per-feature statistics."""
-    mean, std = feature_stats(ds.samples)
-    return apply_standardization(ds, mean, std)
-
-
 def normalize_pair(source: Dataset, target: Dataset,
                    mode: str = "source") -> tuple[Dataset, Dataset]:
     """Standardize both domains. ``source`` mode uses source statistics
@@ -329,18 +318,3 @@ def write_idx(ds: Dataset, path_images, path_labels, rows: int,
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, ds.size))
         fh.write(labels.tobytes())
 
-
-# ---------------------------------------------------------------------------
-# CSV dump (offline inspection artifact)
-
-
-def save_csv(ds: Dataset, path) -> None:
-    header = ",".join([f"x{i}" for i in range(ds.dim)] + ["label"])
-    lab = ds.labels if ds.labels is not None else ds.sealed_labels
-    idx = None if lab is None else np.argmax(lab, axis=1)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for i in range(ds.size):
-            cells = [repr(float(v)) for v in ds.samples[i]]
-            cells.append("" if idx is None else str(int(idx[i])))
-            fh.write(",".join(cells) + "\n")

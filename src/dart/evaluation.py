@@ -28,6 +28,10 @@ PROBE_STEPS = 2000
 PROBE_ETA = 0.01
 PROBE_HIDDEN = 64
 
+# training settings an ablation report echoes next to the probe protocol
+ECHO_TRAINING_KEYS = ("alpha", "beta", "eta0", "gamma_lr", "lambda0",
+                      "gamma_lambda", "total_steps", "batch_size")
+
 
 @dataclass
 class EvalReport:
@@ -111,29 +115,6 @@ def per_class_accuracy(model: dm.DartModel, ds: dd.Dataset,
 # Proxy A-distance
 
 
-class _Probe:
-    """Binary domain discriminator matching the DomainClassifier shape."""
-
-    def __init__(self, in_width: int, hidden: int, rng: Prng):
-        self.fc1 = dm.LinearLayer.uniform_init(in_width, hidden, rng)
-        self.fc2 = dm.LinearLayer.uniform_init(hidden, 1, rng)
-
-    def params(self):
-        return [self.fc1.weights, self.fc1.bias,
-                self.fc2.weights, self.fc2.bias]
-
-    def graph(self, tape: Tape, x: Tensor):
-        vars_ = [tape.variable(p) for p in self.params()]
-        h = ad.relu(ad.add_bias(ad.matmul(tape.variable(x), vars_[0]), vars_[1]))
-        d = ad.sigmoid(ad.add_bias(ad.matmul(h, vars_[2]), vars_[3]))
-        return vars_, ad.clamp(d, dm.DOMAIN_PROB_EPS, 1.0 - dm.DOMAIN_PROB_EPS)
-
-    def predict(self, x: Tensor) -> np.ndarray:
-        tape = Tape()
-        _, d = self.graph(tape, x)
-        return d.value[:, 0]
-
-
 def a_distance(
     features_src: Tensor,
     features_tgt: Tensor,
@@ -158,23 +139,26 @@ def a_distance(
     src_train, src_test = split(features_src)
     tgt_train, tgt_test = split(features_tgt)
 
-    probe = _Probe(features_src.shape[1], hidden, rng)
+    # the probe has the shape of the model's domain classifier
+    fc1 = dm.LinearLayer.uniform_init(features_src.shape[1], hidden, rng)
+    fc2 = dm.LinearLayer.uniform_init(hidden, 1, rng)
+    params = [fc1.weights, fc1.bias, fc2.weights, fc2.bias]
+
+    def probe(tape, *inputs):
+        ws = [tape.variable(p) for p in params]
+        return ws, [dm.domain_head(tape.variable(x), *ws) for x in inputs]
+
     for _ in range(steps):
         tape = Tape()
-        vars_s, d_src = probe.graph(tape, src_train)
-        # reuse the same parameter vars for the target half
-        h = ad.relu(ad.add_bias(
-            ad.matmul(tape.variable(tgt_train), vars_s[0]), vars_s[1]))
-        d_tgt = ad.sigmoid(ad.add_bias(ad.matmul(h, vars_s[2]), vars_s[3]))
-        d_tgt = ad.clamp(d_tgt, dm.DOMAIN_PROB_EPS, 1.0 - dm.DOMAIN_PROB_EPS)
-        loss = dm.domain_loss(d_src, d_tgt)
-        grads = ad.backward(tape, loss)
-        for arr, var in zip(probe.params(), vars_s):
+        ws, (d_src, d_tgt) = probe(tape, src_train, tgt_train)
+        grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
+        for arr, var in zip(params, ws):
             arr -= eta * grads[var.vid]
 
     # threshold 0.5: at or above counts as a source prediction
-    src_correct = probe.predict(src_test) >= 0.5
-    tgt_correct = probe.predict(tgt_test) < 0.5
+    _, (d_src, d_tgt) = probe(Tape(), src_test, tgt_test)
+    src_correct = d_src.value[:, 0] >= 0.5
+    tgt_correct = d_tgt.value[:, 0] < 0.5
     errors = np.concatenate([~src_correct, ~tgt_correct])
     eps = float(np.mean(errors))
     return 2.0 * (1.0 - 2.0 * eps)
@@ -191,51 +175,19 @@ def run_ablation(variant: str, task: Task, cfg: tr.TrainConfig) -> EvalReport:
         )
     run_cfg = replace(cfg, variant=variant).effective()
     run_cfg.validate()
-
-    kron_before = ad.kron_call_count()
     model = tr.build_model(run_cfg, Prng(derive_seed(run_cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, run_cfg)
-    if variant == "dart_c" and ad.kron_call_count() != kron_before:
-        raise ContractError(
-            "fusion operation was invoked during marginal-alignment training"
-        )
-
-    src_acc = accuracy(model, task.source, use_source_classifier=True)
-    tgt_acc = accuracy(model, task.target, use_source_classifier=False)
-    per_class = per_class_accuracy(model, task.target)
-
-    fs = dm.forward_features(model, task.source.samples)
-    ft = dm.forward_features(model, task.target.samples)
-    da = a_distance(fs, ft, Prng(derive_seed(run_cfg.seed, STREAM_PROBE)))
-
-    echo = {
-        "alpha": run_cfg.alpha,
-        "beta": run_cfg.beta,
-        "eta0": run_cfg.eta0,
-        "gamma_lr": run_cfg.gamma_lr,
-        "lambda0": run_cfg.lambda0,
-        "gamma_lambda": run_cfg.gamma_lambda,
-        "total_steps": run_cfg.total_steps,
-        "batch_size": run_cfg.batch_size,
-        "probe_steps": PROBE_STEPS,
-        "probe_eta": PROBE_ETA,
-        "probe_hidden": PROBE_HIDDEN,
-        "task": task.name,
-    }
-    return EvalReport(
-        variant=variant,
-        seed=run_cfg.seed,
-        target_accuracy=tgt_acc,
-        source_accuracy=src_acc,
-        a_distance=da,
-        per_class_accuracy=per_class,
-        config_echo=echo,
+    report = evaluate_model(model, task, run_cfg.seed, variant)
+    report.config_echo.update(
+        {key: getattr(run_cfg, key) for key in ECHO_TRAINING_KEYS}
     )
+    return report
 
 
 def evaluate_model(model: dm.DartModel, task: Task, seed: int,
                    variant: str = "full") -> EvalReport:
-    """Evaluation of an already-trained model (used by the eval command)."""
+    """Accuracies and A-distance of a trained model (the eval command, and
+    the end of each ablation run)."""
     src_acc = accuracy(model, task.source, use_source_classifier=True)
     tgt_acc = accuracy(model, task.target, use_source_classifier=False)
     per_class = per_class_accuracy(model, task.target)

@@ -14,6 +14,7 @@ training).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +42,6 @@ class LinearLayer:
             )
         self.weights = weights
         self.bias = bias
-
-    @property
-    def in_width(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.weights.shape[1]
 
     @classmethod
     def uniform_init(cls, fan_in: int, fan_out: int, rng: Prng) -> "LinearLayer":
@@ -87,10 +80,6 @@ class DartModel:
         use_residual: bool = True,
         rng: Prng | None = None,
     ):
-        if input_dim < 1 or feature_dim < 1 or class_count < 2:
-            raise ContractError(
-                "need input_dim >= 1, feature_dim >= 1, class_count >= 2"
-            )
         self.input_dim = input_dim
         self.hidden = tuple(int(h) for h in hidden)
         self.feature_dim = feature_dim
@@ -98,6 +87,10 @@ class DartModel:
         self.residual_hidden = (
             class_count if residual_hidden is None else int(residual_hidden)
         )
+        widths = (input_dim, *self.hidden, feature_dim, self.residual_hidden,
+                  domain_hidden)
+        if min(widths) < 1 or class_count < 2:
+            raise ContractError("need every layer width >= 1 and class_count >= 2")
         self.domain_hidden = domain_hidden
         self.domain_on_joint = domain_on_joint
         self.use_residual = use_residual
@@ -122,48 +115,37 @@ class DartModel:
 
     # -- parameter access ---------------------------------------------------
 
+    def layers(self) -> dict[str, LinearLayer]:
+        """Layers by parameter-name prefix, in checkpoint order."""
+        out = {f"extractor.{i}": layer for i, layer in enumerate(self.extractor)}
+        out["bottleneck"] = self.bottleneck
+        out["residual.fc1"] = self.residual_fc1
+        out["residual.fc2"] = self.residual_fc2
+        out["domain.fc1"] = self.domain_fc1
+        out["domain.fc2"] = self.domain_fc2
+        return out
+
     def parameters(self) -> dict[str, Tensor]:
         """Named parameters in a stable order; arrays are live references."""
         out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.extractor):
-            out[f"extractor.{i}.weight"] = layer.weights
-            out[f"extractor.{i}.bias"] = layer.bias
-        out["bottleneck.weight"] = self.bottleneck.weights
-        out["bottleneck.bias"] = self.bottleneck.bias
-        out["residual.fc1.weight"] = self.residual_fc1.weights
-        out["residual.fc1.bias"] = self.residual_fc1.bias
-        out["residual.fc2.weight"] = self.residual_fc2.weights
-        out["residual.fc2.bias"] = self.residual_fc2.bias
-        out["domain.fc1.weight"] = self.domain_fc1.weights
-        out["domain.fc1.bias"] = self.domain_fc1.bias
-        out["domain.fc2.weight"] = self.domain_fc2.weights
-        out["domain.fc2.bias"] = self.domain_fc2.bias
+        for prefix, layer in self.layers().items():
+            out[f"{prefix}.weight"] = layer.weights
+            out[f"{prefix}.bias"] = layer.bias
         return out
+
+    def _param_names(self, *prefixes: str) -> list[str]:
+        return [name for name in self.parameters() if name.startswith(prefixes)]
 
     def feature_param_names(self) -> list[str]:
         # bottleneck counts as a feature parameter: it sits before the
         # classifier split and below the reversal layer
-        names = []
-        for i in range(len(self.extractor)):
-            names += [f"extractor.{i}.weight", f"extractor.{i}.bias"]
-        names += ["bottleneck.weight", "bottleneck.bias"]
-        return names
+        return self._param_names("extractor.", "bottleneck.")
 
     def residual_param_names(self) -> list[str]:
-        return [
-            "residual.fc1.weight",
-            "residual.fc1.bias",
-            "residual.fc2.weight",
-            "residual.fc2.bias",
-        ]
+        return self._param_names("residual.")
 
     def domain_param_names(self) -> list[str]:
-        return [
-            "domain.fc1.weight",
-            "domain.fc1.bias",
-            "domain.fc2.weight",
-            "domain.fc2.bias",
-        ]
+        return self._param_names("domain.")
 
     def set_parameter(self, name: str, value) -> None:
         arr = np.asarray(value, dtype=np.float64)
@@ -231,10 +213,20 @@ class BoundModel:
         return ad.softmax_rows(ad.add(z, delta))
 
     def domain_prob(self, joint: Var, lam: float) -> Var:
-        h = ad.gradient_reversal(joint, lam)
-        h = ad.relu(self._linear(h, "domain.fc1"))
-        d = ad.sigmoid(self._linear(h, "domain.fc2"))
-        return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
+        p = self.params
+        return domain_head(
+            ad.gradient_reversal(joint, lam),
+            p["domain.fc1.weight"], p["domain.fc1.bias"],
+            p["domain.fc2.weight"], p["domain.fc2.bias"],
+        )
+
+
+def domain_head(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """Two-layer domain discriminator: relu hidden layer, then a sigmoid
+    output clamped inside the open interval (0, 1)."""
+    h = ad.relu(ad.add_bias(ad.matmul(x, w1), b1))
+    d = ad.sigmoid(ad.add_bias(ad.matmul(h, w2), b2))
+    return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
 
 
 def bind(model: DartModel, tape: Tape) -> BoundModel:
@@ -250,19 +242,10 @@ def _check_probability_rows(y: Tensor, what: str) -> None:
         raise ContractError(f"{what} rows must be probability vectors")
 
 
-def is_one_hot(y: Tensor) -> bool:
-    if y.ndim != 2:
-        return False
-    ones = y == 1.0
-    return bool(
-        np.all((y == 0.0) | ones) and np.all(ones.sum(axis=1) == 1)
-    )
-
-
 def classification_loss(y_pred: Var, y_true: Tensor) -> Var:
     """Minibatch mean cross-entropy against exact one-hot labels."""
     y_true = np.asarray(y_true, dtype=np.float64)
-    if not is_one_hot(y_true):
+    if not ad.is_one_hot(y_true):
         raise ContractError("labels must be exact one-hot rows")
     if y_pred.shape != y_true.shape:
         raise ShapeError(
@@ -308,25 +291,19 @@ def total_loss(ly: Var, lh: Var, ld: Var, alpha: float, beta: float) -> Var:
 # Shared training graph (used by the train step and the gradient checker)
 
 
+@dataclass
 class TrainingGraph:
     """Holds the loss Vars of one forward pass."""
 
-    __slots__ = (
-        "bound", "ly", "lh", "ld", "total",
-        "source_probs", "target_probs", "d_src", "d_tgt",
-    )
-
-    def __init__(self, bound, ly, lh, ld, total,
-                 source_probs, target_probs, d_src, d_tgt):
-        self.bound = bound
-        self.ly = ly
-        self.lh = lh
-        self.ld = ld
-        self.total = total
-        self.source_probs = source_probs
-        self.target_probs = target_probs
-        self.d_src = d_src
-        self.d_tgt = d_tgt
+    bound: BoundModel
+    ly: Var
+    lh: Var
+    ld: Var
+    total: Var
+    source_probs: Var
+    target_probs: Var
+    d_src: Var
+    d_tgt: Var
 
 
 def build_training_graph(
@@ -459,8 +436,19 @@ def save_checkpoint(model: DartModel, path) -> None:
 
 
 def load_checkpoint(path) -> DartModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Reads a checkpoint; malformed content of any kind raises
+    DataFormatError (OSError still signals an unreadable file)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        return _parse_checkpoint(lines)
+    except (ContractError, LookupError, ValueError) as exc:
+        raise DataFormatError(
+            f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _parse_checkpoint(lines: list[str]) -> DartModel:
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise DataFormatError(
             f"not a checkpoint: expected header {CHECKPOINT_HEADER!r}"
@@ -471,24 +459,21 @@ def load_checkpoint(path) -> DartModel:
         _, key, value = lines[pos].split(" ", 2)
         meta[key] = value
         pos += 1
-    try:
-        hidden_str = meta["hidden"]
-        hidden = () if hidden_str == "-" else tuple(
-            int(h) for h in hidden_str.split(",")
-        )
-        model = DartModel(
-            input_dim=int(meta["input_dim"]),
-            hidden=hidden,
-            feature_dim=int(meta["feature_dim"]),
-            class_count=int(meta["class_count"]),
-            residual_hidden=int(meta["residual_hidden"]),
-            domain_hidden=int(meta["domain_hidden"]),
-            domain_on_joint=bool(int(meta["domain_on_joint"])),
-            use_residual=bool(int(meta["use_residual"])),
-            rng=None,
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"bad checkpoint metadata: {exc}") from exc
+    hidden_str = meta["hidden"]
+    hidden = () if hidden_str == "-" else tuple(
+        int(h) for h in hidden_str.split(",")
+    )
+    model = DartModel(
+        input_dim=int(meta["input_dim"]),
+        hidden=hidden,
+        feature_dim=int(meta["feature_dim"]),
+        class_count=int(meta["class_count"]),
+        residual_hidden=int(meta["residual_hidden"]),
+        domain_hidden=int(meta["domain_hidden"]),
+        domain_on_joint=bool(int(meta["domain_on_joint"])),
+        use_residual=bool(int(meta["use_residual"])),
+        rng=None,
+    )
 
     params = model.parameters()
     while pos < len(lines) and lines[pos] != "end":
@@ -520,6 +505,8 @@ def load_checkpoint(path) -> DartModel:
             rows.append(vals)
             pos += 1
         arr = np.asarray(rows, dtype=np.float64).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"parameter {name!r}: non-finite value")
         model.set_parameter(name, arr)
     if pos >= len(lines) or lines[pos] != "end":
         raise DataFormatError("truncated checkpoint: missing end marker")

@@ -63,6 +63,10 @@ class TrainConfig:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("hidden", "feature_dim", "residual_hidden", "domain_hidden"):
+            value = getattr(self, name)
+            if value is not None and min(np.atleast_1d(value), default=1) < 1:
+                raise ConfigError(f"{name} widths must be >= 1, got {value}")
         if self.lr_decay_interval < 1:
             raise ConfigError(
                 f"lr_decay_interval must be >= 1, got {self.lr_decay_interval}"

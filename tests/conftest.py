@@ -10,6 +10,23 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+import pytest
+
+from dart import autodiff as ad
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    """List that grows by one per kron_rows forward call during the test."""
+    calls = []
+    original = ad.kron_rows
+
+    def counting_kron_rows(f, y):
+        calls.append((f.shape, y.shape))
+        return original(f, y)
+
+    monkeypatch.setattr(ad, "kron_rows", counting_kron_rows)
+    return calls
 
 
 def central_diff_grads(

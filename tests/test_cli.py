@@ -12,7 +12,14 @@ from dart import cli
 from dart import data as dd
 from dart import model as dm
 from dart import training as tr
-from dart.errors import ConfigError
+from dart.errors import (
+    ConfigError,
+    ContractError,
+    DartError,
+    DataFormatError,
+    NumericError,
+    ShapeError,
+)
 from dart.rng import STREAM_INIT, Prng, derive_seed
 
 TINY_KEYS = [
@@ -153,6 +160,55 @@ def test_unknown_key_exits_config(tmp_path):
 def test_exit_code_values():
     assert (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC) == \
         (0, 1, 2, 3)
+
+
+# the exit-code table of the README, one row per error class
+DOCUMENTED_EXITS = {
+    ConfigError: cli.EXIT_CONFIG,
+    ContractError: cli.EXIT_CONFIG,
+    ShapeError: cli.EXIT_CONFIG,
+    DataFormatError: cli.EXIT_DATA,
+    NumericError: cli.EXIT_NUMERIC,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert set(DartError.__subclasses__()) == set(DOCUMENTED_EXITS)
+
+
+@pytest.mark.parametrize("error", DartError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "gradcheck", fail)
+    assert cli.main(["gradcheck"]) == DOCUMENTED_EXITS[error]
+    assert capsys.readouterr().err.endswith(": boom\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--alpha", "abc"],
+    ["train", "--steps", "1.5"],
+    ["train", "--bogus"],
+    ["bogus"],
+    [],
+])
+def test_bad_flag_exits_config_with_one_line(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["hidden", "residual_hidden", "domain_hidden",
+                                 "feature_dim"])
+def test_zero_width_exits_config(tmp_path, capsys, key):
+    cfg = tiny_cfg(tmp_path, [f"{key}=0"])
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +357,28 @@ def test_eval_checkpoint_width_mismatch(tmp_path):
     cfg = tiny_cfg(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    # input width, then class count (the width of the classifier output)
+    for override in ("task.dim=3", "task.classes=4"):
+        rc = cli.main([
+            "eval", "--config", cfg, "--checkpoint", str(out / "model.ckpt"),
+            "--set", override, "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    dm.save_checkpoint(tr.build_model(tr.TrainConfig(), None), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"0.0", b"nan", 1))
     rc = cli.main([
-        "eval", "--config", cfg, "--checkpoint", str(out / "model.ckpt"),
-        "--set", "task.dim=3", "--out", str(tmp_path / "eval"),
+        "eval", "--config", cfg, "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "eval"),
     ])
-    assert rc == cli.EXIT_CONFIG
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -181,21 +181,22 @@ def test_normalize_constant_feature_floored_to_zero():
     ds = dd.Dataset(
         np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]]), None, "source", 2
     )
-    out = dd.normalize(ds)
+    out, _ = dd.normalize_pair(ds, ds)
     assert np.all(out.samples[:, 0] == 0.0)
 
 
 def test_normalize_two_point_feature():
     ds = dd.Dataset(np.array([[0.0, 0.0], [2.0, 2.0]]), None, "source", 2)
-    out = dd.normalize(ds)
+    out, _ = dd.normalize_pair(ds, ds)
     assert np.allclose(out.samples, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
 
 
 def test_normalize_idempotent_on_standardized_data():
     rng = Prng(18)
     raw = np.array([[rng.normal() for _ in range(3)] for _ in range(50)])
-    ds = dd.normalize(dd.Dataset(raw, None, "source", 2))
-    again = dd.normalize(ds)
+    raw_ds = dd.Dataset(raw, None, "source", 2)
+    ds, _ = dd.normalize_pair(raw_ds, raw_ds)
+    again, _ = dd.normalize_pair(ds, ds)
     assert np.allclose(again.samples, ds.samples, atol=1e-9)
 
 
@@ -300,19 +301,3 @@ def test_idx_round_trip_exact(tmp_path):
     assert lab2.read_bytes() == lab.read_bytes()
     again = dd.load_idx(img2, lab2)
     assert np.array_equal(again.samples, ds.samples)
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-
-
-def test_save_csv_layout(tmp_path):
-    ds = dd.Dataset(
-        np.array([[1.5, -2.0], [0.0, 3.25]]), np.eye(2)[[1, 0]], "source", 2
-    )
-    path = tmp_path / "dump.csv"
-    dd.save_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x0,x1,label"
-    assert lines[1] == "1.5,-2.0,1"
-    assert lines[2] == "0.0,3.25,0"

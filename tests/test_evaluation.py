@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dart import autodiff as ad
 from dart import data as dd
 from dart import evaluation as ev
 from dart import model as dm
@@ -167,11 +166,10 @@ def test_run_ablation_produces_complete_report():
     assert report.config_echo["alpha"] == 0.6
 
 
-def test_run_ablation_dart_c_never_fuses():
-    ad.reset_kron_call_count()
+def test_run_ablation_dart_c_never_fuses(kron_calls):
     task = ev.make_blobs_task(seed=2, per_class=20)
     ev.run_ablation("dart_c", task, short_cfg(seed=2, steps=50))
-    assert ad.kron_call_count() == 0
+    assert len(kron_calls) == 0
 
 
 def test_run_ablation_source_only_zeroes_weights():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dart import autodiff as ad
 from dart import model as dm
@@ -372,24 +374,21 @@ def test_adversarial_direction_grl_vs_identity():
         assert np.allclose(near[name], ref, rtol=1e-12, atol=1e-15)
 
 
-def test_marginal_wiring_never_builds_fusion():
-    ad.reset_kron_call_count()
+def test_marginal_wiring_never_builds_fusion(kron_calls):
     m = tiny_model(rng=Prng(41), domain_on_joint=False)
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
     g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     ad.backward(tape, g.total)
-    assert ad.kron_call_count() == 0
+    assert len(kron_calls) == 0
 
 
-def test_joint_wiring_builds_two_fusions_per_pass():
-    ad.reset_kron_call_count()
+def test_joint_wiring_builds_two_fusions_per_pass(kron_calls):
     m = tiny_model(rng=Prng(43))
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
     dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
-    assert ad.kron_call_count() == 2
-    ad.reset_kron_call_count()
+    assert len(kron_calls) == 2
 
 
 def test_residual_disabled_gets_zero_gradient():
@@ -485,9 +484,59 @@ def test_checkpoint_preserves_ablation_wiring(tmp_path):
     assert loaded.use_residual is False
 
 
+def zero_checkpoint_bytes(tmp_path):
+    # a zero-initialized model: every parameter row reads "0.0 0.0 ..."
+    path = tmp_path / "zero.ckpt"
+    dm.save_checkpoint(tiny_model(), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"meta feature_dim 2\n", b"meta feature_dim\n"),
+    (b"meta input_dim 2\n", b"meta input_dim 2\xe9\n"),
+    (b"0.0", b"abc"),
+    (b"param bottleneck.weight 2 3\n", b"param\n"),
+    (b"0.0", b"nan"),
+    (b"meta class_count 3\n", b"meta class_count 1\n"),
+    (b"meta domain_hidden 4\n", b"meta domain_hidden 0\n"),
+], ids=["meta-without-value", "non-ascii", "non-number", "bare-param",
+        "nan", "one-class", "zero-width"])
+def test_malformed_checkpoint_is_data_format_error(tmp_path, old, new):
+    raw = zero_checkpoint_bytes(tmp_path)
+    assert old in raw
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(DataFormatError):
+        dm.load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_is_data_format_error(tmp_path, data):
+    raw = bytearray(zero_checkpoint_bytes(tmp_path))
+    for _ in range(data.draw(st.integers(0, 3))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(bytes(raw[:data.draw(st.integers(0, len(raw)))]))
+    try:
+        dm.load_checkpoint(path)
+    except DataFormatError:
+        pass
+
+
 def test_set_parameter_validates():
     m = tiny_model()
     with pytest.raises(ContractError):
         m.set_parameter("nope.weight", np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         m.set_parameter("bottleneck.weight", np.zeros((5, 5)))
+
+
+@pytest.mark.parametrize("width", [
+    {"hidden": (0,)}, {"feature_dim": 0}, {"residual_hidden": 0},
+    {"domain_hidden": 0},
+], ids=lambda w: next(iter(w)))
+def test_zero_width_layer_rejected(width):
+    with pytest.raises(ContractError):
+        tiny_model(**width)
