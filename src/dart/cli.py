@@ -117,7 +117,7 @@ class RunConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
@@ -126,40 +126,30 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
     if raw in ("", "-"):
         return ()
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"hidden must be a comma list of integers: {raw!r}") from exc
+    return tuple(int(part) for part in raw.split(","))
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
     if not raw:
         return ()
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers: {raw!r}") from exc
+    return tuple(float(part) for part in raw.split(","))
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.strip().split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers: {raw!r}") from exc
+    return tuple(int(part) for part in raw.split(","))
 
 
 def _parse_optional_int(raw: str) -> int | None:
-    raw = raw.strip()
     if raw in ("", "-", "none"):
         return None
     return int(raw)
 
 
-# key -> (section, attribute, converter); sections address RunConfig parts
+# key -> (section, attribute, converter); sections address RunConfig parts.
+# Converters get the stripped raw text; _assign reports their ValueError as
+# a ConfigError naming the key.
 _KEYS = {
     "alpha": ("train", "alpha", float),
     "beta": ("train", "beta", float),
@@ -224,6 +214,8 @@ def _read_config_file(cfg: RunConfig, path: str) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"config file {path} is not UTF-8: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -305,25 +297,23 @@ def build_task(cfg: RunConfig) -> ev.Task:
             label_noise=task_cfg.label_noise,
             normalization=task_cfg.normalization,
         )
-        cfg.train.input_dim = task_cfg.dim
-        cfg.train.class_count = task_cfg.classes
-        return task
-
-    source = dd.load_idx(task_cfg.images, task_cfg.labels)
-    rng = Prng(derive_seed(seed, STREAM_DATA))
-    if task_cfg.subsample:
-        source = dd.subsample(source, task_cfg.subsample, rng)
-    translation = list(task_cfg.translation)
-    translation += [0.0] * (source.dim - len(translation))
-    spec = dd.ShiftSpec(
-        task_cfg.rotation, tuple(translation), task_cfg.scale,
-        task_cfg.label_noise,
-    )
-    target = dd.apply_shift(source, spec, rng)
-    src, tgt = dd.normalize_pair(source, target, mode=task_cfg.normalization)
-    cfg.train.input_dim = source.dim
-    cfg.train.class_count = source.class_count
-    return ev.Task(source=src, target=tgt, name=f"idx-s{seed}")
+    else:
+        source = dd.load_idx(task_cfg.images, task_cfg.labels)
+        rng = Prng(derive_seed(seed, STREAM_DATA))
+        if task_cfg.subsample:
+            source = dd.subsample(source, task_cfg.subsample, rng)
+        translation = list(task_cfg.translation)
+        translation += [0.0] * (source.dim - len(translation))
+        spec = dd.ShiftSpec(
+            task_cfg.rotation, tuple(translation), task_cfg.scale,
+            task_cfg.label_noise,
+        )
+        target = dd.apply_shift(source, spec, rng)
+        src, tgt = dd.normalize_pair(source, target, mode=task_cfg.normalization)
+        task = ev.Task(source=src, target=tgt, name=f"idx-s{seed}")
+    cfg.train.input_dim = task.source.dim
+    cfg.train.class_count = task.source.class_count
+    return task
 
 
 def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
@@ -365,12 +355,15 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError("eval needs a checkpoint (checkpoint=... or --checkpoint)")
     model = dm.load_checkpoint(cfg.checkpoint)
     task = build_task(cfg)
-    ckpt_shape = (model.input_dim, model.class_count)
-    task_shape = (cfg.train.input_dim, cfg.train.class_count)
+    ckpt_shape = (model.input_dim, model.class_count,
+                  model.domain_on_joint, model.use_residual)
+    task_shape = (cfg.train.input_dim, cfg.train.class_count,
+                  *tr.WIRING[cfg.train.variant])
     if ckpt_shape != task_shape:
         raise ConfigError(
-            f"checkpoint (input width, class count) {ckpt_shape} does not "
-            f"match the task's {task_shape}"
+            f"checkpoint (input width, class count, domain_on_joint, "
+            f"use_residual) {ckpt_shape} does not match the task and "
+            f"variant's {task_shape}"
         )
     report = ev.evaluate_model(model, task, cfg.train.seed, cfg.train.variant)
     out = _prepare_out_dir(cfg, ["report.txt"])

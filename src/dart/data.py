@@ -6,7 +6,7 @@ touches. Only evaluation reads it back out via ``true_label_indices``.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,11 +193,10 @@ def subsample(ds: Dataset, n: int, rng: Prng) -> Dataset:
     if n < 1 or n > ds.size:
         raise ContractError(f"subsample size {n} out of range 1..{ds.size}")
     idx = np.asarray(rng.permutation(ds.size)[:n], dtype=np.intp)
-    return Dataset(
+    return replace(
+        ds,
         samples=ds.samples[idx],
         labels=None if ds.labels is None else ds.labels[idx],
-        domain_tag=ds.domain_tag,
-        class_count=ds.class_count,
         sealed_labels=(
             None if ds.sealed_labels is None else ds.sealed_labels[idx]
         ),
@@ -216,13 +215,7 @@ def feature_stats(samples: Tensor) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_standardization(ds: Dataset, mean: np.ndarray,
                           std: np.ndarray) -> Dataset:
-    return Dataset(
-        samples=(ds.samples - mean) / std,
-        labels=ds.labels,
-        domain_tag=ds.domain_tag,
-        class_count=ds.class_count,
-        sealed_labels=ds.sealed_labels,
-    )
+    return replace(ds, samples=(ds.samples - mean) / std)
 
 
 def normalize_pair(source: Dataset, target: Dataset,
@@ -264,7 +257,9 @@ def load_idx(path_images, path_labels, domain_tag: str = "source") -> Dataset:
         n = _read_u32(fh, path_images)
         rows = _read_u32(fh, path_images)
         cols = _read_u32(fh, path_images)
-        payload = fh.read(n * rows * cols)
+        # read what the file holds, not what its header claims: a corrupt
+        # count must not request gigabytes
+        payload = fh.read()[:n * rows * cols]
         if len(payload) != n * rows * cols:
             raise DataFormatError(
                 f"truncated IDX file {path_images}: expected "
@@ -278,7 +273,7 @@ def load_idx(path_images, path_labels, domain_tag: str = "source") -> Dataset:
                 f"expected 0x{IDX_LABELS_MAGIC:08X}"
             )
         n_labels = _read_u32(fh, path_labels)
-        label_bytes = fh.read(n_labels)
+        label_bytes = fh.read()[:n_labels]
         if len(label_bytes) != n_labels:
             raise DataFormatError(
                 f"truncated IDX file {path_labels}: expected "

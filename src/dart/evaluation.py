@@ -140,9 +140,8 @@ def a_distance(
     tgt_train, tgt_test = split(features_tgt)
 
     # the probe has the shape of the model's domain classifier
-    fc1 = dm.LinearLayer.uniform_init(features_src.shape[1], hidden, rng)
-    fc2 = dm.LinearLayer.uniform_init(hidden, 1, rng)
-    params = [fc1.weights, fc1.bias, fc2.weights, fc2.bias]
+    params = [dm.glorot(features_src.shape[1], hidden, rng), np.zeros(hidden),
+              dm.glorot(hidden, 1, rng), np.zeros(1)]
 
     def probe(tape, *inputs):
         ws = [tape.variable(p) for p in params]

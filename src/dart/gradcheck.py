@@ -64,21 +64,18 @@ def build_tiny_instance(seed: int = DEFAULT_SEED):
         domain_hidden=TINY_DOMAIN_HIDDEN,
         rng=init_rng,
     )
-    for name, arr in model.parameters().items():
-        fresh = np.array(
-            [init_rng.uniform_range(-0.9, 0.9) for _ in range(arr.size)]
-        ).reshape(arr.shape)
-        model.set_parameter(name, fresh)
+    for arr in model.parameters().values():
+        arr.flat[:] = [init_rng.uniform_range(-0.9, 0.9) for _ in range(arr.size)]
 
     data_rng = Prng(derive_seed(seed, STREAM_DATA))
-    xs = np.array(
-        [[data_rng.uniform_range(-2, 2) for _ in range(TINY_INPUT_DIM)]
-         for _ in range(TINY_BATCH)]
-    )
-    xt = np.array(
-        [[data_rng.uniform_range(-2, 2) for _ in range(TINY_INPUT_DIM)]
-         for _ in range(TINY_BATCH)]
-    )
+
+    def batch():
+        return np.array(
+            [[data_rng.uniform_range(-2, 2) for _ in range(TINY_INPUT_DIM)]
+             for _ in range(TINY_BATCH)]
+        )
+
+    xs, xt = batch(), batch()
     ys = ad.one_hot(
         [data_rng.randint(TINY_CLASS_COUNT) for _ in range(TINY_BATCH)],
         TINY_CLASS_COUNT,

@@ -29,43 +29,37 @@ CHECKPOINT_HEADER = "DARTCKPT1"
 # the domain output inside the open interval the BCE loss requires
 DOMAIN_PROB_EPS = 1e-12
 
+# constructor fields a checkpoint records, each with the type it reads back as
+ARCHITECTURE = {
+    "input_dim": int,
+    "hidden": tuple,
+    "feature_dim": int,
+    "class_count": int,
+    "residual_hidden": int,
+    "domain_hidden": int,
+    "domain_on_joint": bool,
+    "use_residual": bool,
+}
 
-class LinearLayer:
-    """Dense layer: weights [in x out] plus bias [out]."""
 
-    def __init__(self, weights: Tensor, bias: Tensor):
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weights.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weights.shape[1]:
-            raise ShapeError(
-                f"inconsistent layer shapes: weights {weights.shape}, bias {bias.shape}"
-            )
-        self.weights = weights
-        self.bias = bias
-
-    @classmethod
-    def uniform_init(cls, fan_in: int, fan_out: int, rng: Prng) -> "LinearLayer":
-        # Glorot-style bound; bias starts at zero
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = np.empty((fan_in, fan_out))
-        for i in range(fan_in):
-            for j in range(fan_out):
-                w[i, j] = rng.uniform_range(-limit, limit)
-        return cls(w, np.zeros(fan_out))
-
-    @classmethod
-    def zero_init(cls, fan_in: int, fan_out: int) -> "LinearLayer":
-        return cls(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
+def glorot(fan_in: int, fan_out: int, rng: Prng) -> Tensor:
+    """Glorot-uniform weights [fan_in x fan_out], drawn row-major."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    count = fan_in * fan_out
+    draws = (rng.uniform_range(-limit, limit) for _ in range(count))
+    return np.fromiter(draws, np.float64, count).reshape(fan_in, fan_out)
 
 
 class DartModel:
-    """Full network with named parameter access.
+    """Full network as one table of named parameters.
 
     ``domain_on_joint`` selects the domain classifier input: the Kronecker
     fusion of features and class probabilities (joint alignment) or the
     raw features (marginal alignment, the ``dart_c`` ablation wiring).
     ``use_residual=False`` removes the perturbation branch so the source
     and target classifiers coincide (the ``dart_s`` ablation wiring).
+    Without ``rng`` every parameter starts at zero (a template to load
+    into); biases always start at zero.
     """
 
     def __init__(
@@ -87,54 +81,42 @@ class DartModel:
         self.residual_hidden = (
             class_count if residual_hidden is None else int(residual_hidden)
         )
-        widths = (input_dim, *self.hidden, feature_dim, self.residual_hidden,
-                  domain_hidden)
-        if min(widths) < 1 or class_count < 2:
+        widths = (input_dim, *self.hidden, feature_dim)
+        if min(widths + (self.residual_hidden, domain_hidden)) < 1 or class_count < 2:
             raise ContractError("need every layer width >= 1 and class_count >= 2")
         self.domain_hidden = domain_hidden
         self.domain_on_joint = domain_on_joint
         self.use_residual = use_residual
 
-        def init(fan_in, fan_out):
-            if rng is None:
-                return LinearLayer.zero_init(fan_in, fan_out)
-            return LinearLayer.uniform_init(fan_in, fan_out, rng)
+        # name -> array in checkpoint order; weights are [in x out]
+        self._params: dict[str, Tensor] = {}
 
-        widths = [input_dim, *self.hidden, feature_dim]
-        self.extractor = [
-            init(widths[i], widths[i + 1]) for i in range(len(widths) - 1)
-        ]
-        self.bottleneck = init(feature_dim, class_count)
-        self.residual_fc1 = init(class_count, self.residual_hidden)
+        def layer(prefix, fan_in, fan_out, zero=False):
+            self._params[f"{prefix}.weight"] = (
+                np.zeros((fan_in, fan_out)) if zero or rng is None
+                else glorot(fan_in, fan_out, rng)
+            )
+            self._params[f"{prefix}.bias"] = np.zeros(fan_out)
+
+        for i in range(len(widths) - 1):
+            layer(f"extractor.{i}", widths[i], widths[i + 1])
+        layer("bottleneck", feature_dim, class_count)
+        layer("residual.fc1", class_count, self.residual_hidden)
         # zero-init keeps the perturbation at exactly zero, so the source
         # and target classifiers start bitwise identical
-        self.residual_fc2 = LinearLayer.zero_init(self.residual_hidden, class_count)
+        layer("residual.fc2", self.residual_hidden, class_count, zero=True)
         d_in = feature_dim * class_count if domain_on_joint else feature_dim
-        self.domain_fc1 = init(d_in, domain_hidden)
-        self.domain_fc2 = init(domain_hidden, 1)
+        layer("domain.fc1", d_in, domain_hidden)
+        layer("domain.fc2", domain_hidden, 1)
 
     # -- parameter access ---------------------------------------------------
 
-    def layers(self) -> dict[str, LinearLayer]:
-        """Layers by parameter-name prefix, in checkpoint order."""
-        out = {f"extractor.{i}": layer for i, layer in enumerate(self.extractor)}
-        out["bottleneck"] = self.bottleneck
-        out["residual.fc1"] = self.residual_fc1
-        out["residual.fc2"] = self.residual_fc2
-        out["domain.fc1"] = self.domain_fc1
-        out["domain.fc2"] = self.domain_fc2
-        return out
-
     def parameters(self) -> dict[str, Tensor]:
-        """Named parameters in a stable order; arrays are live references."""
-        out: dict[str, Tensor] = {}
-        for prefix, layer in self.layers().items():
-            out[f"{prefix}.weight"] = layer.weights
-            out[f"{prefix}.bias"] = layer.bias
-        return out
+        """Named parameters in checkpoint order; arrays are live references."""
+        return self._params
 
     def _param_names(self, *prefixes: str) -> list[str]:
-        return [name for name in self.parameters() if name.startswith(prefixes)]
+        return [name for name in self._params if name.startswith(prefixes)]
 
     def feature_param_names(self) -> list[str]:
         # bottleneck counts as a feature parameter: it sits before the
@@ -149,7 +131,7 @@ class DartModel:
 
     def set_parameter(self, name: str, value) -> None:
         arr = np.asarray(value, dtype=np.float64)
-        current = self.parameters().get(name)
+        current = self._params.get(name)
         if current is None:
             raise ContractError(f"unknown parameter {name!r}")
         if current.shape != arr.shape:
@@ -159,18 +141,8 @@ class DartModel:
         current[...] = arr
 
     def clone(self) -> "DartModel":
-        other = DartModel(
-            self.input_dim,
-            self.hidden,
-            self.feature_dim,
-            self.class_count,
-            self.residual_hidden,
-            self.domain_hidden,
-            self.domain_on_joint,
-            self.use_residual,
-            rng=None,
-        )
-        for name, arr in self.parameters().items():
+        other = DartModel(**{key: getattr(self, key) for key in ARCHITECTURE})
+        for name, arr in self._params.items():
             other.set_parameter(name, arr)
         return other
 
@@ -180,7 +152,6 @@ class BoundModel:
 
     def __init__(self, model: DartModel, tape: Tape):
         self.model = model
-        self.tape = tape
         self.params: dict[str, Var] = {
             name: tape.variable(arr) for name, arr in model.parameters().items()
         }
@@ -192,10 +163,10 @@ class BoundModel:
 
     def features(self, x: Var) -> Var:
         h = x
-        last = len(self.model.extractor) - 1
-        for i in range(len(self.model.extractor)):
+        depth = len(self.model.hidden) + 1
+        for i in range(depth):
             h = self._linear(h, f"extractor.{i}")
-            if i != last:
+            if i != depth - 1:
                 h = ad.relu(h)
         return h
 
@@ -235,11 +206,6 @@ def bind(model: DartModel, tape: Tape) -> BoundModel:
 
 # ---------------------------------------------------------------------------
 # Losses (graph form; scalars come back as 0-d Vars)
-
-
-def _check_probability_rows(y: Tensor, what: str) -> None:
-    if np.any(y < 0.0) or np.any(y.sum(axis=1) > 1.0 + 1e-9):
-        raise ContractError(f"{what} rows must be probability vectors")
 
 
 def classification_loss(y_pred: Var, y_true: Tensor) -> Var:
@@ -390,45 +356,35 @@ def forward_source_probs(model: DartModel, f: Tensor) -> Tensor:
     return bm.source_probs(bm.logits(tape.variable(f))).value
 
 
-def forward_domain(
-    model: DartModel, f: Tensor, y: Tensor | None, lam: float
-) -> Tensor:
-    """Domain probability per row; ``y`` is ignored (may be None) when the
-    model routes the domain classifier on features only."""
-    tape = Tape()
-    bm = bind(model, tape)
-    f_v = tape.variable(f)
-    if model.domain_on_joint:
-        if y is None:
-            raise ContractError("joint domain classifier needs class probabilities")
-        y = np.asarray(y, dtype=np.float64)
-        _check_probability_rows(y, "class-probability")
-        joint = ad.kron_rows(f_v, tape.variable(y))
-    else:
-        joint = f_v
-    return bm.domain_prob(joint, lam).value
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: versioned structured text, floats via repr for exact
 # round-trip, so identical runs write identical bytes
 
 
+def _format_meta(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value)) or "-"
+    return str(int(value))
+
+
+def _parse_meta(kind: type, text: str):
+    if kind is tuple:
+        return () if text == "-" else tuple(int(v) for v in text.split(","))
+    return kind(int(text))
+
+
+def _param_header(name: str, arr: Tensor) -> str:
+    return f"param {name} {' '.join(str(s) for s in arr.shape)}"
+
+
 def save_checkpoint(model: DartModel, path) -> None:
     lines = [CHECKPOINT_HEADER]
-    lines.append(f"meta input_dim {model.input_dim}")
-    lines.append(f"meta hidden {','.join(map(str, model.hidden)) or '-'}")
-    lines.append(f"meta feature_dim {model.feature_dim}")
-    lines.append(f"meta class_count {model.class_count}")
-    lines.append(f"meta residual_hidden {model.residual_hidden}")
-    lines.append(f"meta domain_hidden {model.domain_hidden}")
-    lines.append(f"meta domain_on_joint {int(model.domain_on_joint)}")
-    lines.append(f"meta use_residual {int(model.use_residual)}")
+    for key in ARCHITECTURE:
+        lines.append(f"meta {key} {_format_meta(getattr(model, key))}")
     for name, arr in model.parameters().items():
-        dims = " ".join(str(s) for s in arr.shape)
-        lines.append(f"param {name} {dims}")
-        rows = arr.reshape(arr.shape[0], -1) if arr.ndim == 2 else arr.reshape(1, -1)
-        for row in rows:
+        lines.append(_param_header(name, arr))
+        # one text row per weight row; a bias is a single row
+        for row in arr.reshape(-1, arr.shape[-1]):
             lines.append(" ".join(repr(float(v)) for v in row))
     lines.append("end")
     with open(path, "w", encoding="ascii") as fh:
@@ -436,78 +392,51 @@ def save_checkpoint(model: DartModel, path) -> None:
 
 
 def load_checkpoint(path) -> DartModel:
-    """Reads a checkpoint; malformed content of any kind raises
-    DataFormatError (OSError still signals an unreadable file)."""
+    """Reads a checkpoint; malformed content of any kind raises a
+    DataFormatError naming the file (OSError still signals an unreadable
+    file). Widths too large to allocate count as malformed."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
         return _parse_checkpoint(lines)
-    except (ContractError, LookupError, ValueError) as exc:
+    except (ContractError, DataFormatError, LookupError, MemoryError,
+            ValueError) as exc:
         raise DataFormatError(
             f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
 
 
 def _parse_checkpoint(lines: list[str]) -> DartModel:
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise DataFormatError(
-            f"not a checkpoint: expected header {CHECKPOINT_HEADER!r}"
-        )
-    meta: dict[str, str] = {}
-    pos = 1
-    while pos < len(lines) and lines[pos].startswith("meta "):
-        _, key, value = lines[pos].split(" ", 2)
-        meta[key] = value
-        pos += 1
-    hidden_str = meta["hidden"]
-    hidden = () if hidden_str == "-" else tuple(
-        int(h) for h in hidden_str.split(",")
-    )
-    model = DartModel(
-        input_dim=int(meta["input_dim"]),
-        hidden=hidden,
-        feature_dim=int(meta["feature_dim"]),
-        class_count=int(meta["class_count"]),
-        residual_hidden=int(meta["residual_hidden"]),
-        domain_hidden=int(meta["domain_hidden"]),
-        domain_on_joint=bool(int(meta["domain_on_joint"])),
-        use_residual=bool(int(meta["use_residual"])),
-        rng=None,
-    )
+    """Header, the ARCHITECTURE meta lines, then one block per parameter
+    in model order, then ``end``; anything else is a DataFormatError."""
+    rest = iter(lines)
 
-    params = model.parameters()
-    while pos < len(lines) and lines[pos] != "end":
-        parts = lines[pos].split()
-        if parts[0] != "param":
-            raise DataFormatError(f"unexpected checkpoint line: {lines[pos]!r}")
-        name = parts[1]
-        shape = tuple(int(s) for s in parts[2:])
-        if name not in params:
-            raise DataFormatError(f"unknown parameter {name!r} in checkpoint")
-        if params[name].shape != shape:
-            raise DataFormatError(
-                f"parameter {name!r}: checkpoint shape {shape}, "
-                f"model shape {params[name].shape}"
-            )
-        pos += 1
-        n_rows = shape[0] if len(shape) == 2 else 1
-        row_len = shape[1] if len(shape) == 2 else shape[0]
-        rows = []
-        for _ in range(n_rows):
-            if pos >= len(lines):
-                raise DataFormatError("truncated checkpoint: missing parameter rows")
-            vals = [float(v) for v in lines[pos].split()]
-            if len(vals) != row_len:
+    def expect(prefix: str) -> str:
+        """The next line after ``prefix``, which it must start with."""
+        line = next(rest, "")
+        if not line.startswith(prefix):
+            raise DataFormatError(f"expected {prefix.strip()!r}, got {line[:40]!r}")
+        return line[len(prefix):]
+
+    if expect(CHECKPOINT_HEADER):
+        raise DataFormatError(f"not a checkpoint: header is not {CHECKPOINT_HEADER!r}")
+    model = DartModel(**{
+        key: _parse_meta(kind, expect(f"meta {key} "))
+        for key, kind in ARCHITECTURE.items()
+    })
+    for name, arr in model.parameters().items():
+        if expect(_param_header(name, arr)):
+            raise DataFormatError(f"parameter {name!r}: shape differs from model")
+        for row in arr.reshape(-1, arr.shape[-1]):  # views into the model
+            vals = [float(v) for v in next(rest, "").split()]
+            if len(vals) != row.size:
                 raise DataFormatError(
-                    f"parameter {name!r}: expected {row_len} values per row, "
+                    f"parameter {name!r}: expected {row.size} values per row, "
                     f"got {len(vals)}"
                 )
-            rows.append(vals)
-            pos += 1
-        arr = np.asarray(rows, dtype=np.float64).reshape(shape)
+            row[...] = vals
         if not np.all(np.isfinite(arr)):
             raise DataFormatError(f"parameter {name!r}: non-finite value")
-        model.set_parameter(name, arr)
-    if pos >= len(lines) or lines[pos] != "end":
+    if next(rest, "") != "end":
         raise DataFormatError("truncated checkpoint: missing end marker")
     return model

@@ -19,7 +19,15 @@ from dart.autodiff import Tape, Tensor
 from dart.errors import ConfigError, ContractError, NumericError
 from dart.rng import STREAM_SAMPLING, Prng, derive_seed
 
-VARIANTS = ("full", "dart_c", "dart_s", "source_only")
+# variant -> (domain_on_joint, use_residual), the wiring it gives the model;
+# source_only shares full's wiring and differs only in effective()
+WIRING = {
+    "full": (True, True),
+    "dart_c": (False, True),
+    "dart_s": (True, False),
+    "source_only": (True, True),
+}
+VARIANTS = tuple(WIRING)
 
 METRICS_COLUMNS = ("step", "eta", "lambda", "loss_y", "loss_h", "loss_d",
                    "loss_total")
@@ -93,6 +101,7 @@ class TrainConfig:
 
 
 def build_model(cfg: TrainConfig, rng: Prng) -> dm.DartModel:
+    domain_on_joint, use_residual = WIRING[cfg.variant]
     return dm.DartModel(
         input_dim=cfg.input_dim,
         hidden=cfg.hidden,
@@ -100,8 +109,8 @@ def build_model(cfg: TrainConfig, rng: Prng) -> dm.DartModel:
         class_count=cfg.class_count,
         residual_hidden=cfg.residual_hidden,
         domain_hidden=cfg.domain_hidden,
-        domain_on_joint=cfg.variant != "dart_c",
-        use_residual=cfg.variant != "dart_s",
+        domain_on_joint=domain_on_joint,
+        use_residual=use_residual,
         rng=rng,
     )
 
@@ -285,13 +294,10 @@ def train_loop(
         )
     state = SgdState()
     history: list[StepMetrics] = []
-    if cfg.total_steps == 0:
-        if metrics_path is not None:
-            with open(metrics_path, "w", encoding="ascii") as fh:
-                fh.write(",".join(METRICS_COLUMNS) + "\n")
-        return TrainReport(model, state, history)
-
-    sampler = PairedSampler(source, target, cfg.batch_size, cfg.seed)
+    # built only when stepping, so a zero-step run never checks the batch
+    # size against the dataset
+    sampler = (PairedSampler(source, target, cfg.batch_size, cfg.seed)
+               if cfg.total_steps > 0 else None)
     fh = open(metrics_path, "w", encoding="ascii") if metrics_path else None
     try:
         if fh:

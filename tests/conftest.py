@@ -1,4 +1,5 @@
-"""Shared test utilities: an independent central-difference oracle.
+"""Shared test utilities: an independent central-difference oracle and a
+byte mutator for the fuzz tests.
 
 The oracle perturbs raw parameter arrays in place and re-evaluates a
 scalar-returning closure, so it exercises only forward computations and
@@ -11,6 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dart import autodiff as ad
 
@@ -56,3 +58,11 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     """Largest elementwise |a-b| / max(|a|, |b|, floor)."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def mutate_bytes(data, raw: bytes) -> bytes:
+    """Up to three drawn byte substitutions, then a drawn truncation."""
+    raw = bytearray(raw)
+    for _ in range(data.draw(st.integers(0, 3))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(raw[:data.draw(st.integers(0, len(raw)))])

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dart import cli
 from dart import data as dd
@@ -21,6 +23,8 @@ from dart.errors import (
     ShapeError,
 )
 from dart.rng import STREAM_INIT, Prng, derive_seed
+
+from conftest import mutate_bytes
 
 TINY_KEYS = [
     "steps=12",
@@ -38,6 +42,18 @@ def write_cfg(path, lines):
 
 def tiny_cfg(tmp_path, extra=()):
     return write_cfg(tmp_path / "run.cfg", TINY_KEYS + list(extra))
+
+
+def write_tiny_idx(tmp_path):
+    """12 two-pixel images with labels cycling over 10 classes; returns
+    the image and label paths."""
+    rng = Prng(5)
+    samples = np.array([[rng.uniform(), rng.uniform()] for _ in range(12)])
+    labels = np.eye(10)[[i % 10 for i in range(12)]]
+    ds = dd.Dataset(samples, labels, "source", 10)
+    images, label_path = tmp_path / "im.idx", tmp_path / "lab.idx"
+    dd.write_idx(ds, images, label_path, 1, 2)
+    return images, label_path
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +166,15 @@ def test_bad_set_syntax_exits_config(capsys):
 
 def test_missing_config_file_is_data_error():
     assert cli.main(["train", "--config", "/nonexistent/run.cfg"]) == cli.EXIT_DATA
+
+
+def test_non_utf8_config_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"steps=5\nalpha=0.\xe9\n")
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 def test_unknown_key_exits_config(tmp_path):
@@ -284,16 +309,11 @@ def test_train_metrics_byte_identical_across_runs(tmp_path):
 
 
 def test_train_on_idx_task(tmp_path):
-    # 12 two-pixel images, labels cycling over 10 classes
-    rng = Prng(5)
-    samples = np.array([[rng.uniform(), rng.uniform()] for _ in range(12)])
-    labels = np.eye(10)[[i % 10 for i in range(12)]]
-    ds = dd.Dataset(samples, labels, "source", 10)
-    dd.write_idx(ds, tmp_path / "im.idx", tmp_path / "lab.idx", 1, 2)
+    images, labels = write_tiny_idx(tmp_path)
     cfg = write_cfg(tmp_path / "run.cfg", [
         "task.kind=idx",
-        f"task.images={tmp_path / 'im.idx'}",
-        f"task.labels={tmp_path / 'lab.idx'}",
+        f"task.images={images}",
+        f"task.labels={labels}",
         "task.rotation=0.5",
         "steps=2",
         "batch=4",
@@ -357,8 +377,8 @@ def test_eval_checkpoint_width_mismatch(tmp_path):
     cfg = tiny_cfg(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
-    # input width, then class count (the width of the classifier output)
-    for override in ("task.dim=3", "task.classes=4"):
+    # input width, class count, then the variant's wiring
+    for override in ("task.dim=3", "task.classes=4", "variant=dart_c"):
         rc = cli.main([
             "eval", "--config", cfg, "--checkpoint", str(out / "model.ckpt"),
             "--set", override, "--out", str(tmp_path / "eval"),
@@ -459,3 +479,38 @@ def test_errors_still_reported_when_quiet(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path / "a.cfg", ["bogus=1"])
     assert cli.main(["train", "--config", path]) == cli.EXIT_CONFIG
     assert "bogus" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: a mutated file ends in a documented exit code, never a
+# traceback
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def train_zero_steps(tmp_path, cfg):
+    return cli.main(["train", "--config", cfg, "--steps", "0",
+                     "--out", str(tmp_path / "run"), "--overwrite"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_config_file_exits_with_a_documented_code(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    valid = ("\n".join(TINY_KEYS) + "\n").encode("ascii")
+    path.write_bytes(mutate_bytes(data, valid))
+    assert train_zero_steps(tmp_path, str(path)) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_idx_pair_exits_with_a_documented_code(tmp_path, data):
+    images, labels = write_tiny_idx(tmp_path)
+    victim = data.draw(st.sampled_from([images, labels]))
+    victim.write_bytes(mutate_bytes(data, victim.read_bytes()))
+    cfg = write_cfg(tmp_path / "run.cfg", [
+        "task.kind=idx", f"task.images={images}", f"task.labels={labels}",
+    ])
+    assert train_zero_steps(tmp_path, cfg) in (0, 1, 2, 3)

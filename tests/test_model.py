@@ -13,6 +13,8 @@ from dart.autodiff import Tape
 from dart.errors import ContractError, DataFormatError, ShapeError
 from dart.rng import Prng
 
+from conftest import mutate_bytes
+
 
 def tiny_model(rng=None, **kw):
     kw.setdefault("input_dim", 2)
@@ -125,9 +127,10 @@ def test_source_probs_match_standalone_recomputation():
     got = dm.forward_source_probs(m, f)
 
     # independent numpy recomposition
-    z = f @ m.bottleneck.weights + m.bottleneck.bias
-    h = np.maximum(z @ m.residual_fc1.weights + m.residual_fc1.bias, 0.0)
-    delta = h @ m.residual_fc2.weights + m.residual_fc2.bias
+    p = m.parameters()
+    z = f @ p["bottleneck.weight"] + p["bottleneck.bias"]
+    h = np.maximum(z @ p["residual.fc1.weight"] + p["residual.fc1.bias"], 0.0)
+    delta = h @ p["residual.fc2.weight"] + p["residual.fc2.bias"]
     logits = z + delta
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     want = e / e.sum(axis=1, keepdims=True)
@@ -138,11 +141,20 @@ def test_source_probs_match_standalone_recomputation():
 # domain classifier forward
 
 
+def domain_prob(m, joint):
+    """The model's domain head on a fresh tape; numpy in and out."""
+    tape = Tape()
+    p = m.parameters()
+    ws = [tape.variable(p[f"domain.{k}"])
+          for k in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
+    return dm.domain_head(tape.variable(np.asarray(joint, float)), *ws).value
+
+
 def test_domain_zero_weights_gives_half():
     m = tiny_model()
-    f = np.array([[1.0, 2.0], [0.0, -1.0]])
-    y = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    d = dm.forward_domain(m, f, y, lam=1.0)
+    # features [[1, 2], [0, -1]] fused with labels [[1, 0, 0], [0, 1, 0]]
+    joint = [[1.0, 0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]]
+    d = domain_prob(m, joint)
     assert d.shape == (2, 1)
     assert np.all(d == 0.5)
 
@@ -160,30 +172,20 @@ def test_domain_matches_hand_composed_pipeline():
     m.set_parameter("domain.fc2.weight", w2)
     m.set_parameter("domain.fc2.bias", b2)
 
-    f = np.array([[1.0, 2.0]])
-    y = np.array([[0.0, 1.0]])
-    got = dm.forward_domain(m, f, y, lam=1.0)
+    # features [[1, 2]] fused with labels [[0, 1]], feature-major
+    joint = np.array([[0.0, 1.0, 0.0, 2.0]])
+    got = domain_prob(m, joint)
 
-    joint = np.array([[0.0, 1.0, 0.0, 2.0]])  # feature-major fusion by hand
     h = np.maximum(joint @ w1 + b1, 0.0)
     want = 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
     assert np.allclose(got, want, atol=1e-12)
     assert np.all((got > 0.0) & (got < 1.0))
 
 
-def test_domain_rejects_bad_probability_rows():
-    m = tiny_model()
-    f = np.zeros((1, 2))
-    with pytest.raises(ContractError):
-        dm.forward_domain(m, f, np.array([[0.5, -0.1, 0.6]]), 1.0)
-    with pytest.raises(ContractError):
-        dm.forward_domain(m, f, np.array([[0.8, 0.8, 0.8]]), 1.0)
-
-
 def test_domain_output_clamped_inside_open_interval():
     m = tiny_model()
     m.set_parameter("domain.fc2.bias", [1000.0])
-    d = dm.forward_domain(m, np.zeros((1, 2)), np.array([[1.0, 0.0, 0.0]]), 0.0)
+    d = domain_prob(m, np.zeros((1, 6)))
     assert d[0, 0] < 1.0
     assert d[0, 0] == 1.0 - dm.DOMAIN_PROB_EPS
 
@@ -484,6 +486,10 @@ def test_checkpoint_preserves_ablation_wiring(tmp_path):
     assert loaded.use_residual is False
 
 
+# the residual output bias block of the tiny model's checkpoint
+RESIDUAL_BIAS_BLOCK = b"param residual.fc2.bias 3\n0.0 0.0 0.0\n"
+
+
 def zero_checkpoint_bytes(tmp_path):
     # a zero-initialized model: every parameter row reads "0.0 0.0 ..."
     path = tmp_path / "zero.ckpt"
@@ -499,8 +505,12 @@ def zero_checkpoint_bytes(tmp_path):
     (b"0.0", b"nan"),
     (b"meta class_count 3\n", b"meta class_count 1\n"),
     (b"meta domain_hidden 4\n", b"meta domain_hidden 0\n"),
+    (b"meta input_dim 2\n", b"meta input_dim 1000000000000000\n"),
+    (RESIDUAL_BIAS_BLOCK, b""),
+    (RESIDUAL_BIAS_BLOCK, RESIDUAL_BIAS_BLOCK * 2),
 ], ids=["meta-without-value", "non-ascii", "non-number", "bare-param",
-        "nan", "one-class", "zero-width"])
+        "nan", "one-class", "zero-width", "huge-width", "missing-block",
+        "repeated-block"])
 def test_malformed_checkpoint_is_data_format_error(tmp_path, old, new):
     raw = zero_checkpoint_bytes(tmp_path)
     assert old in raw
@@ -514,11 +524,8 @@ def test_malformed_checkpoint_is_data_format_error(tmp_path, old, new):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_checkpoint_loads_or_is_data_format_error(tmp_path, data):
-    raw = bytearray(zero_checkpoint_bytes(tmp_path))
-    for _ in range(data.draw(st.integers(0, 3))):
-        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
     path = tmp_path / "fuzz.ckpt"
-    path.write_bytes(bytes(raw[:data.draw(st.integers(0, len(raw)))]))
+    path.write_bytes(mutate_bytes(data, zero_checkpoint_bytes(tmp_path)))
     try:
         dm.load_checkpoint(path)
     except DataFormatError:
