@@ -6,7 +6,10 @@ Differentiable computations are recorded on a :class:`Tape`: every value
 non-leaf node stores its parent ids plus a closure that maps the upstream
 gradient to per-parent gradients. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out, and returns a gradient for every registered id.
+fan-out, and returns a gradient for every registered id. Leaves registered
+with :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs
+is reported as zero, and :func:`matmul` and :func:`kron_rows` skip the
+products that would only feed one.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -82,25 +85,34 @@ class Tape:
     """Reverse-mode differentiation record.
 
     ``values[i]`` holds the tensor for id ``i``; ``nodes`` holds, for each
-    non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``. Parents
+    non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
+    ``constants`` holds the ids of leaves that need no gradient. Parents
     always precede their node in registration order, so the record is
     topologically sorted by construction. A tape and its tensors belong to
     a single thread for the duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes")
+    __slots__ = ("values", "nodes", "constants")
 
     def __init__(self):
         self.values: list[Tensor] = []
         self.nodes: list[tuple[int, tuple[int, ...], BackwardRule]] = []
+        self.constants: set[int] = set()
 
     def variable(self, value) -> Var:
-        """Register a leaf value (parameter, input, or constant)."""
+        """Register a leaf value; backward computes its gradient."""
         arr = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ContractError("variable value must be finite")
         self.values.append(arr)
         return Var(self, len(self.values) - 1)
+
+    def constant(self, value) -> Var:
+        """Register a leaf that needs no gradient (an input, label or mask);
+        backward reports zeros for it."""
+        var = self.variable(value)
+        self.constants.add(var.vid)
+        return var
 
     def register(self, value: Tensor, parents: tuple[int, ...],
                  rule: BackwardRule) -> Var:
@@ -123,7 +135,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     """Gradient of a scalar loss w.r.t. every id registered on the tape.
 
     The seed gradient at the loss is 1; fan-out accumulates additively.
-    Ids the loss does not depend on get zero gradients.
+    Ids the loss does not depend on, and constants, get zero gradients.
     """
     loss_value = tape.values[loss.vid]
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -132,13 +144,14 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
         )
     grads: list[np.ndarray | None] = [None] * len(tape.values)
     grads[loss.vid] = np.ones_like(loss_value)
+    constants = tape.constants
     for vid, parents, rule in reversed(tape.nodes):
         g = grads[vid]
         if g is None:
             continue
         parent_grads = rule(g)
         for pid, pg in zip(parents, parent_grads):
-            if pg is None:
+            if pg is None or pid in constants:
                 continue
             if grads[pid] is None:
                 grads[pid] = pg
@@ -147,7 +160,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     out: dict[int, Tensor] = {}
     for vid, val in enumerate(tape.values):
         g = grads[vid]
-        out[vid] = np.zeros_like(val) if g is None else np.asarray(g)
+        out[vid] = np.zeros(val.shape) if g is None else np.asarray(g)
     return out
 
 
@@ -163,8 +176,10 @@ def matmul(a: Var, b: Var) -> Var:
             f"matmul shapes incompatible: {av.shape} x {bv.shape}"
         )
 
+    a_const = a.vid in tape.constants
+
     def rule(g, av=av, bv=bv):
-        return g @ bv.T, av.T @ g
+        return None if a_const else g @ bv.T, av.T @ g
 
     return tape.register(av @ bv, (a.vid, b.vid), rule)
 
@@ -229,8 +244,10 @@ def kron_rows(f: Var, y: Var) -> Var:
     """Row-wise Kronecker product: out[i, a*c + b] = f[i, a] * y[i, b].
 
     Feature-major ordering: each feature entry contributes a contiguous
-    block of c entries. Gradients flow to both operands.
+    block of c entries. Gradients flow to both operands unless one is a
+    constant.
     """
+    tape = f.tape
     fv, yv = f.value, y.value
     if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
         raise ShapeError(
@@ -240,13 +257,15 @@ def kron_rows(f: Var, y: Var) -> Var:
     c = yv.shape[1]
     out = (fv[:, :, None] * yv[:, None, :]).reshape(n, m * c)
 
+    f_const, y_const = f.vid in tape.constants, y.vid in tape.constants
+
     def rule(g, fv=fv, yv=yv, n=n, m=m, c=c):
         g3 = g.reshape(n, m, c)
-        gf = (g3 * yv[:, None, :]).sum(axis=2)
-        gy = (g3 * fv[:, :, None]).sum(axis=1)
+        gf = None if f_const else (g3 * yv[:, None, :]).sum(axis=2)
+        gy = None if y_const else (g3 * fv[:, :, None]).sum(axis=1)
         return gf, gy
 
-    return f.tape.register(out, (f.vid, y.vid), rule)
+    return tape.register(out, (f.vid, y.vid), rule)
 
 
 def log_eps(x: Var, eps: float = LOG_EPS) -> Var:

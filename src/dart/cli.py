@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from dart import data as dd
 from dart import evaluation as ev
 from dart import gradcheck as gc
@@ -422,8 +424,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
-        return _COMMANDS[cfg.command](cfg)
+        # a diverging run reports itself through the loss check (exit 3),
+        # not through numpy's overflow warnings on the way there
+        with np.errstate(all="ignore"):
+            cfg = parse_config(argv)
+            return _COMMANDS[cfg.command](cfg)
     except tuple(EXIT_CODES) as exc:
         code, what = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
         log("quiet", f"{what}: {exc}")

@@ -145,7 +145,7 @@ def a_distance(
 
     def probe(tape, *inputs):
         ws = [tape.variable(p) for p in params]
-        return ws, [dm.domain_head(tape.variable(x), *ws) for x in inputs]
+        return ws, [dm.domain_head(tape.constant(x), *ws) for x in inputs]
 
     for _ in range(steps):
         tape = Tape()

@@ -16,8 +16,6 @@ reversal point).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from dart import autodiff as ad
 from dart import model as dm
 from dart.autodiff import Tape
@@ -65,15 +63,13 @@ def build_tiny_instance(seed: int = DEFAULT_SEED):
         rng=init_rng,
     )
     for arr in model.parameters().values():
-        arr.flat[:] = [init_rng.uniform_range(-0.9, 0.9) for _ in range(arr.size)]
+        arr.flat[:] = init_rng.uniform_block(arr.size, -0.9, 0.9)
 
     data_rng = Prng(derive_seed(seed, STREAM_DATA))
 
     def batch():
-        return np.array(
-            [[data_rng.uniform_range(-2, 2) for _ in range(TINY_INPUT_DIM)]
-             for _ in range(TINY_BATCH)]
-        )
+        return data_rng.uniform_block(TINY_BATCH * TINY_INPUT_DIM, -2, 2).reshape(
+            TINY_BATCH, TINY_INPUT_DIM)
 
     xs, xt = batch(), batch()
     ys = ad.one_hot(

@@ -45,9 +45,7 @@ ARCHITECTURE = {
 def glorot(fan_in: int, fan_out: int, rng: Prng) -> Tensor:
     """Glorot-uniform weights [fan_in x fan_out], drawn row-major."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    count = fan_in * fan_out
-    draws = (rng.uniform_range(-limit, limit) for _ in range(count))
-    return np.fromiter(draws, np.float64, count).reshape(fan_in, fan_out)
+    return rng.uniform_block(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
 
 
 class DartModel:
@@ -218,7 +216,7 @@ def classification_loss(y_pred: Var, y_true: Tensor) -> Var:
             f"predictions {y_pred.shape} vs labels {y_true.shape}"
         )
     n = y_true.shape[0]
-    mask = y_pred.tape.variable(y_true)
+    mask = y_pred.tape.constant(y_true)
     picked = ad.multiply(ad.log_eps(y_pred), mask)
     return ad.scalar_mul(ad.sum_all(picked), -1.0 / n)
 
@@ -241,7 +239,7 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     ns = d_src.value.shape[0]
     nt = d_tgt.value.shape[0]
     src_term = ad.scalar_mul(ad.sum_all(ad.log_eps(d_src)), -1.0 / ns)
-    ones = d_tgt.tape.variable(np.ones_like(d_tgt.value))
+    ones = d_tgt.tape.constant(np.ones_like(d_tgt.value))
     tgt_term = ad.scalar_mul(
         ad.sum_all(ad.log_eps(ad.subtract(ones, d_tgt))), -1.0 / nt
     )
@@ -294,8 +292,8 @@ def build_training_graph(
     so it implies the cut).
     """
     bm = bind(model, tape)
-    xs_v = tape.variable(xs)
-    xt_v = tape.variable(xt)
+    xs_v = tape.constant(xs)
+    xt_v = tape.constant(xt)
 
     fs = bm.features(xs_v)
     ft = bm.features(xt_v)
@@ -305,12 +303,12 @@ def build_training_graph(
     yt_pred = bm.target_probs(zt)
 
     if model.domain_on_joint:
-        ys_v = tape.variable(np.asarray(ys, dtype=np.float64))
+        ys_v = tape.constant(ys)
         fused_src = ad.kron_rows(fs, ys_v)
         y_for_fusion = yt_pred
         if harden_pseudo_labels:
             hard = ad.one_hot(np.argmax(yt_pred.value, axis=1), model.class_count)
-            y_for_fusion = tape.variable(hard)
+            y_for_fusion = tape.constant(hard)
         elif stop_pseudo_label_grad:
             y_for_fusion = ad.stop_gradient(yt_pred)
         fused_tgt = ad.kron_rows(ft, y_for_fusion)

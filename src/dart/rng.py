@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 # Stream tags for derive_seed. One stream per independent source of
 # randomness in a run.
@@ -30,8 +33,8 @@ STREAM_PROBE = 4  # domain-probe training in evaluation
 def mix64(x: int) -> int:
     """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value."""
     x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
     return x ^ (x >> 31)
 
 
@@ -56,6 +59,30 @@ class Prng:
         self._state = (self._state + _GOLDEN) & _MASK
         return mix64(self._state)
 
+    def block(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, equal to n next_u64() calls
+        and leaving the same state. Output k is mix64(state + k*GOLDEN),
+        computed in place; uint64 arithmetic wraps like the & _MASK."""
+        x = np.arange(1, n + 1, dtype=np.uint64)
+        x *= _GOLDEN
+        x += self._state
+        x ^= x >> 30
+        x *= _MIX1
+        x ^= x >> 27
+        x *= _MIX2
+        x ^= x >> 31
+        self._state = (self._state + n * _GOLDEN) & _MASK
+        return x
+
+    def uniform_block(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """The next n uniform_range(lo, hi) draws as a float64 array, bitwise
+        equal to the scalar draws."""
+        u = (self.block(n) >> 11).astype(np.float64)
+        u *= 1.0 / (1 << 53)
+        u *= hi - lo
+        u += lo
+        return u
+
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
@@ -79,9 +106,28 @@ class Prng:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle: item i swaps with randint(i + 1),
+        i from the end down to 1.
+
+        The swap indices come from one block with randint's rejection rule
+        applied to each draw; at the first rejected draw (odds below
+        n / 2**64 each) the state rewinds to it and the scalar loop
+        finishes, so the result and end state equal the scalar path's.
+        """
+        n = len(items)
+        start = self._state
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
+        draws = self.block(bounds.size)
+        # randint's limit 2**64 - 2**64 % bound, which wraps to 0 (accept
+        # every draw) when the bound is a power of two
+        limits = 0 - (_MASK % bounds + 1) % bounds
+        accepted = (limits == 0) | (draws < limits)
+        k = bounds.size if accepted.all() else int(np.argmin(accepted))
+        picks = (draws[:k] % bounds[:k]).tolist()
+        if k < bounds.size:
+            self._state = (start + k * _GOLDEN) & _MASK
+            picks += [self.randint(b) for b in bounds[k:].tolist()]
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list[int]:

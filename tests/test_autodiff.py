@@ -428,6 +428,66 @@ def test_backward_returns_zeros_for_unreached_variables():
     assert grads[unused.vid].tolist() == [0.0, 0.0]
 
 
+# ---------------------------------------------------------------------------
+# constant leaves
+
+
+def test_constant_is_a_finite_leaf():
+    tape = ad.Tape()
+    c = tape.constant([[1, 2]])
+    assert c.value.dtype == np.float64 and tape.constants == {c.vid}
+    with pytest.raises(ContractError):
+        tape.constant([float("nan")])
+    assert len(tape.values) == 1
+
+
+def test_backward_gives_constants_exact_zeros():
+    tape = ad.Tape()
+    w = make_var(tape, [[0.5, -1.0], [2.0, 0.25]])
+    x = tape.constant([[1.0, 2.0], [3.0, -4.0]])
+    ones = tape.constant(np.ones((2, 2)))
+    h = ad.matmul(x, w)
+    loss = ad.sum_all(ad.multiply(ad.subtract(ones, h), x))
+    grads = ad.backward(tape, loss)
+    for c in (x, ones):
+        assert grads[c.vid].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.any(grads[w.vid] != 0.0)
+
+
+def _constant_side_graph(op, const_side, leaf):
+    """loss = sum(op(a, b) * w) on a fresh tape, with the operand on
+    ``const_side`` registered through ``leaf`` ("variable" or "constant")
+    and the other one a parameter; returns the gradient of the parameter
+    and the op's node."""
+    rng = Prng(47)
+    a_data = np.array([[rng.uniform_range(-2, 2) for _ in range(3)] for _ in range(4)])
+    b_rows = 3 if op is ad.matmul else 4
+    b_data = np.array([[rng.uniform_range(0.1, 1) for _ in range(2)]
+                       for _ in range(b_rows)])
+    tape = ad.Tape()
+    register = {"variable": tape.variable, "constant": tape.constant}
+    a = (register[leaf] if const_side == 0 else tape.variable)(a_data)
+    b = (register[leaf] if const_side == 1 else tape.variable)(b_data)
+    out = op(a, b)
+    node = tape.nodes[-1]
+    w = np.linspace(-1.0, 1.0, out.value.size).reshape(out.shape)
+    grads = ad.backward(tape, ad.sum_all(ad.multiply(out, tape.constant(w))))
+    param = b if const_side == 0 else a
+    return grads[param.vid], node
+
+
+CONSTANT_SIDES = [(ad.matmul, 0), (ad.kron_rows, 0), (ad.kron_rows, 1)]
+
+
+@pytest.mark.parametrize("op, const_side", CONSTANT_SIDES)
+def test_constant_operand_skips_only_its_own_product(op, const_side):
+    as_variable, _ = _constant_side_graph(op, const_side, "variable")
+    as_constant, (_, _, rule) = _constant_side_graph(op, const_side, "constant")
+    assert as_constant.tobytes() == as_variable.tobytes()
+    g = np.ones((4, 2 if op is ad.matmul else 6))
+    assert rule(g)[const_side] is None
+
+
 def test_backward_composed_graph_vs_finite_differences():
     # An arbitrary composition touching every plumbing op, <= 20 parameters.
     rng = Prng(43)

@@ -4,6 +4,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,21 @@ def test_train_refuses_overwrite_without_flag(tmp_path, capsys):
     assert cli.main([
         "train", "--config", cfg, "--out", str(out), "--overwrite",
     ]) == 0
+
+
+def test_diverging_run_exits_numeric_with_one_line(tmp_path, capsys):
+    # eta0=1e300 overflows the first update; the loss check reports it
+    # and numpy's overflow warnings on the way stay silent
+    cfg = tiny_cfg(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--config", cfg, "--steps", "50",
+                         "--eta0", "1e300", "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("numeric failure: non-finite")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_train_metrics_byte_identical_across_runs(tmp_path):

@@ -1,6 +1,7 @@
 """PRNG tests against published splitmix64 vectors and statistical sanity."""
 
 import numpy as np
+import pytest
 
 from dart.rng import (
     STREAM_DATA,
@@ -106,3 +107,67 @@ def test_determinism_same_seed_same_sequence():
     assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
     assert a.normal() == b.normal()
     assert a.randint(1000) == b.randint(1000)
+
+
+# ---------------------------------------------------------------------------
+# block draws: bitwise equal to the scalar draws, same end state
+
+BLOCK_SIZES = [0, 1, 2, 3, 300]
+
+
+def scalar_shuffle(p, items):
+    """The scalar Fisher-Yates path the block path must reproduce."""
+    for i in range(len(items) - 1, 0, -1):
+        j = p.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_block_equals_scalar_draws(n):
+    a, b = Prng(2024), Prng(2024)
+    assert a.block(n).tolist() == [b.next_u64() for _ in range(n)]
+    assert a._state == b._state
+    assert a.uniform_block(n, -0.9, 0.9).tolist() == [
+        b.uniform_range(-0.9, 0.9) for _ in range(n)]
+    assert a._state == b._state
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES + [4, 256])
+def test_permutation_equals_scalar_shuffle(n):
+    # n = 2, 3, 4, 256 and 300 include power-of-two bounds, whose
+    # rejection limit wraps to 0 and accepts every draw
+    for seed in (0, 17, (1 << 64) - 1):
+        a, b = Prng(seed), Prng(seed)
+        expected = list(range(n))
+        scalar_shuffle(b, expected)
+        assert a.permutation(n) == expected
+        assert a._state == b._state
+
+
+def test_permutation_falls_back_at_first_rejected_draw(monkeypatch):
+    # a draw of 2**64 - 1 is above randint's limit for bound 299, the
+    # second swap of permutation(300), so the block path must stop there
+    # and rewind: the scalar path redraws it from the real stream
+    real_block = Prng.block
+
+    def rejecting_block(self, n):
+        out = real_block(self, n)
+        out[1] = np.uint64((1 << 64) - 1)
+        return out
+
+    scalar_draws = []
+    real_randint = Prng.randint
+
+    def counting_randint(self, bound):
+        scalar_draws.append(bound)
+        return real_randint(self, bound)
+
+    ref = Prng(31)
+    expected = list(range(300))
+    scalar_shuffle(ref, expected)
+    monkeypatch.setattr(Prng, "block", rejecting_block)
+    monkeypatch.setattr(Prng, "randint", counting_randint)
+    p = Prng(31)
+    assert p.permutation(300) == expected
+    assert p._state == ref._state
+    assert scalar_draws == list(range(299, 1, -1))
