@@ -8,8 +8,8 @@ gradient to per-parent gradients. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
 fan-out, and returns a gradient for every registered id. Leaves registered
 with :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs
-is reported as zero, and :func:`matmul` and :func:`kron_rows` skip the
-products that would only feed one.
+is reported as zero, and :func:`matmul`, :func:`kron_rows` and
+:func:`multiply` skip the products that would only feed one.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -315,8 +315,10 @@ def multiply(a: Var, b: Var) -> Var:
     if av.shape != bv.shape:
         raise ShapeError(f"multiply shapes disagree: {av.shape} vs {bv.shape}")
 
+    a_const, b_const = a.vid in tape.constants, b.vid in tape.constants
+
     def rule(g, av=av, bv=bv):
-        return g * bv, g * av
+        return None if a_const else g * bv, None if b_const else g * av
 
     return tape.register(av * bv, (a.vid, b.vid), rule)
 
@@ -379,9 +381,5 @@ def clamp(x: Var, lo: float, hi: float) -> Var:
 
 
 def stop_gradient(x: Var) -> Var:
-    """Identity forward with no backward flow."""
-
-    def rule(g):
-        return ()
-
-    return x.tape.register(x.value, (), rule)
+    """The same value as a constant leaf: no gradient flows back to x."""
+    return x.tape.constant(x.value)

@@ -11,14 +11,12 @@ Exit codes: 0 success, 1 configuration error, 2 data/IO error,
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from dart import data as dd
 from dart import evaluation as ev
 from dart import gradcheck as gc
 from dart import model as dm
@@ -30,7 +28,7 @@ from dart.errors import (
     NumericError,
     ShapeError,
 )
-from dart.rng import STREAM_DATA, STREAM_INIT, Prng, derive_seed
+from dart.rng import STREAM_INIT, Prng, derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,53 +63,10 @@ def log(level: str, message: str) -> None:
 
 
 @dataclass
-class TaskConfig:
-    kind: str = "blobs"
-    classes: int = 3
-    per_class: int = 100
-    dim: int = 2
-    spread: float = 1.1
-    rotation: float = math.pi / 5
-    translation: tuple[float, ...] = (1.5, -1.0)
-    scale: float = 1.0
-    label_noise: float = 0.0
-    normalization: str = "source"
-    images: str = ""
-    labels: str = ""
-    subsample: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in ("blobs", "idx"):
-            raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
-        if self.kind == "blobs":
-            if self.classes < 2:
-                raise ConfigError("task.classes must be >= 2")
-            if self.per_class < 1:
-                raise ConfigError("task.per_class must be >= 1")
-            if self.dim < 2:
-                raise ConfigError("task.dim must be >= 2")
-            if self.spread < 0:
-                raise ConfigError("task.spread must be >= 0")
-        else:
-            if not self.images or not self.labels:
-                raise ConfigError("task.kind=idx requires task.images and task.labels")
-        if self.scale <= 0:
-            raise ConfigError("task.scale must be > 0")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ConfigError("task.label_noise must lie in [0, 1)")
-        if self.normalization not in ("source", "none"):
-            raise ConfigError(
-                f"task.normalization must be source or none, got {self.normalization!r}"
-            )
-        if self.subsample < 0:
-            raise ConfigError("task.subsample must be >= 0")
-
-
-@dataclass
 class RunConfig:
     command: str = ""
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    task: TaskConfig = field(default_factory=TaskConfig)
+    task: ev.TaskConfig = field(default_factory=ev.TaskConfig)
     out_dir: str = "runs"
     overwrite: bool = False
     checkpoint: str = ""
@@ -281,38 +236,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 def build_task(cfg: RunConfig) -> ev.Task:
     """Builds the dataset pair and patches the width keys the model needs."""
-    task_cfg = cfg.task
-    seed = cfg.train.seed
-    if task_cfg.kind == "blobs":
-        translation = list(task_cfg.translation)
-        if len(translation) < task_cfg.dim:
-            translation += [0.0] * (task_cfg.dim - len(translation))
-        task = ev.make_blobs_task(
-            seed=seed,
-            classes=task_cfg.classes,
-            per_class=task_cfg.per_class,
-            dim=task_cfg.dim,
-            spread=task_cfg.spread,
-            rotation=task_cfg.rotation,
-            translation=tuple(translation),
-            scale=task_cfg.scale,
-            label_noise=task_cfg.label_noise,
-            normalization=task_cfg.normalization,
-        )
-    else:
-        source = dd.load_idx(task_cfg.images, task_cfg.labels)
-        rng = Prng(derive_seed(seed, STREAM_DATA))
-        if task_cfg.subsample:
-            source = dd.subsample(source, task_cfg.subsample, rng)
-        translation = list(task_cfg.translation)
-        translation += [0.0] * (source.dim - len(translation))
-        spec = dd.ShiftSpec(
-            task_cfg.rotation, tuple(translation), task_cfg.scale,
-            task_cfg.label_noise,
-        )
-        target = dd.apply_shift(source, spec, rng)
-        src, tgt = dd.normalize_pair(source, target, mode=task_cfg.normalization)
-        task = ev.Task(source=src, target=tgt, name=f"idx-s{seed}")
+    task = ev.make_task(cfg.task, cfg.train.seed)
     cfg.train.input_dim = task.source.dim
     cfg.train.class_count = task.source.class_count
     return task

@@ -5,6 +5,7 @@ domain moves its labels into a sealed field that the training path never
 touches. Only evaluation reads it back out via ``true_label_indices``.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -245,40 +246,36 @@ def _read_u32(fh, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx(path_images, path_labels, domain_tag: str = "source") -> Dataset:
-    """Reads an image/label IDX pair into a flattened, [0,1]-scaled dataset."""
-    with open(path_images, "rb") as fh:
-        magic = _read_u32(fh, path_images)
-        if magic != IDX_IMAGES_MAGIC:
+def _read_idx(path, magic: int, dims: int, kind: str,
+              unit: str) -> tuple[list[int], bytes]:
+    """Header dimensions and one-byte-per-entry payload of an IDX file."""
+    with open(path, "rb") as fh:
+        found = _read_u32(fh, path)
+        if found != magic:
             raise DataFormatError(
-                f"bad image magic 0x{magic:08X} in {path_images}, "
-                f"expected 0x{IDX_IMAGES_MAGIC:08X}"
+                f"bad {kind} magic 0x{found:08X} in {path}, "
+                f"expected 0x{magic:08X}"
             )
-        n = _read_u32(fh, path_images)
-        rows = _read_u32(fh, path_images)
-        cols = _read_u32(fh, path_images)
+        shape = [_read_u32(fh, path) for _ in range(dims)]
         # read what the file holds, not what its header claims: a corrupt
         # count must not request gigabytes
-        payload = fh.read()[:n * rows * cols]
-        if len(payload) != n * rows * cols:
-            raise DataFormatError(
-                f"truncated IDX file {path_images}: expected "
-                f"{n * rows * cols} pixel bytes, got {len(payload)}"
-            )
-    with open(path_labels, "rb") as fh:
-        magic = _read_u32(fh, path_labels)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"bad label magic 0x{magic:08X} in {path_labels}, "
-                f"expected 0x{IDX_LABELS_MAGIC:08X}"
-            )
-        n_labels = _read_u32(fh, path_labels)
-        label_bytes = fh.read()[:n_labels]
-        if len(label_bytes) != n_labels:
-            raise DataFormatError(
-                f"truncated IDX file {path_labels}: expected "
-                f"{n_labels} label bytes, got {len(label_bytes)}"
-            )
+        size = math.prod(shape)
+        payload = fh.read()[:size]
+    if len(payload) != size:
+        raise DataFormatError(
+            f"truncated IDX file {path}: expected "
+            f"{size} {unit} bytes, got {len(payload)}"
+        )
+    return shape, payload
+
+
+def load_idx(path_images, path_labels) -> Dataset:
+    """Reads an image/label IDX pair into a flattened, [0,1]-scaled source
+    dataset."""
+    (n, rows, cols), payload = _read_idx(path_images, IDX_IMAGES_MAGIC, 3,
+                                         "image", "pixel")
+    (n_labels,), label_bytes = _read_idx(path_labels, IDX_LABELS_MAGIC, 1,
+                                         "label", "label")
     if n != n_labels:
         raise DataFormatError(
             f"image count {n} does not match label count {n_labels}"
@@ -290,7 +287,7 @@ def load_idx(path_images, path_labels, domain_tag: str = "source") -> Dataset:
     return Dataset(
         samples=pixels.reshape(n, rows * cols),
         labels=one_hot(labels.tolist(), 10),
-        domain_tag=domain_tag,
+        domain_tag="source",
         class_count=10,
     )
 

@@ -18,7 +18,7 @@ from dart import data as dd
 from dart import model as dm
 from dart import training as tr
 from dart.autodiff import Tape, Tensor
-from dart.errors import ContractError
+from dart.errors import ConfigError, ContractError
 from dart.rng import STREAM_DATA, STREAM_INIT, STREAM_PROBE, Prng, derive_seed
 
 RESULTS_COLUMNS = ("variant", "seed", "src_acc", "tgt_acc", "a_distance")
@@ -53,26 +53,78 @@ class Task:
     name: str = "task"
 
 
-def make_blobs_task(
-    seed: int,
-    classes: int = 3,
-    per_class: int = 100,
-    dim: int = 2,
-    spread: float = 1.1,
-    rotation: float = math.pi / 5,
-    translation: tuple[float, ...] = (1.5, -1.0),
-    scale: float = 1.0,
-    label_noise: float = 0.0,
-    normalization: str = "source",
-) -> Task:
-    """Shifted Gaussian blobs; the data stream is derived from the seed so
-    every variant trained at this seed sees identical datasets."""
+@dataclass
+class TaskConfig:
+    """The dataset pair to build: Gaussian blobs or an IDX image/label
+    file pair, then the shift that turns the source into the target."""
+
+    kind: str = "blobs"
+    classes: int = 3
+    per_class: int = 100
+    dim: int = 2
+    spread: float = 1.1
+    rotation: float = math.pi / 5
+    translation: tuple[float, ...] = (1.5, -1.0)
+    scale: float = 1.0
+    label_noise: float = 0.0
+    normalization: str = "source"
+    images: str = ""
+    labels: str = ""
+    subsample: int = 0
+
+    def validate(self) -> None:
+        if self.kind not in ("blobs", "idx"):
+            raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
+        if self.kind == "blobs":
+            if self.classes < 2:
+                raise ConfigError("task.classes must be >= 2")
+            if self.per_class < 1:
+                raise ConfigError("task.per_class must be >= 1")
+            if self.dim < 2:
+                raise ConfigError("task.dim must be >= 2")
+            if self.spread < 0:
+                raise ConfigError("task.spread must be >= 0")
+        else:
+            if not self.images or not self.labels:
+                raise ConfigError("task.kind=idx requires task.images and task.labels")
+        if self.scale <= 0:
+            raise ConfigError("task.scale must be > 0")
+        if not 0.0 <= self.label_noise < 1.0:
+            raise ConfigError("task.label_noise must lie in [0, 1)")
+        if self.normalization not in ("source", "none"):
+            raise ConfigError(
+                f"task.normalization must be source or none, got {self.normalization!r}"
+            )
+        if self.subsample < 0:
+            raise ConfigError("task.subsample must be >= 0")
+
+
+def make_task(task_cfg: TaskConfig, seed: int) -> Task:
+    """Builds the source, shifts a copy of it into the target domain and
+    normalizes both. The data stream is derived from the seed, so every
+    variant trained at this seed sees identical datasets."""
     rng = Prng(derive_seed(seed, STREAM_DATA))
-    source = dd.gen_blobs(classes, per_class, dim, spread, rng)
-    spec = dd.ShiftSpec(rotation, tuple(translation), scale, label_noise)
+    if task_cfg.kind == "blobs":
+        source = dd.gen_blobs(task_cfg.classes, task_cfg.per_class,
+                              task_cfg.dim, task_cfg.spread, rng)
+        name = f"blobs-c{task_cfg.classes}-s{seed}"
+    else:
+        source = dd.load_idx(task_cfg.images, task_cfg.labels)
+        if task_cfg.subsample:
+            source = dd.subsample(source, task_cfg.subsample, rng)
+        name = f"idx-s{seed}"
+    # a translation shorter than the data is zero-padded
+    pad = (0.0,) * (source.dim - len(task_cfg.translation))
+    spec = dd.ShiftSpec(task_cfg.rotation, tuple(task_cfg.translation) + pad,
+                        task_cfg.scale, task_cfg.label_noise)
     target = dd.apply_shift(source, spec, rng)
-    source, target = dd.normalize_pair(source, target, mode=normalization)
-    return Task(source=source, target=target, name=f"blobs-c{classes}-s{seed}")
+    source, target = dd.normalize_pair(source, target, mode=task_cfg.normalization)
+    return Task(source=source, target=target, name=name)
+
+
+def make_blobs_task(seed: int, **fields) -> Task:
+    """Shifted Gaussian blobs; ``fields`` are TaskConfig fields."""
+    return make_task(TaskConfig(**fields), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +167,11 @@ def per_class_accuracy(model: dm.DartModel, ds: dd.Dataset,
 # Proxy A-distance
 
 
-def a_distance(
-    features_src: Tensor,
-    features_tgt: Tensor,
-    rng: Prng,
-    steps: int = PROBE_STEPS,
-    eta: float = PROBE_ETA,
-    hidden: int = PROBE_HIDDEN,
-) -> float:
-    """2*(1 - 2*eps) where eps is the held-out error of a freshly trained
-    domain probe. The test error is left unclamped below chance, so small
-    negative values are possible on indistinguishable domains."""
+def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
+    """2*(1 - 2*eps) where eps is the held-out error of a domain probe
+    freshly trained under the fixed PROBE_* protocol. The test error is
+    left unclamped below chance, so small negative values are possible on
+    indistinguishable domains."""
     features_src = np.asarray(features_src, dtype=np.float64)
     features_tgt = np.asarray(features_tgt, dtype=np.float64)
     if features_src.shape[0] < 10 or features_tgt.shape[0] < 10:
@@ -140,19 +186,19 @@ def a_distance(
     tgt_train, tgt_test = split(features_tgt)
 
     # the probe has the shape of the model's domain classifier
-    params = [dm.glorot(features_src.shape[1], hidden, rng), np.zeros(hidden),
-              dm.glorot(hidden, 1, rng), np.zeros(1)]
+    params = [dm.glorot(features_src.shape[1], PROBE_HIDDEN, rng),
+              np.zeros(PROBE_HIDDEN), dm.glorot(PROBE_HIDDEN, 1, rng), np.zeros(1)]
 
     def probe(tape, *inputs):
         ws = [tape.variable(p) for p in params]
         return ws, [dm.domain_head(tape.constant(x), *ws) for x in inputs]
 
-    for _ in range(steps):
+    for _ in range(PROBE_STEPS):
         tape = Tape()
         ws, (d_src, d_tgt) = probe(tape, src_train, tgt_train)
         grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
         for arr, var in zip(params, ws):
-            arr -= eta * grads[var.vid]
+            arr -= PROBE_ETA * grads[var.vid]
 
     # threshold 0.5: at or above counts as a source prediction
     _, (d_src, d_tgt) = probe(Tape(), src_test, tgt_test)

@@ -28,10 +28,12 @@ TINY_FEATURE_DIM = 3
 TINY_CLASS_COUNT = 3
 TINY_BATCH = 2
 TINY_DOMAIN_HIDDEN = 4
+TINY_ALPHA = 0.6
+TINY_BETA = 1.0
 TINY_LAMBDA = 0.7
 DEFAULT_SEED = 11
-DEFAULT_STEP = 1e-6
-DEFAULT_TOLERANCE = 1e-4
+STEP = 1e-6
+TOLERANCE = 1e-4
 # Entries below the floor are compared absolutely at tolerance*floor;
 # keeps central-difference cancellation noise out of the ratio.
 REL_ERR_FLOOR = 1e-4
@@ -79,15 +81,9 @@ def build_tiny_instance(seed: int = DEFAULT_SEED):
     return model, xs, ys, xt
 
 
-def run_gradcheck(
-    seed: int = DEFAULT_SEED,
-    h: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-    alpha: float = 0.6,
-    beta: float = 1.0,
-    lam: float = TINY_LAMBDA,
-) -> GradcheckReport:
+def run_gradcheck(seed: int = DEFAULT_SEED) -> GradcheckReport:
     model, xs, ys, xt = build_tiny_instance(seed)
+    h, alpha, beta, lam = STEP, TINY_ALPHA, TINY_BETA, TINY_LAMBDA
 
     tape = Tape()
     graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, alpha, beta)
@@ -129,6 +125,6 @@ def run_gradcheck(
         max_rel_err=worst,
         worst_param=worst_param,
         checked=checked,
-        tolerance=tolerance,
-        passed=worst < tolerance,
+        tolerance=TOLERANCE,
+        passed=worst < TOLERANCE,
     )

@@ -9,7 +9,7 @@ pass over a single tape per step.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -219,14 +219,11 @@ class StepMetrics:
     loss_total: float
 
 
-def train_step(
-    model: dm.DartModel, batch: Batch, cfg: TrainConfig, state: SgdState,
-    total_steps: int | None = None,
-) -> StepMetrics:
+def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
+               state: SgdState) -> StepMetrics:
     """One forward/backward/update cycle; increments the step counter."""
-    horizon = cfg.total_steps if total_steps is None else total_steps
     p = state.p
-    q = min(p / horizon, 1.0) if horizon > 0 else 1.0
+    q = min(p / cfg.total_steps, 1.0) if cfg.total_steps > 0 else 1.0
     lam = lambda_schedule(q, cfg.lambda0, cfg.gamma_lambda)
     eta = lr_schedule(p, cfg.eta0, cfg.gamma_lr, cfg.lr_decay_interval)
 
@@ -274,10 +271,7 @@ class TrainReport:
 
 
 def format_metrics_row(m: StepMetrics) -> str:
-    return ",".join([
-        str(m.step), repr(m.eta), repr(m.lam), repr(m.loss_y),
-        repr(m.loss_h), repr(m.loss_d), repr(m.loss_total),
-    ])
+    return ",".join(map(repr, astuple(m)))
 
 
 def train_loop(

@@ -454,6 +454,11 @@ def test_backward_gives_constants_exact_zeros():
     assert np.any(grads[w.vid] != 0.0)
 
 
+# second operand's shape for each op; the first is always 4x3
+B_SHAPES = {ad.matmul: (3, 2), ad.kron_rows: (4, 2), ad.multiply: (4, 3)}
+OUT_SHAPES = {ad.matmul: (4, 2), ad.kron_rows: (4, 6), ad.multiply: (4, 3)}
+
+
 def _constant_side_graph(op, const_side, leaf):
     """loss = sum(op(a, b) * w) on a fresh tape, with the operand on
     ``const_side`` registered through ``leaf`` ("variable" or "constant")
@@ -461,8 +466,8 @@ def _constant_side_graph(op, const_side, leaf):
     and the op's node."""
     rng = Prng(47)
     a_data = np.array([[rng.uniform_range(-2, 2) for _ in range(3)] for _ in range(4)])
-    b_rows = 3 if op is ad.matmul else 4
-    b_data = np.array([[rng.uniform_range(0.1, 1) for _ in range(2)]
+    b_rows, b_cols = B_SHAPES[op]
+    b_data = np.array([[rng.uniform_range(0.1, 1) for _ in range(b_cols)]
                        for _ in range(b_rows)])
     tape = ad.Tape()
     register = {"variable": tape.variable, "constant": tape.constant}
@@ -476,7 +481,8 @@ def _constant_side_graph(op, const_side, leaf):
     return grads[param.vid], node
 
 
-CONSTANT_SIDES = [(ad.matmul, 0), (ad.kron_rows, 0), (ad.kron_rows, 1)]
+CONSTANT_SIDES = [(ad.matmul, 0), (ad.kron_rows, 0), (ad.kron_rows, 1),
+                  (ad.multiply, 0), (ad.multiply, 1)]
 
 
 @pytest.mark.parametrize("op, const_side", CONSTANT_SIDES)
@@ -484,8 +490,7 @@ def test_constant_operand_skips_only_its_own_product(op, const_side):
     as_variable, _ = _constant_side_graph(op, const_side, "variable")
     as_constant, (_, _, rule) = _constant_side_graph(op, const_side, "constant")
     assert as_constant.tobytes() == as_variable.tobytes()
-    g = np.ones((4, 2 if op is ad.matmul else 6))
-    assert rule(g)[const_side] is None
+    assert rule(np.ones(OUT_SHAPES[op]))[const_side] is None
 
 
 def test_backward_composed_graph_vs_finite_differences():

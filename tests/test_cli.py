@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dart import cli
 from dart import data as dd
+from dart import evaluation as ev
 from dart import model as dm
 from dart import training as tr
 from dart.errors import (
@@ -248,9 +249,11 @@ def test_gradcheck_command_prints_max_error(capsys):
 
 
 def test_gradcheck_module_entry_point():
+    # the child imports the same dart as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dart.cli", "gradcheck"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert "max relative error" in proc.stdout
@@ -349,6 +352,15 @@ def test_translation_padded_to_dim(tmp_path):
     task = cli.build_task(cfg)
     assert task.source.samples.shape == (15, 4)
     assert cfg.train.input_dim == 4
+    # the library builder pads the default translation the same way
+    direct = ev.make_blobs_task(2, dim=4, per_class=5)
+    assert direct.name == task.name
+    for side in ("source", "target"):
+        ours, theirs = getattr(direct, side), getattr(task, side)
+        assert ours.samples.tobytes() == theirs.samples.tobytes()
+        for attr in ("labels", "sealed_labels"):
+            a, b = getattr(ours, attr), getattr(theirs, attr)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Byte-identity guard: fixed digests of the files the CLI writes.
 
-Runs ``train``, ``eval`` of that checkpoint, and a ``dart_c`` train with
-momentum and hardened pseudo-labels on the criterion-9 config, in
-process, and compares the sha256 of every output file against digests
-recorded before any refactor of ``src/``. A change that moves a single
+Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train with
+momentum and hardened pseudo-labels, and a train with the pseudo-label
+gradient cut on the criterion-9 config, plus a ``train`` and ``eval`` on
+a small subsampled IDX pair, in process. Compares the sha256 of every
+output file against digests recorded before any refactor of ``src/``. A change that moves a single
 byte of a checkpoint, a metrics row or a report fails here.
 
 The digests were taken with numpy 2.4.6 on Python 3.11. A different
@@ -12,12 +13,16 @@ from the unchanged code before refactoring on such a setup.
 """
 
 import hashlib
+import struct
 
 import pytest
 
 from dart import cli
 
 CONFIG = "steps=40\nbatch=16\nseed=6\nlog_every=10\ntask.per_class=25\n"
+
+# IDX fixture: 60 images of 4x4 pixels from a fixed formula, labels 0..2
+IDX_COUNT, IDX_SIDE = 60, 4
 
 GOLDEN = {
     "train/metrics.csv":
@@ -32,7 +37,31 @@ GOLDEN = {
         "9aa1a09e4d2e75d46c9a72ad7c31388ca096386ee75c5dfe10838b9683d9f9ec",
     "dart_c/model.ckpt":
         "325c693a96d686bcbca200ffd15129422a235635490a53fa13fe142186cdae05",
+    "stop_grad/metrics.csv":
+        "d2d17b9da4025cb6cfa18411e5c8bbd0b1450e07c67d007934f0d4dc231dd9ae",
+    "stop_grad/model.ckpt":
+        "e60db98590ab0d9993db056890231436874aa6dbc48eb7b2af0268e20a2e6602",
+    "idx_train/metrics.csv":
+        "c01503a47bfad404e02b0a7c730b0a5badbd6e0b83879db936905b012a0ada94",
+    "idx_train/model.ckpt":
+        "f4a1376615f2291603e5857939b5a57e43251424d4fb1498b5afd1090ff0232f",
+    "idx_eval/report.txt":
+        "8b5a21012b7679a63e7c5fa2eebfbc6a2a8a5895c2132df101a895d9e8ac4b32",
+    "idx_eval/results.csv":
+        "ccf8cb98a2fde4274a145ed01a72a1e4bacdfa07c0f294144afc749e6a03c58b",
 }
+
+
+def write_idx_fixture(root):
+    images, labels = root / "images.idx", root / "labels.idx"
+    pixels = bytes((37 * i + 11 * j + (i % 3) * 60) % 256
+                   for i in range(IDX_COUNT) for j in range(IDX_SIDE * IDX_SIDE))
+    images.write_bytes(struct.pack(">IIII", 0x00000803, IDX_COUNT, IDX_SIDE,
+                                   IDX_SIDE) + pixels)
+    labels.write_bytes(struct.pack(">II", 0x00000801, IDX_COUNT)
+                       + bytes(i % 3 for i in range(IDX_COUNT)))
+    return ["--set", "task.kind=idx", "--set", f"task.images={images}",
+            "--set", f"task.labels={labels}", "--set", "task.subsample=40"]
 
 
 def sha256(path):
@@ -45,12 +74,18 @@ def outputs(tmp_path_factory):
     cfg = root / "run.cfg"
     cfg.write_text(CONFIG, encoding="ascii")
     base = ["--config", str(cfg)]
+    idx = [*base, *write_idx_fixture(root)]
     runs = [
         ["train", *base, "--out", str(root / "train")],
         ["eval", *base, "--checkpoint", str(root / "train" / "model.ckpt"),
          "--out", str(root / "eval")],
         ["train", *base, "--variant", "dart_c", "--set", "momentum=0.5",
          "--set", "harden_pseudo_labels=1", "--out", str(root / "dart_c")],
+        ["train", *base, "--set", "stop_pseudo_label_grad=1",
+         "--out", str(root / "stop_grad")],
+        ["train", *idx, "--out", str(root / "idx_train")],
+        ["eval", *idx, "--checkpoint", str(root / "idx_train" / "model.ckpt"),
+         "--out", str(root / "idx_eval")],
     ]
     for argv in runs:
         assert cli.main(argv) == 0, argv
