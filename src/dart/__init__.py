@@ -40,28 +40,3 @@ from dart.training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "ContractError",
-    "DartError",
-    "DataFormatError",
-    "NumericError",
-    "EvalReport",
-    "Task",
-    "a_distance",
-    "accuracy",
-    "evaluate_model",
-    "make_blobs_task",
-    "run_ablation",
-    "run_gradcheck",
-    "DartModel",
-    "load_checkpoint",
-    "save_checkpoint",
-    "VARIANTS",
-    "TrainConfig",
-    "TrainReport",
-    "build_model",
-    "train_loop",
-    "__version__",
-]

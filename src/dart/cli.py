@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 data/IO error,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -88,10 +89,18 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
+def _parse_float(raw: str) -> float:
+    # nan passes every range check in validate(), so refuse it here
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
     if not raw:
         return ()
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(_parse_float(part) for part in raw.split(","))
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -108,13 +117,13 @@ def _parse_optional_int(raw: str) -> int | None:
 # Converters get the stripped raw text; _assign reports their ValueError as
 # a ConfigError naming the key.
 _KEYS = {
-    "alpha": ("train", "alpha", float),
-    "beta": ("train", "beta", float),
-    "eta0": ("train", "eta0", float),
-    "gamma_lr": ("train", "gamma_lr", float),
+    "alpha": ("train", "alpha", _parse_float),
+    "beta": ("train", "beta", _parse_float),
+    "eta0": ("train", "eta0", _parse_float),
+    "gamma_lr": ("train", "gamma_lr", _parse_float),
     "lr_decay_interval": ("train", "lr_decay_interval", int),
-    "lambda0": ("train", "lambda0", float),
-    "gamma_lambda": ("train", "gamma_lambda", float),
+    "lambda0": ("train", "lambda0", _parse_float),
+    "gamma_lambda": ("train", "gamma_lambda", _parse_float),
     "steps": ("train", "total_steps", int),
     "batch": ("train", "batch_size", int),
     "seed": ("train", "seed", int),
@@ -124,18 +133,18 @@ _KEYS = {
     "domain_hidden": ("train", "domain_hidden", int),
     "stop_pseudo_label_grad": ("train", "stop_pseudo_label_grad", _parse_bool),
     "harden_pseudo_labels": ("train", "harden_pseudo_labels", _parse_bool),
-    "momentum": ("train", "momentum", float),
+    "momentum": ("train", "momentum", _parse_float),
     "variant": ("train", "variant", str),
     "log_every": ("train", "log_every", int),
     "task.kind": ("task", "kind", str),
     "task.classes": ("task", "classes", int),
     "task.per_class": ("task", "per_class", int),
     "task.dim": ("task", "dim", int),
-    "task.spread": ("task", "spread", float),
-    "task.rotation": ("task", "rotation", float),
+    "task.spread": ("task", "spread", _parse_float),
+    "task.rotation": ("task", "rotation", _parse_float),
     "task.translation": ("task", "translation", _parse_floats),
-    "task.scale": ("task", "scale", float),
-    "task.label_noise": ("task", "label_noise", float),
+    "task.scale": ("task", "scale", _parse_float),
+    "task.label_noise": ("task", "label_noise", _parse_float),
     "task.normalization": ("task", "normalization", str),
     "task.images": ("task", "images", str),
     "task.labels": ("task", "labels", str),

@@ -113,24 +113,6 @@ class ShiftSpec:
             return np.zeros(dim)
         return np.asarray(self.translation, dtype=np.float64)
 
-    def inverse(self, dim: int) -> "ShiftSpec":
-        """Spec undoing this one: x = (1/s) R(-theta) (x' - t)."""
-        t = self.translation_vector(dim)
-        inv_t = -t / self.scale
-        inv_t[:2] = _rotate2(-t[:2] / self.scale, -self.rotation_angle)
-        return ShiftSpec(
-            rotation_angle=-self.rotation_angle,
-            translation=tuple(inv_t),
-            scale=1.0 / self.scale,
-            label_noise=0.0,
-        )
-
-
-def _rotate2(xy: np.ndarray, theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return xy @ rot.T
-
 
 def gen_blobs(classes: int, per_class: int, d: int, spread: float,
               rng: Prng) -> Dataset:
@@ -169,8 +151,9 @@ def apply_shift(ds: Dataset, spec: ShiftSpec, rng: Prng) -> Dataset:
     """
     spec.validate(ds.dim)
     x = ds.samples * spec.scale
+    c, s = np.cos(spec.rotation_angle), np.sin(spec.rotation_angle)
     rotated = x.copy()
-    rotated[:, :2] = _rotate2(x[:, :2], spec.rotation_angle)
+    rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
     shifted = rotated + spec.translation_vector(ds.dim)
 
     truth = true_label_indices(ds)

@@ -18,7 +18,7 @@ from dart import data as dd
 from dart import model as dm
 from dart import training as tr
 from dart.autodiff import Tape, Tensor
-from dart.errors import ConfigError, ContractError
+from dart.errors import ConfigError, ContractError, ShapeError
 from dart.rng import STREAM_DATA, STREAM_INIT, STREAM_PROBE, Prng, derive_seed
 
 RESULTS_COLUMNS = ("variant", "seed", "src_acc", "tgt_acc", "a_distance")
@@ -131,36 +131,21 @@ def make_blobs_task(seed: int, **fields) -> Task:
 # Accuracy
 
 
-def predict_classes(model: dm.DartModel, samples: Tensor,
-                    use_source_classifier: bool = False) -> np.ndarray:
-    f = dm.forward_features(model, samples)
-    if use_source_classifier:
-        probs = dm.forward_source_probs(model, f)
-    else:
-        probs = dm.forward_target_probs(model, f)
+def accuracy(probs: Tensor, ds: dd.Dataset) -> tuple[float, list[float]]:
+    """Overall and per-class accuracy of predicted class probabilities
+    against the dataset's true labels; a class with no samples reads nan."""
+    truth = dd.true_label_indices(ds)
+    if np.shape(probs) != (truth.size, ds.class_count):
+        raise ShapeError(f"predictions {np.shape(probs)} for {truth.size} labeled rows")
     # argmax takes the first maximum, i.e. ties break to the lowest index
-    return np.argmax(probs, axis=1)
-
-
-def accuracy(model: dm.DartModel, ds: dd.Dataset,
-             use_source_classifier: bool = False) -> float:
-    truth = dd.true_label_indices(ds)
-    pred = predict_classes(model, ds.samples, use_source_classifier)
-    return float(np.mean(pred == truth))
-
-
-def per_class_accuracy(model: dm.DartModel, ds: dd.Dataset,
-                       use_source_classifier: bool = False) -> list[float]:
-    truth = dd.true_label_indices(ds)
-    pred = predict_classes(model, ds.samples, use_source_classifier)
-    out = []
-    for j in range(ds.class_count):
-        mask = truth == j
-        if not np.any(mask):
-            out.append(float("nan"))
-        else:
-            out.append(float(np.mean(pred[mask] == truth[mask])))
-    return out
+    hits = np.argmax(probs, axis=1) == truth
+    # row j counts the misses and hits among samples of true class j
+    table = np.bincount(2 * truth + hits, minlength=2 * ds.class_count)
+    table = table.reshape(ds.class_count, 2)
+    counts = table.sum(axis=1)
+    per_class = np.divide(table[:, 1], counts, out=np.full(ds.class_count, np.nan),
+                          where=counts > 0)
+    return float(table[:, 1].sum() / counts.sum()), per_class.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +218,10 @@ def evaluate_model(model: dm.DartModel, task: Task, seed: int,
                    variant: str = "full") -> EvalReport:
     """Accuracies and A-distance of a trained model (the eval command, and
     the end of each ablation run)."""
-    src_acc = accuracy(model, task.source, use_source_classifier=True)
-    tgt_acc = accuracy(model, task.target, use_source_classifier=False)
-    per_class = per_class_accuracy(model, task.target)
-    fs = dm.forward_features(model, task.source.samples)
-    ft = dm.forward_features(model, task.target.samples)
+    fs, _, src_probs = dm.forward_features(model, task.source.samples)
+    ft, tgt_probs, _ = dm.forward_features(model, task.target.samples)
+    src_acc, _ = accuracy(src_probs, task.source)
+    tgt_acc, per_class = accuracy(tgt_probs, task.target)
     da = a_distance(fs, ft, Prng(derive_seed(seed, STREAM_PROBE)))
     echo = {
         "probe_steps": PROBE_STEPS,

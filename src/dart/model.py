@@ -329,29 +329,22 @@ def build_training_graph(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation-mode forwards (fresh throwaway tape, numpy in/out)
+# Evaluation-mode forward (fresh throwaway tape, numpy in/out)
 
 
-def forward_features(model: DartModel, x: Tensor) -> Tensor:
+def forward_features(model: DartModel, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Features, target-classifier and source-classifier probabilities of
+    the inputs ``x``, from one binding of the model."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
             f"input has shape {x.shape}, extractor expects width {model.input_dim}"
         )
     tape = Tape()
-    return bind(model, tape).features(tape.variable(x)).value
-
-
-def forward_target_probs(model: DartModel, f: Tensor) -> Tensor:
-    tape = Tape()
     bm = bind(model, tape)
-    return bm.target_probs(bm.logits(tape.variable(f))).value
-
-
-def forward_source_probs(model: DartModel, f: Tensor) -> Tensor:
-    tape = Tape()
-    bm = bind(model, tape)
-    return bm.source_probs(bm.logits(tape.variable(f))).value
+    f = bm.features(tape.variable(x))
+    z = bm.logits(f)
+    return f.value, bm.target_probs(z).value, bm.source_probs(z).value
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def adaptation_sweep():
     cfg = tr.TrainConfig(seed=SWEEP_SEEDS[0]).effective()
     model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, cfg)
-    feats = dm.forward_features(model, task.target.samples)
+    feats, _, _ = dm.forward_features(model, task.target.samples)
     control = ev.a_distance(
         feats, feats.copy(), Prng(derive_seed(cfg.seed, STREAM_PROBE))
     )
@@ -266,10 +266,8 @@ def test_criterion_5_residual_identity(capsys):
     x = np.array(
         [[rng.uniform_range(-3, 3) for _ in range(4)] for _ in range(100)]
     )
-    f = dm.forward_features(model, x)
-    same = np.array_equal(
-        dm.forward_source_probs(model, f), dm.forward_target_probs(model, f)
-    )
+    _, target, source = dm.forward_features(model, x)
+    same = np.array_equal(source, target)
     announce(
         capsys, 5, "residual identity", same,
         "fresh model: source and target predictions bitwise equal on "

@@ -238,6 +238,29 @@ def test_zero_width_exits_config(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("alpha", "nan"),
+    ("beta", "-inf"),
+    ("eta0", "nan"),
+    ("lambda0", "nan"),
+    ("momentum", "1e400"),
+    ("task.spread", "nan"),
+    ("task.scale", "inf"),
+    ("task.rotation", "nan"),
+    ("task.translation", "1.5,nan"),
+])
+def test_non_finite_value_exits_config_naming_key(tmp_path, capsys, key, raw):
+    # nan compares False with every bound, so no validate() range check sees it
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", tiny_cfg(tmp_path), "--set",
+                     f"{key}={raw}", "--steps", "5", "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: bad value for {key}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck command
 

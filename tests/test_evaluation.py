@@ -9,7 +9,7 @@ from dart import data as dd
 from dart import evaluation as ev
 from dart import model as dm
 from dart import training as tr
-from dart.errors import ContractError
+from dart.errors import ContractError, ShapeError
 from dart.rng import Prng
 
 
@@ -23,6 +23,12 @@ def labeled_ds(labels, c=3):
     return dd.Dataset(np.zeros((n, 2)), np.eye(c)[labels], "source", c)
 
 
+def target_accuracy(m, ds):
+    """(overall, per-class) accuracy of the target classifier on ``ds``."""
+    _, probs, _ = dm.forward_features(m, ds.samples)
+    return ev.accuracy(probs, ds)
+
+
 # ---------------------------------------------------------------------------
 # accuracy
 
@@ -30,9 +36,9 @@ def labeled_ds(labels, c=3):
 def test_accuracy_tie_break_toward_lowest_index():
     # uniform predictions tie every class; argmax picks index 0
     ds = labeled_ds([0, 0, 0])
-    assert ev.accuracy(uniform_model(), ds) == 1.0
+    assert target_accuracy(uniform_model(), ds)[0] == 1.0
     ds_other = labeled_ds([1, 2, 1])
-    assert ev.accuracy(uniform_model(), ds_other) == 0.0
+    assert target_accuracy(uniform_model(), ds_other)[0] == 0.0
 
 
 def test_accuracy_saturated_predictions():
@@ -41,7 +47,7 @@ def test_accuracy_saturated_predictions():
     m.set_parameter("bottleneck.weight", [[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
     samples = np.array([[1.0, 0.0], [0.0, 1.0]])
     ds = dd.Dataset(samples, np.eye(3)[[0, 1]], "source", 3)
-    assert ev.accuracy(m, ds) == 1.0
+    assert target_accuracy(m, ds)[0] == 1.0
 
 
 def test_accuracy_hand_built_three_of_four():
@@ -51,19 +57,26 @@ def test_accuracy_hand_built_three_of_four():
     samples = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     labels = np.eye(3)[[0, 0, 1, 2]]  # last one is wrong on purpose
     ds = dd.Dataset(samples, labels, "source", 3)
-    assert ev.accuracy(m, ds) == 0.75
+    assert target_accuracy(m, ds)[0] == 0.75
 
 
 def test_accuracy_requires_labels():
     ds = dd.Dataset(np.zeros((2, 2)), None, "target", 3)
     with pytest.raises(ContractError):
-        ev.accuracy(uniform_model(), ds)
+        target_accuracy(uniform_model(), ds)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4, 3), (3, 2)])
+def test_accuracy_rejects_predictions_not_matching_labels(shape):
+    # a single row would otherwise broadcast against every label
+    with pytest.raises(ShapeError):
+        ev.accuracy(np.ones(shape), labeled_ds([0, 1, 2]))
 
 
 def test_accuracy_reads_sealed_labels():
     ds = dd.Dataset(np.zeros((2, 2)), None, "target", 3,
                     sealed_labels=np.eye(3)[[0, 0]])
-    assert ev.accuracy(uniform_model(), ds) == 1.0
+    assert target_accuracy(uniform_model(), ds)[0] == 1.0
 
 
 def test_accuracy_invariant_under_monotone_probability_transform():
@@ -73,12 +86,12 @@ def test_accuracy_invariant_under_monotone_probability_transform():
     m = dm.DartModel(2, (4,), 3, 3, rng=rng)
     samples = np.array([[rng.uniform_range(-2, 2), rng.uniform_range(-2, 2)]
                         for _ in range(20)])
-    f = dm.forward_features(m, samples)
-    probs = dm.forward_target_probs(m, f)
+    _, probs, _ = dm.forward_features(m, samples)
     squashed = np.sqrt(probs)  # strictly monotone per entry
     assert np.array_equal(np.argmax(probs, axis=1), np.argmax(squashed, axis=1))
 
 
+@pytest.mark.filterwarnings("error")
 def test_per_class_accuracy_vector():
     m = uniform_model()
     m.set_parameter("extractor.0.weight", np.eye(2))
@@ -86,7 +99,7 @@ def test_per_class_accuracy_vector():
     # predictions: class 0, class 0, class 1; truth: 0, 1, 1
     samples = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     ds = dd.Dataset(samples, np.eye(3)[[0, 1, 1]], "source", 3)
-    got = ev.per_class_accuracy(m, ds)
+    _, got = target_accuracy(m, ds)
     assert got[0] == 1.0
     assert got[1] == 0.5
     assert math.isnan(got[2])
@@ -179,6 +192,29 @@ def test_run_ablation_source_only_zeroes_weights():
     assert report.config_echo["beta"] == 0.0
 
 
+def test_evaluate_model_runs_one_forward_per_domain(monkeypatch):
+    task = ev.make_blobs_task(seed=4, per_class=10)
+    model = tr.build_model(short_cfg(seed=4), Prng(4))
+    forwards, probed = [], []
+    original = dm.forward_features
+
+    def counting_forward(model, x):
+        forwards.append(original(model, x))
+        return forwards[-1]
+
+    def recording_probe(fs, ft, rng):
+        probed.append((fs, ft))
+        return 0.0
+
+    monkeypatch.setattr(dm, "forward_features", counting_forward)
+    monkeypatch.setattr(ev, "a_distance", recording_probe)
+    ev.evaluate_model(model, task, seed=4)
+    assert len(forwards) == 2
+    # the probe reads the features of those same two forwards
+    (fs, ft), = probed
+    assert fs is forwards[0][0] and ft is forwards[1][0]
+
+
 def test_run_ablation_rejects_unknown_variant():
     task = ev.make_blobs_task(seed=4, per_class=20)
     with pytest.raises(ContractError):
@@ -204,12 +240,10 @@ def test_dart_s_equals_full_at_step_zero():
         tr.TrainConfig(**{**vars(cfg), "variant": "dart_s"}), Prng(42)
     )
     x = task.target.samples
-    f_full = dm.forward_features(full, x)
-    f_s = dm.forward_features(darts, x)
+    f_full, _, s_full = dm.forward_features(full, x)
+    f_s, _, s_s = dm.forward_features(darts, x)
     assert np.array_equal(f_full, f_s)
-    assert np.array_equal(
-        dm.forward_source_probs(full, f_full), dm.forward_source_probs(darts, f_s)
-    )
+    assert np.array_equal(s_full, s_s)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,21 @@ def scalar(var):
     return float(var.value)
 
 
+def classifier_probs(m, f):
+    """Target and source probabilities for features ``f``: an identity
+    extractor makes the features equal the inputs."""
+    m.set_parameter("extractor.0.weight", np.eye(m.input_dim))
+    _, target, source = dm.forward_features(m, f)
+    return target, source
+
+
 # ---------------------------------------------------------------------------
 # forward_features
 
 
 def test_features_zero_weights_give_zero_output():
     m = dm.DartModel(2, (3,), 2, 3, rng=None)
-    out = dm.forward_features(m, [[1.0, -2.0], [0.5, 4.0]])
+    out = dm.forward_features(m, [[1.0, -2.0], [0.5, 4.0]])[0]
     assert np.all(out == 0.0)
 
 
@@ -43,14 +51,14 @@ def test_features_identity_single_layer():
     m = tiny_model()
     m.set_parameter("extractor.0.weight", np.eye(2))
     x = np.array([[1.5, -2.0], [0.0, 3.0]])
-    assert np.array_equal(dm.forward_features(m, x), x)
+    assert np.array_equal(dm.forward_features(m, x)[0], x)
 
 
 def test_features_hand_computed_product():
     m = tiny_model()
     m.set_parameter("extractor.0.weight", [[1.0, 2.0], [3.0, 4.0]])
     m.set_parameter("extractor.0.bias", [0.5, -1.0])
-    out = dm.forward_features(m, [[1.0, 1.0]])
+    out = dm.forward_features(m, [[1.0, 1.0]])[0]
     # [1*1 + 1*3 + 0.5, 1*2 + 1*4 - 1] by hand
     assert out.tolist() == [[4.5, 5.0]]
 
@@ -65,7 +73,7 @@ def test_features_inner_relu_applied():
     m = dm.DartModel(2, (2,), 2, 3, rng=None)
     m.set_parameter("extractor.0.weight", np.eye(2))
     m.set_parameter("extractor.1.weight", np.eye(2))
-    out = dm.forward_features(m, [[-3.0, 2.0]])
+    out = dm.forward_features(m, [[-3.0, 2.0]])[0]
     assert out.tolist() == [[0.0, 2.0]]
 
 
@@ -75,21 +83,21 @@ def test_features_inner_relu_applied():
 
 def test_target_probs_zero_logits_uniform():
     m = tiny_model()
-    probs = dm.forward_target_probs(m, np.zeros((4, 2)))
+    probs, _ = classifier_probs(m, np.zeros((4, 2)))
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
 
 
 def test_target_probs_saturated_logit():
     m = tiny_model()
     m.set_parameter("bottleneck.weight", [[1000.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    probs = dm.forward_target_probs(m, [[1.0, 0.0]])
+    probs, _ = classifier_probs(m, [[1.0, 0.0]])
     assert probs[0, 0] == pytest.approx(1.0)
 
 
 def test_target_probs_unit_feature_selects_bottleneck_row():
     m = tiny_model()
     m.set_parameter("bottleneck.weight", [[1.0, 2.0, 3.0], [9.0, 9.0, 9.0]])
-    probs = dm.forward_target_probs(m, [[1.0, 0.0]])
+    probs, _ = classifier_probs(m, [[1.0, 0.0]])
     # softmax([1, 2, 3]) evaluated directly
     expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
     assert np.allclose(probs[0], expected, atol=1e-15)
@@ -97,12 +105,11 @@ def test_target_probs_unit_feature_selects_bottleneck_row():
 
 def test_source_equals_target_at_zero_init_bitwise():
     rng = Prng(3)
-    m = dm.DartModel(2, (5,), 3, 4, rng=rng)
+    m = dm.DartModel(3, (), 3, 4, rng=rng)
     prng = Prng(5)
     for _ in range(100):
         f = np.array([[prng.uniform_range(-3, 3) for _ in range(3)]])
-        s = dm.forward_source_probs(m, f)
-        t = dm.forward_target_probs(m, f)
+        t, s = classifier_probs(m, f)
         assert np.array_equal(s, t)
 
 
@@ -110,7 +117,7 @@ def test_source_probs_residual_saturation():
     m = tiny_model()
     # constant perturbation of +1000 on class 1 via the residual output bias
     m.set_parameter("residual.fc2.bias", [0.0, 1000.0, 0.0])
-    probs = dm.forward_source_probs(m, [[0.3, -0.2]])
+    _, probs = classifier_probs(m, [[0.3, -0.2]])
     assert probs[0, 1] == pytest.approx(1.0)
 
 
@@ -124,7 +131,7 @@ def test_source_probs_match_standalone_recomputation():
         [[p.uniform_range(-0.5, 0.5) for _ in range(3)] for _ in range(3)],
     )
     f = np.array([[0.8, -1.1], [2.0, 0.4]])
-    got = dm.forward_source_probs(m, f)
+    _, got = classifier_probs(m, f)
 
     # independent numpy recomposition
     p = m.parameters()
