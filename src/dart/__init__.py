@@ -20,13 +20,12 @@ from dart.errors import (
     DataFormatError,
     NumericError,
 )
+from dart.data import Task, make_blobs_task
 from dart.evaluation import (
     EvalReport,
-    Task,
     a_distance,
     accuracy,
     evaluate_model,
-    make_blobs_task,
     run_ablation,
 )
 from dart.gradcheck import run_gradcheck

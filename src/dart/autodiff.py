@@ -247,7 +247,7 @@ def kron_rows(f: Var, y: Var) -> Var:
     block of c entries. Gradients flow to both operands unless one is a
     constant.
     """
-    tape = f.tape
+    tape = _check_same_tape(f, y)
     fv, yv = f.value, y.value
     if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
         raise ShapeError(

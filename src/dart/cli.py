@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from dart import data as dd
 from dart import evaluation as ev
 from dart import gradcheck as gc
 from dart import model as dm
@@ -67,7 +68,7 @@ def log(level: str, message: str) -> None:
 class RunConfig:
     command: str = ""
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    task: ev.TaskConfig = field(default_factory=ev.TaskConfig)
+    task: dd.TaskConfig = field(default_factory=dd.TaskConfig)
     out_dir: str = "runs"
     overwrite: bool = False
     checkpoint: str = ""
@@ -243,9 +244,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 # Task construction
 
 
-def build_task(cfg: RunConfig) -> ev.Task:
+def build_task(cfg: RunConfig) -> dd.Task:
     """Builds the dataset pair and patches the width keys the model needs."""
-    task = ev.make_task(cfg.task, cfg.train.seed)
+    task = dd.make_task(cfg.task, cfg.train.seed)
     cfg.train.input_dim = task.source.dim
     cfg.train.class_count = task.source.class_count
     return task
@@ -316,9 +317,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
     for seed in cfg.seeds:
-        run = RunConfig(command="ablate", train=replace(cfg.train, seed=seed),
-                        task=cfg.task, out_dir=cfg.out_dir,
-                        overwrite=cfg.overwrite)
+        run = replace(cfg, train=replace(cfg.train, seed=seed))
         task = build_task(run)
         for variant in tr.VARIANTS:
             log("debug", f"ablate: variant={variant} seed={seed}")

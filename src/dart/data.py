@@ -1,4 +1,4 @@
-"""Datasets, synthetic domain-shift generation, and IDX binary I/O.
+"""Datasets, the task they form, synthetic domain shifts, and IDX binary I/O.
 
 Target ground truth is quarantined: shifting a dataset into the target
 domain moves its labels into a sealed field that the training path never
@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from dart.autodiff import Tensor, is_one_hot, one_hot
-from dart.errors import ContractError, DataFormatError
-from dart.rng import Prng
+from dart.errors import ConfigError, ContractError, DataFormatError
+from dart.rng import STREAM_DATA, Prng, derive_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -82,36 +82,93 @@ def true_label_indices(ds: Dataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic generation
+# The task: a source/target pair built from one config and the seed
 
 
 @dataclass
-class ShiftSpec:
-    """Affine domain shift: x' = scale * R(rotation) x + translation,
-    with the rotation acting on the first two coordinates. Optional label
-    corruption models annotation noise in the shifted domain."""
+class Task:
+    """A source/target dataset pair ready for training."""
 
-    rotation_angle: float = 0.0
-    translation: tuple[float, ...] = ()
+    source: Dataset
+    target: Dataset
+    name: str = "task"
+
+
+@dataclass
+class TaskConfig:
+    """The dataset pair to build: Gaussian blobs or an IDX image/label
+    file pair, then the shift x' = scale * R(rotation) x + translation
+    (rotating the first two coordinates) that makes it the target."""
+
+    kind: str = "blobs"
+    classes: int = 3
+    per_class: int = 100
+    dim: int = 2
+    spread: float = 1.1
+    rotation: float = math.pi / 5
+    translation: tuple[float, ...] = (1.5, -1.0)
     scale: float = 1.0
     label_noise: float = 0.0
+    normalization: str = "source"
+    images: str = ""
+    labels: str = ""
+    subsample: int = 0
 
-    def validate(self, dim: int) -> None:
+    def validate(self) -> None:
+        if self.kind not in ("blobs", "idx"):
+            raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
+        if self.kind == "blobs":
+            if self.classes < 2:
+                raise ConfigError("task.classes must be >= 2")
+            if self.per_class < 1:
+                raise ConfigError("task.per_class must be >= 1")
+            if self.dim < 2:
+                raise ConfigError("task.dim must be >= 2")
+            if self.spread < 0:
+                raise ConfigError("task.spread must be >= 0")
+        else:
+            if not self.images or not self.labels:
+                raise ConfigError("task.kind=idx requires task.images and task.labels")
         if self.scale <= 0:
-            raise ContractError(f"scale must be positive, got {self.scale}")
+            raise ConfigError("task.scale must be > 0")
         if not 0.0 <= self.label_noise < 1.0:
-            raise ContractError(
-                f"label_noise must lie in [0, 1), got {self.label_noise}"
+            raise ConfigError("task.label_noise must lie in [0, 1)")
+        if self.normalization not in ("source", "none"):
+            raise ConfigError(
+                f"task.normalization must be source or none, got {self.normalization!r}"
             )
-        if self.translation and len(self.translation) != dim:
-            raise ContractError(
-                f"translation length {len(self.translation)} != dimension {dim}"
-            )
+        if self.subsample < 0:
+            raise ConfigError("task.subsample must be >= 0")
 
-    def translation_vector(self, dim: int) -> np.ndarray:
-        if not self.translation:
-            return np.zeros(dim)
-        return np.asarray(self.translation, dtype=np.float64)
+
+def make_task(task_cfg: TaskConfig, seed: int) -> Task:
+    """Builds the source, shifts a copy into the target domain and, for
+    ``normalization="source"``, standardizes both. The seed's data stream
+    makes every variant trained at this seed see identical datasets."""
+    task_cfg.validate()
+    rng = Prng(derive_seed(seed, STREAM_DATA))
+    if task_cfg.kind == "blobs":
+        source = gen_blobs(task_cfg.classes, task_cfg.per_class,
+                           task_cfg.dim, task_cfg.spread, rng)
+        name = f"blobs-c{task_cfg.classes}-s{seed}"
+    else:
+        source = load_idx(task_cfg.images, task_cfg.labels)
+        if task_cfg.subsample:
+            source = subsample(source, task_cfg.subsample, rng)
+        name = f"idx-s{seed}"
+    target = apply_shift(source, task_cfg, rng)
+    if task_cfg.normalization == "source":
+        source, target = normalize_pair(source, target)
+    return Task(source=source, target=target, name=name)
+
+
+def make_blobs_task(seed: int, **fields) -> Task:
+    """Shifted Gaussian blobs; ``fields`` are TaskConfig fields."""
+    return make_task(TaskConfig(**fields), seed)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic generation
 
 
 def gen_blobs(classes: int, per_class: int, d: int, spread: float,
@@ -119,8 +176,6 @@ def gen_blobs(classes: int, per_class: int, d: int, spread: float,
     """Gaussian clusters, one per class, means evenly spaced on a circle
     of radius 4 in the first two coordinates. Samples are laid out in
     class-major blocks; draw order is sample-major then coordinate."""
-    if classes < 2 or per_class < 1 or d < 2:
-        raise ContractError("need classes >= 2, per_class >= 1, d >= 2")
     n = classes * per_class
     samples = np.zeros((n, d))
     indices = []
@@ -143,24 +198,30 @@ def gen_blobs(classes: int, per_class: int, d: int, spread: float,
     )
 
 
-def apply_shift(ds: Dataset, spec: ShiftSpec, rng: Prng) -> Dataset:
-    """Produces the target-domain counterpart of a labeled dataset.
+def apply_shift(ds: Dataset, cfg: TaskConfig, rng: Prng) -> Dataset:
+    """Produces the target-domain counterpart of a labeled dataset under
+    the config's shift; a translation shorter than the data is zero-padded.
 
     The returned dataset has no open labels: ground truth (with any
     requested corruption applied) moves into the sealed field.
     """
-    spec.validate(ds.dim)
-    x = ds.samples * spec.scale
-    c, s = np.cos(spec.rotation_angle), np.sin(spec.rotation_angle)
+    if len(cfg.translation) > ds.dim:
+        raise ContractError(
+            f"translation length {len(cfg.translation)} != dimension {ds.dim}"
+        )
+    translation = np.zeros(ds.dim)
+    translation[:len(cfg.translation)] = cfg.translation
+    x = ds.samples * cfg.scale
+    c, s = np.cos(cfg.rotation), np.sin(cfg.rotation)
     rotated = x.copy()
     rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
-    shifted = rotated + spec.translation_vector(ds.dim)
+    shifted = rotated + translation
 
     truth = true_label_indices(ds)
-    if spec.label_noise > 0.0:
+    if cfg.label_noise > 0.0:
         truth = truth.copy()
         for i in range(len(truth)):
-            if rng.uniform() < spec.label_noise:
+            if rng.uniform() < cfg.label_noise:
                 # pick uniformly among the other classes
                 k = rng.randint(ds.class_count - 1)
                 truth[i] = k if k < truth[i] else k + 1
@@ -188,33 +249,19 @@ def subsample(ds: Dataset, n: int, rng: Prng) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Normalization (statistics from the source domain by default)
+# Normalization
 
 
-def feature_stats(samples: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0)  # population std
-    return mean, np.maximum(std, STD_FLOOR)
-
-
-def apply_standardization(ds: Dataset, mean: np.ndarray,
-                          std: np.ndarray) -> Dataset:
-    return replace(ds, samples=(ds.samples - mean) / std)
-
-
-def normalize_pair(source: Dataset, target: Dataset,
-                   mode: str = "source") -> tuple[Dataset, Dataset]:
-    """Standardize both domains. ``source`` mode uses source statistics
-    for both (keeps the shift visible in target space); ``none`` is a
-    pass-through."""
-    if mode == "none":
-        return source, target
-    if mode != "source":
-        raise ContractError(f"unknown normalization mode {mode!r}")
-    mean, std = feature_stats(source.samples)
+def normalize_pair(source: Dataset,
+                   target: Dataset) -> tuple[Dataset, Dataset]:
+    """Standardizes both domains with the source's per-feature mean and
+    population std (floored at STD_FLOOR), which keeps the shift visible
+    in target space."""
+    mean = source.samples.mean(axis=0)
+    std = np.maximum(source.samples.std(axis=0), STD_FLOOR)
     return (
-        apply_standardization(source, mean, std),
-        apply_standardization(target, mean, std),
+        replace(source, samples=(source.samples - mean) / std),
+        replace(target, samples=(target.samples - mean) / std),
     )
 
 

@@ -8,7 +8,6 @@ All variants share the seed-derived data, initialization, and sampling
 streams so comparisons are paired.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,8 +17,8 @@ from dart import data as dd
 from dart import model as dm
 from dart import training as tr
 from dart.autodiff import Tape, Tensor
-from dart.errors import ConfigError, ContractError, ShapeError
-from dart.rng import STREAM_DATA, STREAM_INIT, STREAM_PROBE, Prng, derive_seed
+from dart.errors import ContractError, ShapeError
+from dart.rng import STREAM_INIT, STREAM_PROBE, Prng, derive_seed
 
 RESULTS_COLUMNS = ("variant", "seed", "src_acc", "tgt_acc", "a_distance")
 
@@ -42,89 +41,6 @@ class EvalReport:
     a_distance: float
     per_class_accuracy: list[float]
     config_echo: dict
-
-
-@dataclass
-class Task:
-    """A source/target dataset pair ready for training."""
-
-    source: dd.Dataset
-    target: dd.Dataset
-    name: str = "task"
-
-
-@dataclass
-class TaskConfig:
-    """The dataset pair to build: Gaussian blobs or an IDX image/label
-    file pair, then the shift that turns the source into the target."""
-
-    kind: str = "blobs"
-    classes: int = 3
-    per_class: int = 100
-    dim: int = 2
-    spread: float = 1.1
-    rotation: float = math.pi / 5
-    translation: tuple[float, ...] = (1.5, -1.0)
-    scale: float = 1.0
-    label_noise: float = 0.0
-    normalization: str = "source"
-    images: str = ""
-    labels: str = ""
-    subsample: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in ("blobs", "idx"):
-            raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
-        if self.kind == "blobs":
-            if self.classes < 2:
-                raise ConfigError("task.classes must be >= 2")
-            if self.per_class < 1:
-                raise ConfigError("task.per_class must be >= 1")
-            if self.dim < 2:
-                raise ConfigError("task.dim must be >= 2")
-            if self.spread < 0:
-                raise ConfigError("task.spread must be >= 0")
-        else:
-            if not self.images or not self.labels:
-                raise ConfigError("task.kind=idx requires task.images and task.labels")
-        if self.scale <= 0:
-            raise ConfigError("task.scale must be > 0")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ConfigError("task.label_noise must lie in [0, 1)")
-        if self.normalization not in ("source", "none"):
-            raise ConfigError(
-                f"task.normalization must be source or none, got {self.normalization!r}"
-            )
-        if self.subsample < 0:
-            raise ConfigError("task.subsample must be >= 0")
-
-
-def make_task(task_cfg: TaskConfig, seed: int) -> Task:
-    """Builds the source, shifts a copy of it into the target domain and
-    normalizes both. The data stream is derived from the seed, so every
-    variant trained at this seed sees identical datasets."""
-    rng = Prng(derive_seed(seed, STREAM_DATA))
-    if task_cfg.kind == "blobs":
-        source = dd.gen_blobs(task_cfg.classes, task_cfg.per_class,
-                              task_cfg.dim, task_cfg.spread, rng)
-        name = f"blobs-c{task_cfg.classes}-s{seed}"
-    else:
-        source = dd.load_idx(task_cfg.images, task_cfg.labels)
-        if task_cfg.subsample:
-            source = dd.subsample(source, task_cfg.subsample, rng)
-        name = f"idx-s{seed}"
-    # a translation shorter than the data is zero-padded
-    pad = (0.0,) * (source.dim - len(task_cfg.translation))
-    spec = dd.ShiftSpec(task_cfg.rotation, tuple(task_cfg.translation) + pad,
-                        task_cfg.scale, task_cfg.label_noise)
-    target = dd.apply_shift(source, spec, rng)
-    source, target = dd.normalize_pair(source, target, mode=task_cfg.normalization)
-    return Task(source=source, target=target, name=name)
-
-
-def make_blobs_task(seed: int, **fields) -> Task:
-    """Shifted Gaussian blobs; ``fields`` are TaskConfig fields."""
-    return make_task(TaskConfig(**fields), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +114,7 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
 # Ablation harness
 
 
-def run_ablation(variant: str, task: Task, cfg: tr.TrainConfig) -> EvalReport:
+def run_ablation(variant: str, task: dd.Task, cfg: tr.TrainConfig) -> EvalReport:
     if variant not in tr.VARIANTS:
         raise ContractError(
             f"variant must be one of {', '.join(tr.VARIANTS)}, got {variant!r}"
@@ -214,7 +130,7 @@ def run_ablation(variant: str, task: Task, cfg: tr.TrainConfig) -> EvalReport:
     return report
 
 
-def evaluate_model(model: dm.DartModel, task: Task, seed: int,
+def evaluate_model(model: dm.DartModel, task: dd.Task, seed: int,
                    variant: str = "full") -> EvalReport:
     """Accuracies and A-distance of a trained model (the eval command, and
     the end of each ablation run)."""

@@ -44,13 +44,13 @@ def adaptation_sweep():
     t0 = time.perf_counter()
     reports = {variant: [] for variant in SWEEP_VARIANTS}
     for seed in SWEEP_SEEDS:
-        task = ev.make_blobs_task(seed)
+        task = dd.make_blobs_task(seed)
         cfg = tr.TrainConfig(seed=seed)
         for variant in SWEEP_VARIANTS:
             reports[variant].append(ev.run_ablation(variant, task, cfg))
     elapsed = time.perf_counter() - t0
 
-    task = ev.make_blobs_task(SWEEP_SEEDS[0])
+    task = dd.make_blobs_task(SWEEP_SEEDS[0])
     cfg = tr.TrainConfig(seed=SWEEP_SEEDS[0]).effective()
     model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, cfg)

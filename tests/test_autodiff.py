@@ -601,12 +601,21 @@ def test_stop_gradient_blocks_flow():
     assert grads[x.vid].tolist() == [0.0, 0.0]
 
 
-def test_operations_on_mixed_tapes_rejected():
-    t1, t2 = ad.Tape(), ad.Tape()
-    a = make_var(t1, [1.0])
-    b = make_var(t2, [1.0])
-    with pytest.raises(ContractError):
-        ad.add(a, b)
+# second operand of each binary op, shaped to fit a 2x2 first operand
+SECOND_OPERANDS = {ad.matmul: [[1.0, 0.0], [0.0, 1.0]],
+                   ad.add: [[1.0, 2.0], [3.0, 4.0]],
+                   ad.subtract: [[1.0, 2.0], [3.0, 4.0]],
+                   ad.multiply: [[1.0, 2.0], [3.0, 4.0]],
+                   ad.add_bias: [1.0, 2.0],
+                   ad.kron_rows: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("op", list(SECOND_OPERANDS), ids=lambda op: op.__name__)
+def test_binary_op_rejects_operands_on_different_tapes(op):
+    a = make_var(ad.Tape(), [[1.0, 2.0], [3.0, 4.0]])
+    b = make_var(ad.Tape(), SECOND_OPERANDS[op])
+    with pytest.raises(ContractError, match="different tapes"):
+        op(a, b)
 
 
 def test_finiteness_preserved_on_bounded_inputs():

@@ -376,7 +376,7 @@ def test_translation_padded_to_dim(tmp_path):
     assert task.source.samples.shape == (15, 4)
     assert cfg.train.input_dim == 4
     # the library builder pads the default translation the same way
-    direct = ev.make_blobs_task(2, dim=4, per_class=5)
+    direct = dd.make_blobs_task(2, dim=4, per_class=5)
     assert direct.name == task.name
     for side in ("source", "target"):
         ours, theirs = getattr(direct, side), getattr(task, side)

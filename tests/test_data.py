@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dart import data as dd
-from dart.errors import ContractError, DataFormatError
-from dart.rng import Prng
+from dart.errors import ConfigError, ContractError, DataFormatError
+from dart.rng import STREAM_DATA, Prng, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +84,23 @@ GOLDEN_BLOB_FIRST = 4.8822489062222685
 
 
 def test_blobs_rejects_bad_arguments():
-    with pytest.raises(ContractError):
-        dd.gen_blobs(1, 5, 2, 1.0, Prng(1))
-    with pytest.raises(ContractError):
-        dd.gen_blobs(3, 5, 1, 1.0, Prng(1))
+    with pytest.raises(ConfigError):
+        dd.make_blobs_task(1, classes=1)
+    with pytest.raises(ConfigError):
+        dd.make_blobs_task(1, dim=1)
 
 
 # ---------------------------------------------------------------------------
 # apply_shift
 
 
+def shift_spec(rotation, translation, scale=1.0, label_noise=0.0):
+    return dd.TaskConfig(rotation=rotation, translation=translation,
+                         scale=scale, label_noise=label_noise)
+
+
 def identity_spec(d=2):
-    return dd.ShiftSpec(0.0, tuple([0.0] * d), 1.0, 0.0)
+    return shift_spec(0.0, tuple([0.0] * d))
 
 
 def test_shift_identity_preserves_samples():
@@ -110,14 +115,14 @@ def test_shift_identity_preserves_samples():
 def test_shift_half_turn():
     ds = dd.Dataset(np.array([[1.0, 0.0, 7.0]]), np.array([[1.0, 0.0]]),
                     "source", 2)
-    spec = dd.ShiftSpec(math.pi, (0.5, 0.5, 0.0), 1.0, 0.0)
+    spec = shift_spec(math.pi, (0.5, 0.5, 0.0))
     out = dd.apply_shift(ds, spec, Prng(5))
     assert np.allclose(out.samples, [[-0.5, 0.5, 7.0]], atol=1e-12)
 
 
 def test_shift_quarter_rotation_with_scale():
     ds = dd.Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), "source", 2)
-    spec = dd.ShiftSpec(math.pi / 4, (0.0, 0.0), 2.0, 0.0)
+    spec = shift_spec(math.pi / 4, (0.0, 0.0), scale=2.0)
     out = dd.apply_shift(ds, spec, Prng(6))
     root2 = math.sqrt(2.0)
     assert np.allclose(out.samples, [[root2, root2]], atol=1e-12)
@@ -126,15 +131,15 @@ def test_shift_quarter_rotation_with_scale():
 def inverse_shift(spec):
     """Spec undoing ``spec``: x = (1/s) R(-theta) (x' - t), the rotation
     acting on the first two coordinates."""
-    c, s = math.cos(-spec.rotation_angle), math.sin(-spec.rotation_angle)
+    c, s = math.cos(-spec.rotation), math.sin(-spec.rotation)
     inv_t = -np.asarray(spec.translation) / spec.scale
     inv_t[:2] = np.array([[c, -s], [s, c]]) @ inv_t[:2]
-    return dd.ShiftSpec(-spec.rotation_angle, tuple(inv_t), 1.0 / spec.scale, 0.0)
+    return shift_spec(-spec.rotation, tuple(inv_t), scale=1.0 / spec.scale)
 
 
 def test_shift_inverse_recovers_samples():
     ds = dd.gen_blobs(3, 10, 4, 0.8, Prng(7))
-    spec = dd.ShiftSpec(0.9, (1.5, -1.0, 0.3, 2.0), 1.7, 0.0)
+    spec = shift_spec(0.9, (1.5, -1.0, 0.3, 2.0), scale=1.7)
     fwd = dd.apply_shift(ds, spec, Prng(8))
     back = dd.apply_shift(fwd, inverse_shift(spec), Prng(9))
     assert np.allclose(back.samples, ds.samples, atol=1e-9)
@@ -143,7 +148,7 @@ def test_shift_inverse_recovers_samples():
 def test_shift_label_noise_corrupts_some_labels():
     ds = dd.gen_blobs(3, 50, 2, 0.5, Prng(10))
     out = dd.apply_shift(
-        ds, dd.ShiftSpec(0.0, (0.0, 0.0), 1.0, 0.4), Prng(11)
+        ds, shift_spec(0.0, (0.0, 0.0), label_noise=0.4), Prng(11)
     )
     before = np.argmax(ds.labels, axis=1)
     after = dd.true_label_indices(out)
@@ -154,11 +159,14 @@ def test_shift_label_noise_corrupts_some_labels():
 
 
 def test_shift_spec_validation():
+    with pytest.raises(ConfigError):
+        dd.make_blobs_task(1, scale=0.0)
     ds = dd.gen_blobs(2, 3, 2, 0.5, Prng(12))
-    with pytest.raises(ContractError):
-        dd.apply_shift(ds, dd.ShiftSpec(scale=0.0), Prng(13))
-    with pytest.raises(ContractError):
-        dd.apply_shift(ds, dd.ShiftSpec(translation=(1.0,)), Prng(13))
+    with pytest.raises(ContractError, match="translation length 3"):
+        dd.apply_shift(ds, shift_spec(0.0, (1.0, 2.0, 3.0)), Prng(13))
+    # a translation shorter than the data is zero-padded
+    out = dd.apply_shift(ds, shift_spec(0.0, (1.0,)), Prng(13))
+    assert np.allclose(out.samples, ds.samples + [1.0, 0.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +222,23 @@ def test_normalize_pair_uses_source_statistics():
                      None, "source", 2)
     tgt = dd.Dataset(np.array([[10.0, 10.0]]), None, "target", 2,
                      sealed_labels=None)
-    ns, nt = dd.normalize_pair(src, tgt, mode="source")
-    mean, std = dd.feature_stats(src.samples)
+    ns, nt = dd.normalize_pair(src, tgt)
+    mean, std = src.samples.mean(axis=0), src.samples.std(axis=0)
     assert np.allclose(nt.samples, (tgt.samples - mean) / std, atol=1e-12)
     # target keeps its own shift relative to the source frame
     assert nt.samples[0, 0] > ns.samples[:, 0].max()
 
 
 def test_normalize_pair_none_mode_is_passthrough():
-    src = dd.gen_blobs(2, 3, 2, 0.5, Prng(19))
-    tgt = dd.apply_shift(src, identity_spec(), Prng(20))
-    ns, nt = dd.normalize_pair(src, tgt, mode="none")
-    assert ns is src and nt is tgt
-    with pytest.raises(ContractError):
-        dd.normalize_pair(src, tgt, mode="target")
+    cfg = dd.TaskConfig(classes=2, per_class=3, normalization="none")
+    rng = Prng(derive_seed(19, STREAM_DATA))
+    src = dd.gen_blobs(2, 3, 2, cfg.spread, rng)
+    tgt = dd.apply_shift(src, cfg, rng)
+    task = dd.make_task(cfg, 19)
+    assert task.source.samples.tobytes() == src.samples.tobytes()
+    assert task.target.samples.tobytes() == tgt.samples.tobytes()
+    with pytest.raises(ConfigError):
+        dd.make_blobs_task(19, normalization="target")
 
 
 # ---------------------------------------------------------------------------

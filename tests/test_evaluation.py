@@ -168,7 +168,7 @@ def short_cfg(seed=1, steps=200):
 
 
 def test_run_ablation_produces_complete_report():
-    task = ev.make_blobs_task(seed=1, per_class=30)
+    task = dd.make_blobs_task(seed=1, per_class=30)
     report = ev.run_ablation("full", task, short_cfg())
     assert report.variant == "full"
     assert 0.0 <= report.target_accuracy <= 1.0
@@ -180,20 +180,20 @@ def test_run_ablation_produces_complete_report():
 
 
 def test_run_ablation_dart_c_never_fuses(kron_calls):
-    task = ev.make_blobs_task(seed=2, per_class=20)
+    task = dd.make_blobs_task(seed=2, per_class=20)
     ev.run_ablation("dart_c", task, short_cfg(seed=2, steps=50))
     assert len(kron_calls) == 0
 
 
 def test_run_ablation_source_only_zeroes_weights():
-    task = ev.make_blobs_task(seed=3, per_class=20)
+    task = dd.make_blobs_task(seed=3, per_class=20)
     report = ev.run_ablation("source_only", task, short_cfg(seed=3, steps=50))
     assert report.config_echo["alpha"] == 0.0
     assert report.config_echo["beta"] == 0.0
 
 
 def test_evaluate_model_runs_one_forward_per_domain(monkeypatch):
-    task = ev.make_blobs_task(seed=4, per_class=10)
+    task = dd.make_blobs_task(seed=4, per_class=10)
     model = tr.build_model(short_cfg(seed=4), Prng(4))
     forwards, probed = [], []
     original = dm.forward_features
@@ -216,14 +216,14 @@ def test_evaluate_model_runs_one_forward_per_domain(monkeypatch):
 
 
 def test_run_ablation_rejects_unknown_variant():
-    task = ev.make_blobs_task(seed=4, per_class=20)
+    task = dd.make_blobs_task(seed=4, per_class=20)
     with pytest.raises(ContractError):
         ev.run_ablation("dann", task, short_cfg())
 
 
 def test_source_only_no_shift_target_matches_source_accuracy():
     # identity shift: the two domains coincide, so accuracies agree closely
-    rng_task = ev.make_blobs_task(
+    rng_task = dd.make_blobs_task(
         seed=5, per_class=50, rotation=0.0, translation=(0.0, 0.0)
     )
     report = ev.run_ablation("source_only", rng_task, short_cfg(seed=5, steps=400))
@@ -231,7 +231,7 @@ def test_source_only_no_shift_target_matches_source_accuracy():
 
 
 def test_dart_s_equals_full_at_step_zero():
-    task = ev.make_blobs_task(seed=6, per_class=20)
+    task = dd.make_blobs_task(seed=6, per_class=20)
     cfg = short_cfg(seed=6, steps=0)
     full = tr.build_model(
         tr.TrainConfig(**{**vars(cfg), "variant": "full"}), Prng(42)

@@ -17,7 +17,8 @@ from conftest import central_diff_grads, max_rel_err
 def small_task(seed=3, per_class=20, spread=0.8):
     src = dd.gen_blobs(3, per_class, 2, spread, Prng(seed))
     tgt = dd.apply_shift(
-        src, dd.ShiftSpec(math.pi / 6, (1.0, -0.5), 1.0, 0.0), Prng(seed + 1)
+        src, dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5)),
+        Prng(seed + 1)
     )
     return src, tgt
 
@@ -392,8 +393,8 @@ def test_train_loop_learns_separable_identical_domains():
     # source == target, linearly separable: source accuracy should saturate
     for seed in (1, 2, 3, 4, 5):
         src = dd.gen_blobs(3, 30, 2, spread=0.3, rng=Prng(100 + seed))
-        tgt = dd.apply_shift(src, dd.ShiftSpec(0.0, (0.0, 0.0), 1.0, 0.0),
-                             Prng(200 + seed))
+        identity = dd.TaskConfig(rotation=0.0, translation=(0.0, 0.0))
+        tgt = dd.apply_shift(src, identity, Prng(200 + seed))
         cfg = tr.TrainConfig(
             total_steps=300, batch_size=30, hidden=(16,), feature_dim=8,
             class_count=3, input_dim=2, domain_hidden=8, seed=seed,
