@@ -32,8 +32,7 @@ from .errors import ContractError, ShapeError
 
 Tensor = np.ndarray
 
-# Epsilon used by log_eps callers throughout the package; keeps logarithms
-# of saturated probabilities finite.
+# Floor of log_eps; keeps logarithms of saturated probabilities finite.
 LOG_EPS = 1e-12
 
 
@@ -268,19 +267,17 @@ def kron_rows(f: Var, y: Var) -> Var:
     return tape.register(out, (f.vid, y.vid), rule)
 
 
-def log_eps(x: Var, eps: float = LOG_EPS) -> Var:
-    """Elementwise ln(max(x, eps)) for nonnegative x.
+def log_eps(x: Var) -> Var:
+    """Elementwise ln(max(x, LOG_EPS)) for nonnegative x.
 
-    The gradient is 1/x where x >= eps and 0 below, so saturated entries
-    neither explode nor propagate.
+    The gradient is 1/x where x >= LOG_EPS and 0 below, so saturated
+    entries neither explode nor propagate.
     """
-    if eps <= 0:
-        raise ContractError(f"log_eps needs eps > 0, got {eps}")
     xv = x.value
-    clamped = np.maximum(xv, eps)
+    clamped = np.maximum(xv, LOG_EPS)
 
-    def rule(g, xv=xv, clamped=clamped, eps=eps):
-        return (np.where(xv >= eps, g / clamped, 0.0),)
+    def rule(g, xv=xv, clamped=clamped):
+        return (np.where(xv >= LOG_EPS, g / clamped, 0.0),)
 
     return x.tape.register(np.log(clamped), (x.vid,), rule)
 

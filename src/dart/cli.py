@@ -237,6 +237,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         cfg.overwrite = True
     cfg.task.validate()
     cfg.train.validate()
+    for seed in cfg.seeds:
+        replace(cfg.train, seed=seed).validate()
     return cfg
 
 
@@ -271,10 +273,10 @@ def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
 def cmd_train(cfg: RunConfig) -> int:
     task = build_task(cfg)
     out = _prepare_out_dir(cfg, ["metrics.csv", "model.ckpt"])
-    run_cfg = cfg.train.effective()
-    model = tr.build_model(run_cfg, Prng(derive_seed(run_cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg.train,
+                           Prng(derive_seed(cfg.train.seed, STREAM_INIT)))
     metrics_path = os.path.join(out, "metrics.csv")
-    report = tr.train_loop(model, task.source, task.target, run_cfg,
+    report = tr.train_loop(model, task.source, task.target, cfg.train,
                            metrics_path=metrics_path)
     ckpt_path = os.path.join(out, "model.ckpt")
     dm.save_checkpoint(report.model, ckpt_path)

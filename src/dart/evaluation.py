@@ -86,20 +86,20 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     src_train, src_test = split(features_src)
     tgt_train, tgt_test = split(features_tgt)
 
-    # the probe has the shape of the model's domain classifier
-    params = [dm.glorot(features_src.shape[1], PROBE_HIDDEN, rng),
-              np.zeros(PROBE_HIDDEN), dm.glorot(PROBE_HIDDEN, 1, rng), np.zeros(1)]
+    # the probe is a fresh copy of the model's domain classifier
+    params = dm.init_layers({}, dm.DOMAIN_LAYERS,
+                            (features_src.shape[1], PROBE_HIDDEN, 1), rng)
 
     def probe(tape, *inputs):
-        ws = [tape.variable(p) for p in params]
-        return ws, [dm.domain_head(tape.constant(x), *ws) for x in inputs]
+        ws = {name: tape.variable(arr) for name, arr in params.items()}
+        return ws, [dm.domain_head(tape.constant(x), ws) for x in inputs]
 
     for _ in range(PROBE_STEPS):
         tape = Tape()
         ws, (d_src, d_tgt) = probe(tape, src_train, tgt_train)
         grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
-        for arr, var in zip(params, ws):
-            arr -= PROBE_ETA * grads[var.vid]
+        for name, var in ws.items():
+            params[name] -= PROBE_ETA * grads[var.vid]
 
     # threshold 0.5: at or above counts as a source prediction
     _, (d_src, d_tgt) = probe(Tape(), src_test, tgt_test)

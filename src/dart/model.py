@@ -42,10 +42,33 @@ ARCHITECTURE = {
 }
 
 
-def glorot(fan_in: int, fan_out: int, rng: Prng) -> Tensor:
-    """Glorot-uniform weights [fan_in x fan_out], drawn row-major."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform_block(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
+# the two layers of the domain classifier; the A-distance probe is one too
+DOMAIN_LAYERS = ("domain.fc1", "domain.fc2")
+
+
+def init_layers(params: dict[str, Tensor], names, widths,
+                rng: Prng | None) -> dict[str, Tensor]:
+    """Adds to ``params`` one linear layer per consecutive pair of
+    ``widths``: a Glorot-uniform ``name.weight`` [in x out] drawn row-major
+    (zeros without ``rng``) and a zero ``name.bias``. Returns ``params``."""
+    for name, fan_in, fan_out in zip(names, widths, widths[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weight = (np.zeros(fan_in * fan_out) if rng is None
+                  else rng.uniform_block(fan_in * fan_out, -limit, limit))
+        params[f"{name}.weight"] = weight.reshape(fan_in, fan_out)
+        params[f"{name}.bias"] = np.zeros(fan_out)
+    return params
+
+
+def mlp(x: Var, params: dict[str, Var], names) -> Var:
+    """The named linear layers applied in order, with a ReLU between
+    consecutive layers and none after the last."""
+    for i, name in enumerate(names):
+        if i:
+            x = ad.relu(x)
+        x = ad.add_bias(ad.matmul(x, params[f"{name}.weight"]),
+                        params[f"{name}.bias"])
+    return x
 
 
 class DartModel:
@@ -88,24 +111,16 @@ class DartModel:
 
         # name -> array in checkpoint order; weights are [in x out]
         self._params: dict[str, Tensor] = {}
-
-        def layer(prefix, fan_in, fan_out, zero=False):
-            self._params[f"{prefix}.weight"] = (
-                np.zeros((fan_in, fan_out)) if zero or rng is None
-                else glorot(fan_in, fan_out, rng)
-            )
-            self._params[f"{prefix}.bias"] = np.zeros(fan_out)
-
-        for i in range(len(widths) - 1):
-            layer(f"extractor.{i}", widths[i], widths[i + 1])
-        layer("bottleneck", feature_dim, class_count)
-        layer("residual.fc1", class_count, self.residual_hidden)
+        # the residual block reads the logits, so it chains on the bottleneck
+        extractor = [f"extractor.{i}" for i in range(len(widths) - 1)]
+        init_layers(self._params, (*extractor, "bottleneck", "residual.fc1"),
+                    (*widths, class_count, self.residual_hidden), rng)
         # zero-init keeps the perturbation at exactly zero, so the source
         # and target classifiers start bitwise identical
-        layer("residual.fc2", self.residual_hidden, class_count, zero=True)
+        init_layers(self._params, ("residual.fc2",),
+                    (self.residual_hidden, class_count), None)
         d_in = feature_dim * class_count if domain_on_joint else feature_dim
-        layer("domain.fc1", d_in, domain_hidden)
-        layer("domain.fc2", domain_hidden, 1)
+        init_layers(self._params, DOMAIN_LAYERS, (d_in, domain_hidden, 1), rng)
 
     # -- parameter access ---------------------------------------------------
 
@@ -138,12 +153,6 @@ class DartModel:
             )
         current[...] = arr
 
-    def clone(self) -> "DartModel":
-        other = DartModel(**{key: getattr(self, key) for key in ARCHITECTURE})
-        for name, arr in self._params.items():
-            other.set_parameter(name, arr)
-        return other
-
 
 class BoundModel:
     """Model parameters registered on a tape, with graph builders."""
@@ -154,22 +163,12 @@ class BoundModel:
             name: tape.variable(arr) for name, arr in model.parameters().items()
         }
 
-    def _linear(self, x: Var, prefix: str) -> Var:
-        w = self.params[f"{prefix}.weight"]
-        b = self.params[f"{prefix}.bias"]
-        return ad.add_bias(ad.matmul(x, w), b)
-
     def features(self, x: Var) -> Var:
-        h = x
-        depth = len(self.model.hidden) + 1
-        for i in range(depth):
-            h = self._linear(h, f"extractor.{i}")
-            if i != depth - 1:
-                h = ad.relu(h)
-        return h
+        extractor = [f"extractor.{i}" for i in range(len(self.model.hidden) + 1)]
+        return mlp(x, self.params, extractor)
 
     def logits(self, f: Var) -> Var:
-        return self._linear(f, "bottleneck")
+        return mlp(f, self.params, ("bottleneck",))
 
     def target_probs(self, z: Var) -> Var:
         return ad.softmax_rows(z)
@@ -177,24 +176,17 @@ class BoundModel:
     def source_probs(self, z: Var) -> Var:
         if not self.model.use_residual:
             return ad.softmax_rows(z)
-        h = ad.relu(self._linear(z, "residual.fc1"))
-        delta = self._linear(h, "residual.fc2")
+        delta = mlp(z, self.params, ("residual.fc1", "residual.fc2"))
         return ad.softmax_rows(ad.add(z, delta))
 
     def domain_prob(self, joint: Var, lam: float) -> Var:
-        p = self.params
-        return domain_head(
-            ad.gradient_reversal(joint, lam),
-            p["domain.fc1.weight"], p["domain.fc1.bias"],
-            p["domain.fc2.weight"], p["domain.fc2.bias"],
-        )
+        return domain_head(ad.gradient_reversal(joint, lam), self.params)
 
 
-def domain_head(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """Two-layer domain discriminator: relu hidden layer, then a sigmoid
+def domain_head(x: Var, params: dict[str, Var]) -> Var:
+    """The DOMAIN_LAYERS discriminator: relu hidden layer, then a sigmoid
     output clamped inside the open interval (0, 1)."""
-    h = ad.relu(ad.add_bias(ad.matmul(x, w1), b1))
-    d = ad.sigmoid(ad.add_bias(ad.matmul(h, w2), b2))
+    d = ad.sigmoid(mlp(x, params, DOMAIN_LAYERS))
     return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
 
 
@@ -361,6 +353,8 @@ def _format_meta(value) -> str:
 def _parse_meta(kind: type, text: str):
     if kind is tuple:
         return () if text == "-" else tuple(int(v) for v in text.split(","))
+    if kind is bool and text not in ("0", "1"):
+        raise DataFormatError(f"a flag must be 0 or 1, got {text!r}")
     return kind(int(text))
 
 

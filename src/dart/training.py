@@ -279,8 +279,10 @@ def train_loop(
     metrics_path=None,
 ) -> TrainReport:
     """Runs cfg.total_steps steps; logs every cfg.log_every steps plus the
-    final step. With a metrics path, rows go to a CSV with a header."""
+    final step. With a metrics path, rows go to a CSV with a header. The
+    variant's loss weights apply here (see ``TrainConfig.effective``)."""
     cfg.validate()
+    cfg = cfg.effective()
     if source.samples.shape[1] != model.input_dim:
         raise ContractError(
             f"source width {source.samples.shape[1]} does not match "

@@ -472,6 +472,15 @@ def test_ablate_emits_variants_times_seeds_rows(tmp_path):
     assert (out / "reports.txt").read_text().count("variant=") == 8
 
 
+@pytest.mark.parametrize("seeds", ["1,18446744073709551616", "-1"])
+def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, seeds):
+    out = tmp_path / "abl"
+    rc = cli.main(["ablate", "--set", f"seeds={seeds}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_refuses_existing_results(tmp_path, capsys):
     cfg = tiny_cfg(tmp_path, ["steps=1"])
     out = tmp_path / "ab"

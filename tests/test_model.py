@@ -151,10 +151,8 @@ def test_source_probs_match_standalone_recomputation():
 def domain_prob(m, joint):
     """The model's domain head on a fresh tape; numpy in and out."""
     tape = Tape()
-    p = m.parameters()
-    ws = [tape.variable(p[f"domain.{k}"])
-          for k in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
-    return dm.domain_head(tape.variable(np.asarray(joint, float)), *ws).value
+    ws = {name: tape.variable(arr) for name, arr in m.parameters().items()}
+    return dm.domain_head(tape.variable(np.asarray(joint, float)), ws).value
 
 
 def test_domain_zero_weights_gives_half():
@@ -515,9 +513,11 @@ def zero_checkpoint_bytes(tmp_path):
     (b"meta input_dim 2\n", b"meta input_dim 1000000000000000\n"),
     (RESIDUAL_BIAS_BLOCK, b""),
     (RESIDUAL_BIAS_BLOCK, RESIDUAL_BIAS_BLOCK * 2),
+    (b"meta use_residual 1\n", b"meta use_residual 7\n"),
+    (b"meta domain_on_joint 1\n", b"meta domain_on_joint -3\n"),
 ], ids=["meta-without-value", "non-ascii", "non-number", "bare-param",
         "nan", "one-class", "zero-width", "huge-width", "missing-block",
-        "repeated-block"])
+        "repeated-block", "flag-not-0-or-1", "negative-flag"])
 def test_malformed_checkpoint_is_data_format_error(tmp_path, old, new):
     raw = zero_checkpoint_bytes(tmp_path)
     assert old in raw

@@ -1,11 +1,15 @@
 """Schedules, samplers, the SGD step, and loop-level behavior."""
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dart import autodiff as ad
 from dart import data as dd
+from dart import evaluation as ev
 from dart import model as dm
 from dart import training as tr
 from dart.errors import ConfigError, ContractError, NumericError
@@ -208,7 +212,7 @@ def test_train_step_updates_match_minus_eta_grad():
     before = {k: v.copy() for k, v in model.parameters().items()}
 
     # recompute the update by hand on a frozen copy
-    frozen = model.clone()
+    frozen = copy.deepcopy(model)
     sampler = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed)
     batch = sampler.next_batch()
 
@@ -389,6 +393,22 @@ def test_train_loop_determinism_bitwise(tmp_path):
         assert np.array_equal(arr, m2.parameters()[name]), name
 
 
+def test_train_loop_applies_the_variant_loss_weights():
+    task = dd.make_blobs_task(1, per_class=30)
+
+    def trained(cfg):
+        model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+        tr.train_loop(model, task.source, task.target, cfg)
+        return model.parameters()
+
+    cfg = tr.TrainConfig(variant="source_only", total_steps=50)
+    got = trained(cfg)
+    want = trained(cfg.effective())
+    full = trained(replace(cfg, variant="full"))
+    assert all(np.array_equal(got[k], want[k]) for k in got)
+    assert not all(np.array_equal(got[k], full[k]) for k in got)
+
+
 def test_train_loop_learns_separable_identical_domains():
     # source == target, linearly separable: source accuracy should saturate
     for seed in (1, 2, 3, 4, 5):
@@ -426,3 +446,31 @@ def test_train_loop_validates_widths():
     model = tr.build_model(cfg, Prng(9))
     with pytest.raises(ContractError):
         tr.train_loop(model, src, tgt, cfg)
+
+
+# ---------------------------------------------------------------------------
+# shape of a step
+
+
+@pytest.mark.parametrize("step,nodes", [
+    ("full", 60), ("dart_c", 58), ("dart_s", 54), ("source_only", 60),
+    ("probe", 22),
+])
+def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
+    # the golden digests catch a changed value, not an added no-op node
+    recorded = []
+    backward = ad.backward
+
+    def counting_backward(tape, loss):
+        recorded.append(len(tape.nodes))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    task = dd.make_blobs_task(1, per_class=20)
+    if step == "probe":
+        monkeypatch.setattr(ev, "PROBE_STEPS", 1)
+        ev.a_distance(task.source.samples, task.target.samples, Prng(1))
+    else:
+        cfg = tr.TrainConfig(variant=step, total_steps=1)
+        tr.train_loop(tr.build_model(cfg, Prng(1)), task.source, task.target, cfg)
+    assert recorded == [nodes]
