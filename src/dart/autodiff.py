@@ -6,10 +6,13 @@ Differentiable computations are recorded on a :class:`Tape`: every value
 non-leaf node stores its parent ids plus a closure that maps the upstream
 gradient to per-parent gradients. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out, and returns a gradient for every registered id. Leaves registered
-with :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs
-is reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one.
+fan-out, and returns a gradient for every leaf. Leaves registered with
+:meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
+reported as zero, and :func:`matmul`, :func:`kron_rows` and
+:func:`multiply` skip the products that would only feed one. Leaves
+registered with :meth:`Tape.parameter` (model parameters) skip the
+finiteness scan that :meth:`Tape.variable` makes: their owner checks them
+where they enter and after training.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -53,7 +56,7 @@ def is_one_hot(y: Tensor) -> bool:
     if y.ndim != 2:
         return False
     ones = y == 1.0
-    return bool(np.all((y == 0.0) | ones) and np.all(ones.sum(axis=1) == 1))
+    return bool(((y == 0.0) | ones).all() and (ones.sum(axis=1) == 1).all())
 
 
 BackwardRule = Callable[[np.ndarray], tuple]
@@ -85,26 +88,36 @@ class Tape:
 
     ``values[i]`` holds the tensor for id ``i``; ``nodes`` holds, for each
     non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
-    ``constants`` holds the ids of leaves that need no gradient. Parents
-    always precede their node in registration order, so the record is
-    topologically sorted by construction. A tape and its tensors belong to
-    a single thread for the duration of a forward/backward pass.
+    ``leaves`` holds the leaf ids in registration order and ``constants``
+    those that need no gradient. Parents always precede their node in
+    registration order, so the record is topologically sorted by
+    construction. A tape and its tensors belong to a single thread for the
+    duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes", "constants")
+    __slots__ = ("values", "nodes", "leaves", "constants")
 
     def __init__(self):
         self.values: list[Tensor] = []
         self.nodes: list[tuple[int, tuple[int, ...], BackwardRule]] = []
+        self.leaves: list[int] = []
         self.constants: set[int] = set()
 
-    def variable(self, value) -> Var:
-        """Register a leaf value; backward computes its gradient."""
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("variable value must be finite")
+    def parameter(self, arr: Tensor) -> Var:
+        """Register a float64 array as a leaf as given: no copy and no
+        finiteness scan; backward computes its gradient."""
         self.values.append(arr)
-        return Var(self, len(self.values) - 1)
+        vid = len(self.values) - 1
+        self.leaves.append(vid)
+        return Var(self, vid)
+
+    def variable(self, value) -> Var:
+        """Register a leaf value, which must be finite; backward computes
+        its gradient."""
+        arr = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ContractError("variable value must be finite")
+        return self.parameter(arr)
 
     def constant(self, value) -> Var:
         """Register a leaf that needs no gradient (an input, label or mask);
@@ -131,10 +144,10 @@ def _check_same_tape(*vars_: Var) -> Tape:
 
 
 def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
-    """Gradient of a scalar loss w.r.t. every id registered on the tape.
+    """Gradient of a scalar loss w.r.t. every leaf of the tape, by id.
 
     The seed gradient at the loss is 1; fan-out accumulates additively.
-    Ids the loss does not depend on, and constants, get zero gradients.
+    Leaves the loss does not depend on, and constants, get zero gradients.
     """
     loss_value = tape.values[loss.vid]
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -156,11 +169,9 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
                 grads[pid] = pg
             else:
                 grads[pid] = grads[pid] + pg
-    out: dict[int, Tensor] = {}
-    for vid, val in enumerate(tape.values):
-        g = grads[vid]
-        out[vid] = np.zeros(val.shape) if g is None else np.asarray(g)
-    return out
+    values = tape.values
+    return {vid: np.zeros(values[vid].shape) if grads[vid] is None
+            else np.asarray(grads[vid]) for vid in tape.leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +188,11 @@ def matmul(a: Var, b: Var) -> Var:
 
     a_const = a.vid in tape.constants
 
+    # np.dot gives @'s bits here, and is faster on a k=1 outer product
     def rule(g, av=av, bv=bv):
-        return None if a_const else g @ bv.T, av.T @ g
+        return None if a_const else np.dot(g, bv.T), np.dot(av.T, g)
 
-    return tape.register(av @ bv, (a.vid, b.vid), rule)
+    return tape.register(np.dot(av, bv), (a.vid, b.vid), rule)
 
 
 def relu(x: Var) -> Var:
@@ -210,11 +222,10 @@ def softmax_rows(z: Var) -> Var:
 
 def sigmoid(x: Var) -> Var:
     xv = x.value
-    out = np.empty_like(xv)
-    pos = xv >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-    ex = np.exp(xv[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
+    # are the usual two branches, bit for bit (minimum keeps a nan's sign)
+    e = np.exp(np.minimum(xv, -xv))
+    out = np.where(xv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def rule(g, out=out):
         return (g * out * (1.0 - out),)
@@ -367,14 +378,15 @@ def sum_all(x: Var) -> Var:
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
-    """Elementwise clip; gradient passes only inside [lo, hi]."""
+    """Elementwise clip, np.clip's bits; gradient passes only inside
+    [lo, hi]."""
     xv = x.value
     mask = (xv >= lo) & (xv <= hi)
 
     def rule(g, mask=mask):
         return (g * mask,)
 
-    return x.tape.register(np.clip(xv, lo, hi), (x.vid,), rule)
+    return x.tape.register(np.minimum(hi, np.maximum(lo, xv)), (x.vid,), rule)
 
 
 def stop_gradient(x: Var) -> Var:

@@ -91,7 +91,7 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
                             (features_src.shape[1], PROBE_HIDDEN, 1), rng)
 
     def probe(tape, *inputs):
-        ws = {name: tape.variable(arr) for name, arr in params.items()}
+        ws = {name: tape.parameter(arr) for name, arr in params.items()}
         return ws, [dm.domain_head(tape.constant(x), ws) for x in inputs]
 
     for _ in range(PROBE_STEPS):
@@ -100,6 +100,7 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
         grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
         for name, var in ws.items():
             params[name] -= PROBE_ETA * grads[var.vid]
+    dm.check_finite_parameters(params, "after the A-distance probe")
 
     # threshold 0.5: at or above counts as a source prediction
     _, (d_src, d_tgt) = probe(Tape(), src_test, tgt_test)

@@ -20,7 +20,7 @@ import numpy as np
 
 from dart import autodiff as ad
 from dart.autodiff import Tape, Tensor, Var
-from dart.errors import ContractError, DataFormatError, ShapeError
+from dart.errors import ContractError, DataFormatError, NumericError, ShapeError
 from dart.rng import Prng
 
 CHECKPOINT_HEADER = "DARTCKPT1"
@@ -151,16 +151,22 @@ class DartModel:
             raise ShapeError(
                 f"parameter {name!r} has shape {current.shape}, got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ContractError(f"parameter {name!r} must be finite")
         current[...] = arr
 
 
 class BoundModel:
-    """Model parameters registered on a tape, with graph builders."""
+    """Model parameters registered on a tape, with graph builders. They are
+    bound without a finiteness scan: init makes them finite,
+    ``set_parameter`` and ``load_checkpoint`` check them on the way in,
+    ``train_loop`` after its last step and ``forward_features`` before it
+    binds."""
 
     def __init__(self, model: DartModel, tape: Tape):
         self.model = model
         self.params: dict[str, Var] = {
-            name: tape.variable(arr) for name, arr in model.parameters().items()
+            name: tape.parameter(arr) for name, arr in model.parameters().items()
         }
 
     def features(self, x: Var) -> Var:
@@ -194,6 +200,16 @@ def bind(model: DartModel, tape: Tape) -> BoundModel:
     return BoundModel(model, tape)
 
 
+def check_finite_parameters(params: dict[str, Tensor], when: str) -> None:
+    """NumericError naming the first parameter that holds a non-finite
+    value. The tape binds parameters unscanned, so training and the probe
+    call this after their last update, and ``forward_features`` before it
+    binds."""
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"non-finite parameter {name!r} {when}")
+
+
 # ---------------------------------------------------------------------------
 # Losses (graph form; scalars come back as 0-d Vars)
 
@@ -224,7 +240,7 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     """Binary cross-entropy with source labeled 1 and target labeled 0."""
     for v, side in ((d_src, "source"), (d_tgt, "target")):
         vals = v.value
-        if np.any(vals <= 0.0) or np.any(vals >= 1.0):
+        if (vals <= 0.0).any() or (vals >= 1.0).any():
             raise ContractError(
                 f"domain probabilities for {side} must lie strictly in (0, 1)"
             )
@@ -332,6 +348,7 @@ def forward_features(model: DartModel, x: Tensor) -> tuple[Tensor, Tensor, Tenso
         raise ShapeError(
             f"input has shape {x.shape}, extractor expects width {model.input_dim}"
         )
+    check_finite_parameters(model.parameters(), "in the evaluated model")
     tape = Tape()
     bm = bind(model, tape)
     f = bm.features(tape.variable(x))

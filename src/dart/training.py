@@ -307,4 +307,5 @@ def train_loop(
     finally:
         if fh:
             fh.close()
+    dm.check_finite_parameters(model.parameters(), "after training")
     return TrainReport(model, state, history)

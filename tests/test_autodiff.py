@@ -32,6 +32,14 @@ def test_variable_validates_dtype_and_finiteness():
     assert len(tape.values) == 1
 
 
+def test_parameter_registers_the_array_as_given():
+    # no copy and no finiteness scan: parameters are checked by their owner
+    tape = ad.Tape()
+    arr = np.array([1.0, float("nan")])
+    p = tape.parameter(arr)
+    assert p.value is arr and tape.leaves == [p.vid]
+
+
 def test_one_hot_rows_are_exact():
     y = ad.one_hot([2, 0], 3)
     assert y.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
@@ -95,6 +103,33 @@ def test_matmul_gradient_structure_and_finite_differences():
     fd_a, fd_b = central_diff_grads(loss_fn, [a_data, b_data])
     assert max_rel_err(grads[a.vid], fd_a) < 1e-6
     assert max_rel_err(grads[b.vid], fd_b) < 1e-6
+
+
+# (n, k, m) of every matmul the benchmark workloads record: blobs (batch
+# 32, 300-row evaluation, 150-row probe) and idx-wide (batch 64, 600-row
+# evaluation, 300-row probe); then k=1, n=1 and m=1 shapes
+MATMUL_SHAPES = [
+    (32, 2, 16), (32, 16, 8), (32, 8, 3), (32, 3, 3), (32, 24, 64),
+    (32, 8, 64), (32, 64, 1), (300, 2, 16), (300, 16, 8), (300, 8, 3),
+    (300, 3, 3), (150, 8, 64), (150, 64, 1),
+    (64, 784, 256), (64, 256, 64), (64, 64, 10), (64, 10, 10), (64, 640, 64),
+    (64, 64, 1), (600, 784, 256), (600, 256, 64), (600, 64, 10), (600, 10, 10),
+    (300, 64, 64), (300, 64, 1),
+    (32, 1, 64), (150, 1, 1), (1, 8, 3), (1, 784, 256), (1, 1, 1), (17, 31, 1),
+]
+
+
+@pytest.mark.parametrize("n, k, m", MATMUL_SHAPES)
+def test_matmul_products_equal_the_operator_bitwise(n, k, m):
+    rng = Prng(n * 1_000_003 + k * 1009 + m)
+    a_data, b_data, g = (rng.uniform_block(r * c, -2.0, 2.0).reshape(r, c)
+                         for r, c in ((n, k), (k, m), (n, m)))
+    tape = ad.Tape()
+    out = ad.matmul(tape.variable(a_data), tape.variable(b_data))
+    ga, gb = tape.nodes[-1][2](g)
+    for got, want in ((out.value, a_data @ b_data), (ga, g @ b_data.T),
+                      (gb, a_data.T @ g)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +463,19 @@ def test_backward_returns_zeros_for_unreached_variables():
     assert grads[unused.vid].tolist() == [0.0, 0.0]
 
 
+def test_backward_returns_exactly_the_leaf_gradients():
+    tape = ad.Tape()
+    w = make_var(tape, [[1.0, -2.0]])
+    x = tape.constant([[3.0], [4.0]])
+    p = tape.parameter(np.array([0.5, 0.25]))
+    h = ad.relu(ad.matmul(x, w))
+    grads = ad.backward(tape, ad.sum_all(ad.add_bias(h, p)))
+    assert list(grads) == tape.leaves == [w.vid, x.vid, p.vid]
+    assert grads[w.vid].tolist() == [[7.0, 0.0]]
+    assert grads[x.vid].tolist() == [[0.0], [0.0]]
+    assert grads[p.vid].tolist() == [2.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # constant leaves
 
@@ -581,6 +629,34 @@ def test_sigmoid_stable_at_extremes():
     assert out[0] == pytest.approx(0.0)
     assert out[1] == pytest.approx(0.5)
     assert out[2] == pytest.approx(1.0)
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_form_bitwise():
+    edges = [0.0, 1e-300, 36.0, 37.0, 745.0, 1e308, float("nan")]
+    x = np.array(edges + [-v for v in edges]
+                 + Prng(53).uniform_block(200, -50.0, 50.0).tolist())
+    x = x.reshape(-1, 1)
+    out = ad.sigmoid(ad.Tape().parameter(x)).value
+    assert out.tobytes() == two_branch_sigmoid(x).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-12, 1.0 - 1e-12), (0.0, 1.0),
+                                    (-0.0, 0.0), (-2.0, 0.5)])
+def test_clamp_equals_np_clip_bitwise(lo, hi):
+    x = np.array([float("nan"), -float("nan"), np.inf, -np.inf, 0.0, -0.0,
+                  lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0),
+                  np.nextafter(lo, 2.0), np.nextafter(hi, -1.0), 0.25, -3.0])
+    out = ad.clamp(ad.Tape().parameter(x), lo, hi).value
+    assert out.tobytes() == np.clip(x, lo, hi).tobytes()
 
 
 def test_clamp_gradient_mask():

@@ -9,7 +9,7 @@ from dart import data as dd
 from dart import evaluation as ev
 from dart import model as dm
 from dart import training as tr
-from dart.errors import ContractError, ShapeError
+from dart.errors import ContractError, NumericError, ShapeError
 from dart.rng import Prng
 
 
@@ -148,6 +148,15 @@ def test_a_distance_requires_ten_per_domain():
         ev.a_distance(f, g, Prng(1))
     with pytest.raises(ContractError):
         ev.a_distance(g, f, Prng(1))
+
+
+def test_a_distance_diverging_probe_is_numeric_error(monkeypatch):
+    # an overflowing step size sends the probe's weights to inf; the scan
+    # after its last step reports it
+    monkeypatch.setattr(ev, "PROBE_ETA", 1e300)
+    f = cluster_features(n=40)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="probe"):
+        ev.a_distance(f, f + 1.0, Prng(3))
 
 
 def test_a_distance_deterministic_given_rng():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dart import autodiff as ad
 from dart import model as dm
 from dart.autodiff import Tape
-from dart.errors import ContractError, DataFormatError, ShapeError
+from dart.errors import ContractError, DataFormatError, NumericError, ShapeError
 from dart.rng import Prng
 
 from conftest import mutate_bytes
@@ -527,6 +527,25 @@ def test_malformed_checkpoint_is_data_format_error(tmp_path, old, new):
         dm.load_checkpoint(path)
 
 
+def test_non_canonical_checkpoint_loads_by_value_and_resaves_canonically(tmp_path):
+    # the loader reads numbers by value, so only a file the program wrote
+    # comes back byte for byte
+    raw = zero_checkpoint_bytes(tmp_path)
+    loose_bias = b"param residual.fc2.bias 3\n0.00 0 -0.0\n"
+    path = tmp_path / "loose.ckpt"
+    path.write_bytes(raw.replace(b"meta input_dim 2\n", b"meta input_dim +02\n")
+                     .replace(RESIDUAL_BIAS_BLOCK, loose_bias))
+    loaded = dm.load_checkpoint(path)
+    assert loaded.input_dim == 2
+    bias = loaded.parameters()["residual.fc2.bias"]
+    assert bias.tolist() == [0.0, 0.0, 0.0]
+    assert np.signbit(bias).tolist() == [False, False, True]
+    resaved = tmp_path / "resaved.ckpt"
+    dm.save_checkpoint(loaded, resaved)
+    assert resaved.read_bytes() == raw.replace(
+        RESIDUAL_BIAS_BLOCK, b"param residual.fc2.bias 3\n0.0 0.0 -0.0\n")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -545,6 +564,18 @@ def test_set_parameter_validates():
         m.set_parameter("nope.weight", np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         m.set_parameter("bottleneck.weight", np.zeros((5, 5)))
+    for bad in (float("nan"), np.inf, -np.inf):
+        with pytest.raises(ContractError, match="finite"):
+            m.set_parameter("extractor.0.bias", [bad, 0.0])
+    assert m.parameters()["extractor.0.bias"].tolist() == [0.0, 0.0]
+
+
+def test_forward_features_rejects_a_non_finite_parameter():
+    # written through the live parameter table, past set_parameter's check
+    m = tiny_model(rng=Prng(5))
+    m.parameters()["bottleneck.bias"][1] = float("nan")
+    with pytest.raises(NumericError, match="bottleneck.bias"):
+        dm.forward_features(m, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("width", [

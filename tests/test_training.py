@@ -440,6 +440,17 @@ def test_train_loop_classification_loss_trends_down():
     assert last_window < first_window
 
 
+def test_train_loop_non_finite_parameter_is_numeric_error():
+    # a -inf bias is a dead ReLU unit: every loss stays finite, and the scan
+    # after the last step is what catches it
+    task = dd.make_blobs_task(1, per_class=20)
+    cfg = tr.TrainConfig(total_steps=3)
+    model = tr.build_model(cfg, Prng(1))
+    model.parameters()["extractor.0.bias"][0] = -np.inf
+    with pytest.raises(NumericError, match="extractor.0.bias"):
+        tr.train_loop(model, task.source, task.target, cfg)
+
+
 def test_train_loop_validates_widths():
     src, tgt = small_task()
     cfg = small_config(input_dim=7)
