@@ -9,7 +9,7 @@ Typical use:
 
     cfg = TrainConfig(total_steps=3000, seed=1)
     task = make_blobs_task(seed=1)
-    model = build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = build_model(cfg, task.source, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     report = train_loop(model, task.source, task.target, cfg)
 """
 

@@ -9,10 +9,12 @@ strict reverse registration order, accumulating gradients additively over
 fan-out, and returns a gradient for every leaf. Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one. Leaves
-registered with :meth:`Tape.parameter` (model parameters) skip the
-finiteness scan that :meth:`Tape.variable` makes: their owner checks them
-where they enter and after training.
+:func:`multiply` skip the products that would only feed one. Constants
+and leaves registered with :meth:`Tape.parameter` (model parameters) skip
+the finiteness scan that :meth:`Tape.variable` makes: their owner checks
+them where they enter (``Dataset`` its samples, the model its parameters)
+and after training, and a non-finite value derived from them reaches the
+loss check.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -120,9 +122,9 @@ class Tape:
         return self.parameter(arr)
 
     def constant(self, value) -> Var:
-        """Register a leaf that needs no gradient (an input, label or mask);
-        backward reports zeros for it."""
-        var = self.variable(value)
+        """Register a float64 leaf that needs no gradient (an input, label
+        or mask) without a finiteness scan; backward reports zeros for it."""
+        var = self.parameter(np.asarray(value, dtype=np.float64))
         self.constants.add(var.vid)
         return var
 

@@ -247,11 +247,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def build_task(cfg: RunConfig) -> dd.Task:
-    """Builds the dataset pair and patches the width keys the model needs."""
-    task = dd.make_task(cfg.task, cfg.train.seed)
-    cfg.train.input_dim = task.source.dim
-    cfg.train.class_count = task.source.class_count
-    return task
+    """Builds the dataset pair at the run's seed; its source sets the
+    model's input width and class count."""
+    return dd.make_task(cfg.task, cfg.train.seed)
 
 
 def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
@@ -273,7 +271,7 @@ def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
 def cmd_train(cfg: RunConfig) -> int:
     task = build_task(cfg)
     out = _prepare_out_dir(cfg, ["metrics.csv", "model.ckpt"])
-    model = tr.build_model(cfg.train,
+    model = tr.build_model(cfg.train, task.source,
                            Prng(derive_seed(cfg.train.seed, STREAM_INIT)))
     metrics_path = os.path.join(out, "metrics.csv")
     report = tr.train_loop(model, task.source, task.target, cfg.train,
@@ -295,7 +293,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     task = build_task(cfg)
     ckpt_shape = (model.input_dim, model.class_count,
                   model.domain_on_joint, model.use_residual)
-    task_shape = (cfg.train.input_dim, cfg.train.class_count,
+    task_shape = (task.source.dim, task.source.class_count,
                   *tr.WIRING[cfg.train.variant])
     if ckpt_shape != task_shape:
         raise ConfigError(

@@ -46,6 +46,8 @@ class Dataset:
             raise ContractError(
                 f"domain_tag must be 'source' or 'target', got {self.domain_tag!r}"
             )
+        if not np.isfinite(self.samples).all():
+            raise ContractError(f"{self.domain_tag} samples must be finite")
         if self.class_count < 2:
             raise ContractError("class_count must be >= 2")
         for attr in ("labels", "sealed_labels"):
@@ -237,7 +239,7 @@ def apply_shift(ds: Dataset, cfg: TaskConfig, rng: Prng) -> Dataset:
 def subsample(ds: Dataset, n: int, rng: Prng) -> Dataset:
     if n < 1 or n > ds.size:
         raise ContractError(f"subsample size {n} out of range 1..{ds.size}")
-    idx = np.asarray(rng.permutation(ds.size)[:n], dtype=np.intp)
+    idx = rng.permutation(ds.size)[:n]
     return replace(
         ds,
         samples=ds.samples[idx],

@@ -77,9 +77,12 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     features_tgt = np.asarray(features_tgt, dtype=np.float64)
     if features_src.shape[0] < 10 or features_tgt.shape[0] < 10:
         raise ContractError("a_distance needs at least 10 samples per domain")
+    # the probe registers them unscanned as constants on every step
+    if not (np.isfinite(features_src).all() and np.isfinite(features_tgt).all()):
+        raise ContractError("a_distance needs finite features")
 
     def split(x):
-        perm = np.asarray(rng.permutation(x.shape[0]), dtype=np.intp)
+        perm = rng.permutation(x.shape[0])
         half = x.shape[0] // 2
         return x[perm[:half]], x[perm[half:]]
 
@@ -91,7 +94,7 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
                             (features_src.shape[1], PROBE_HIDDEN, 1), rng)
 
     def probe(tape, *inputs):
-        ws = {name: tape.parameter(arr) for name, arr in params.items()}
+        ws = dm.bind(params, tape)
         return ws, [dm.domain_head(tape.constant(x), ws) for x in inputs]
 
     for _ in range(PROBE_STEPS):
@@ -122,7 +125,8 @@ def run_ablation(variant: str, task: dd.Task, cfg: tr.TrainConfig) -> EvalReport
         )
     run_cfg = replace(cfg, variant=variant).effective()
     run_cfg.validate()
-    model = tr.build_model(run_cfg, Prng(derive_seed(run_cfg.seed, STREAM_INIT)))
+    model = tr.build_model(run_cfg, task.source,
+                           Prng(derive_seed(run_cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, run_cfg)
     report = evaluate_model(model, task, run_cfg.seed, variant)
     report.config_echo.update(

@@ -89,7 +89,7 @@ def run_gradcheck(seed: int = DEFAULT_SEED) -> GradcheckReport:
     graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, alpha, beta)
     grads = ad.backward(tape, graph.total)
     analytic = {
-        name: grads[var.vid] for name, var in graph.bound.params.items()
+        name: grads[var.vid] for name, var in graph.params.items()
     }
 
     def losses_now():

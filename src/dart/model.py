@@ -156,37 +156,29 @@ class DartModel:
         current[...] = arr
 
 
-class BoundModel:
-    """Model parameters registered on a tape, with graph builders. They are
-    bound without a finiteness scan: init makes them finite,
-    ``set_parameter`` and ``load_checkpoint`` check them on the way in,
-    ``train_loop`` after its last step and ``forward_features`` before it
-    binds."""
+def bind(params: dict[str, Tensor], tape: Tape) -> dict[str, Var]:
+    """Registers a parameter table (the model's or the A-distance probe's)
+    on a tape in table order, without a finiteness scan: init makes the
+    arrays finite, ``set_parameter`` and ``load_checkpoint`` check them on
+    the way in, training and the probe after their last update and
+    ``forward_features`` before it binds."""
+    return {name: tape.parameter(arr) for name, arr in params.items()}
 
-    def __init__(self, model: DartModel, tape: Tape):
-        self.model = model
-        self.params: dict[str, Var] = {
-            name: tape.parameter(arr) for name, arr in model.parameters().items()
-        }
 
-    def features(self, x: Var) -> Var:
-        extractor = [f"extractor.{i}" for i in range(len(self.model.hidden) + 1)]
-        return mlp(x, self.params, extractor)
+def features(model: DartModel, ws: dict[str, Var], x: Var) -> Var:
+    """The feature extractor of ``model`` applied to ``x``."""
+    extractor = [f"extractor.{i}" for i in range(len(model.hidden) + 1)]
+    return mlp(x, ws, extractor)
 
-    def logits(self, f: Var) -> Var:
-        return mlp(f, self.params, ("bottleneck",))
 
-    def target_probs(self, z: Var) -> Var:
+def source_probs(model: DartModel, ws: dict[str, Var], z: Var) -> Var:
+    """Source-classifier probabilities of the logits ``z``: the softmax of
+    ``z`` plus the residual perturbation, or of ``z`` alone without the
+    residual block."""
+    if not model.use_residual:
         return ad.softmax_rows(z)
-
-    def source_probs(self, z: Var) -> Var:
-        if not self.model.use_residual:
-            return ad.softmax_rows(z)
-        delta = mlp(z, self.params, ("residual.fc1", "residual.fc2"))
-        return ad.softmax_rows(ad.add(z, delta))
-
-    def domain_prob(self, joint: Var, lam: float) -> Var:
-        return domain_head(ad.gradient_reversal(joint, lam), self.params)
+    delta = mlp(z, ws, ("residual.fc1", "residual.fc2"))
+    return ad.softmax_rows(ad.add(z, delta))
 
 
 def domain_head(x: Var, params: dict[str, Var]) -> Var:
@@ -194,10 +186,6 @@ def domain_head(x: Var, params: dict[str, Var]) -> Var:
     output clamped inside the open interval (0, 1)."""
     d = ad.sigmoid(mlp(x, params, DOMAIN_LAYERS))
     return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
-
-
-def bind(model: DartModel, tape: Tape) -> BoundModel:
-    return BoundModel(model, tape)
 
 
 def check_finite_parameters(params: dict[str, Tensor], when: str) -> None:
@@ -265,9 +253,9 @@ def total_loss(ly: Var, lh: Var, ld: Var, alpha: float, beta: float) -> Var:
 
 @dataclass
 class TrainingGraph:
-    """Holds the loss Vars of one forward pass."""
+    """Holds the bound parameters and the loss Vars of one forward pass."""
 
-    bound: BoundModel
+    params: dict[str, Var]
     ly: Var
     lh: Var
     ld: Var
@@ -299,16 +287,16 @@ def build_training_graph(
     replaces it with its one-hot argmax (hardening is non-differentiable,
     so it implies the cut).
     """
-    bm = bind(model, tape)
+    ws = bind(model.parameters(), tape)
     xs_v = tape.constant(xs)
     xt_v = tape.constant(xt)
 
-    fs = bm.features(xs_v)
-    ft = bm.features(xt_v)
-    zs = bm.logits(fs)
-    zt = bm.logits(ft)
-    ys_pred = bm.source_probs(zs)
-    yt_pred = bm.target_probs(zt)
+    fs = features(model, ws, xs_v)
+    ft = features(model, ws, xt_v)
+    zs = mlp(fs, ws, ("bottleneck",))
+    zt = mlp(ft, ws, ("bottleneck",))
+    ys_pred = source_probs(model, ws, zs)
+    yt_pred = ad.softmax_rows(zt)
 
     if model.domain_on_joint:
         ys_v = tape.constant(ys)
@@ -325,14 +313,14 @@ def build_training_graph(
         fused_src = fs
         fused_tgt = ft
 
-    d_src = bm.domain_prob(fused_src, lam)
-    d_tgt = bm.domain_prob(fused_tgt, lam)
+    d_src = domain_head(ad.gradient_reversal(fused_src, lam), ws)
+    d_tgt = domain_head(ad.gradient_reversal(fused_tgt, lam), ws)
 
     ly = classification_loss(ys_pred, ys)
     lh = entropy_loss(yt_pred)
     ld = domain_loss(d_src, d_tgt)
     total = total_loss(ly, lh, ld, alpha, beta)
-    return TrainingGraph(bm, ly, lh, ld, total,
+    return TrainingGraph(ws, ly, lh, ld, total,
                          ys_pred, yt_pred, d_src, d_tgt)
 
 
@@ -350,10 +338,10 @@ def forward_features(model: DartModel, x: Tensor) -> tuple[Tensor, Tensor, Tenso
         )
     check_finite_parameters(model.parameters(), "in the evaluated model")
     tape = Tape()
-    bm = bind(model, tape)
-    f = bm.features(tape.variable(x))
-    z = bm.logits(f)
-    return f.value, bm.target_probs(z).value, bm.source_probs(z).value
+    ws = bind(model.parameters(), tape)
+    f = features(model, ws, tape.variable(x))
+    z = mlp(f, ws, ("bottleneck",))
+    return f.value, ad.softmax_rows(z).value, source_probs(model, ws, z).value
 
 
 # ---------------------------------------------------------------------------

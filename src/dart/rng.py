@@ -130,7 +130,8 @@ class Prng:
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
-    def permutation(self, n: int) -> list[int]:
+    def permutation(self, n: int) -> np.ndarray:
+        """A shuffled ``range(n)`` as an index (``np.intp``) array."""
         order = list(range(n))
         self.shuffle(order)
-        return order
+        return np.array(order, dtype=np.intp)

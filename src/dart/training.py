@@ -35,7 +35,8 @@ METRICS_COLUMNS = ("step", "eta", "lambda", "loss_y", "loss_h", "loss_d",
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters and architecture widths for one training run."""
+    """Hyperparameters and hidden widths for one training run; the input
+    width and class count come from the data (see ``build_model``)."""
 
     alpha: float = 0.6
     beta: float = 1.0
@@ -47,10 +48,8 @@ class TrainConfig:
     total_steps: int = 3000
     batch_size: int = 32
     seed: int = 1
-    input_dim: int = 2
     hidden: tuple[int, ...] = (16,)
     feature_dim: int = 8
-    class_count: int = 3
     residual_hidden: int | None = None
     domain_hidden: int = 64
     stop_pseudo_label_grad: bool = False
@@ -100,13 +99,15 @@ class TrainConfig:
         return cfg
 
 
-def build_model(cfg: TrainConfig, rng: Prng) -> dm.DartModel:
+def build_model(cfg: TrainConfig, source, rng: Prng | None) -> dm.DartModel:
+    """The variant's network for ``source``'s input width and class count
+    (all zeros without ``rng``)."""
     domain_on_joint, use_residual = WIRING[cfg.variant]
     return dm.DartModel(
-        input_dim=cfg.input_dim,
+        input_dim=source.dim,
         hidden=cfg.hidden,
         feature_dim=cfg.feature_dim,
-        class_count=cfg.class_count,
+        class_count=source.class_count,
         residual_hidden=cfg.residual_hidden,
         domain_hidden=cfg.domain_hidden,
         domain_on_joint=domain_on_joint,
@@ -152,7 +153,7 @@ class EpochSampler:
         self.count = count
         self.batch_size = batch_size
         self.rng = rng
-        self._order: list[int] = []
+        self._order = np.empty(0, dtype=np.intp)
         self._pos = 0
 
     def next_indices(self) -> np.ndarray:
@@ -161,7 +162,7 @@ class EpochSampler:
             self._pos = 0
         out = self._order[self._pos:self._pos + self.batch_size]
         self._pos += self.batch_size
-        return np.asarray(out, dtype=np.intp)
+        return out
 
 
 @dataclass
@@ -246,7 +247,7 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
 
     grads = ad.backward(tape, graph.total)
     params = model.parameters()
-    for name, var in graph.bound.params.items():
+    for name, var in graph.params.items():
         g = grads[var.vid]
         if cfg.momentum > 0.0:
             v = state.velocity.get(name)
@@ -283,10 +284,10 @@ def train_loop(
     variant's loss weights apply here (see ``TrainConfig.effective``)."""
     cfg.validate()
     cfg = cfg.effective()
-    if source.samples.shape[1] != model.input_dim:
+    if (source.dim, source.class_count) != (model.input_dim, model.class_count):
         raise ContractError(
-            f"source width {source.samples.shape[1]} does not match "
-            f"model input width {model.input_dim}"
+            f"source (width, class count) {(source.dim, source.class_count)} "
+            f"does not match the model's {(model.input_dim, model.class_count)}"
         )
     state = SgdState()
     history: list[StepMetrics] = []

@@ -52,7 +52,8 @@ def adaptation_sweep():
 
     task = dd.make_blobs_task(SWEEP_SEEDS[0])
     cfg = tr.TrainConfig(seed=SWEEP_SEEDS[0]).effective()
-    model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg, task.source,
+                           Prng(derive_seed(cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, cfg)
     feats, _, _ = dm.forward_features(model, task.target.samples)
     control = ev.a_distance(
@@ -86,7 +87,7 @@ def _domain_grads_through_grl(model, xs, ys, xt, lam):
     graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, 0.6, 1.0)
     grads = ad.backward(tape, graph.ld)
     return {
-        name: grads[graph.bound.params[name].vid]
+        name: grads[graph.params[name].vid]
         for name in model.feature_param_names()
     }
 
@@ -94,28 +95,28 @@ def _domain_grads_through_grl(model, xs, ys, xt, lam):
 def _domain_grads_through_identity(model, xs, ys, xt):
     # same forward subgraph with the reversal call skipped
     tape = Tape()
-    bm = dm.bind(model, tape)
-    fs = bm.features(tape.variable(xs))
-    ft = bm.features(tape.variable(xt))
-    yt_pred = bm.target_probs(bm.logits(ft))
+    ws = dm.bind(model.parameters(), tape)
+    fs = dm.features(model, ws, tape.variable(xs))
+    ft = dm.features(model, ws, tape.variable(xt))
+    yt_pred = ad.softmax_rows(dm.mlp(ft, ws, ("bottleneck",)))
     fused_src = ad.kron_rows(fs, tape.variable(ys))
     fused_tgt = ad.kron_rows(ft, yt_pred)
 
     def prob(joint):
         h = ad.relu(ad.add_bias(
-            ad.matmul(joint, bm.params["domain.fc1.weight"]),
-            bm.params["domain.fc1.bias"],
+            ad.matmul(joint, ws["domain.fc1.weight"]),
+            ws["domain.fc1.bias"],
         ))
         d = ad.sigmoid(ad.add_bias(
-            ad.matmul(h, bm.params["domain.fc2.weight"]),
-            bm.params["domain.fc2.bias"],
+            ad.matmul(h, ws["domain.fc2.weight"]),
+            ws["domain.fc2.bias"],
         ))
         return ad.clamp(d, dm.DOMAIN_PROB_EPS, 1.0 - dm.DOMAIN_PROB_EPS)
 
     ld = dm.domain_loss(prob(fused_src), prob(fused_tgt))
     grads = ad.backward(tape, ld)
     return {
-        name: grads[bm.params[name].vid]
+        name: grads[ws[name].vid]
         for name in model.feature_param_names()
     }
 

@@ -1,5 +1,6 @@
 """Config parsing and precedence, command flows, exit codes, determinism."""
 
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -69,6 +70,15 @@ def test_defaults_match_published_settings():
     assert (t.lambda0, t.gamma_lambda) == (1.0, 2.5)
     assert t.gamma_lr == 0.92
     assert t.eta0 == 0.01
+
+
+def test_every_config_field_has_exactly_one_key():
+    # one table of config keys: no field is settable twice, and none is
+    # left for the program to fill in behind the table's back
+    targets = [(section, attr) for section, attr, _ in cli._KEYS.values()]
+    for section, kind in (("train", tr.TrainConfig), ("task", dd.TaskConfig)):
+        for f in dataclasses.fields(kind):
+            assert targets.count((section, f.name)) == 1, f"{section}.{f.name}"
 
 
 def test_config_file_keys_parse(tmp_path):
@@ -306,7 +316,8 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
         "step,eta,lambda,loss_y,loss_h,loss_d,loss_total\n"
     loaded = dm.load_checkpoint(out / "model.ckpt")
     fresh = tr.build_model(
-        tr.TrainConfig(seed=3), Prng(derive_seed(3, STREAM_INIT)),
+        tr.TrainConfig(seed=3), dd.make_blobs_task(3, per_class=10).source,
+        Prng(derive_seed(3, STREAM_INIT)),
     )
     for name, value in fresh.parameters().items():
         assert np.array_equal(loaded.parameters()[name], value)
@@ -326,17 +337,31 @@ def test_train_refuses_overwrite_without_flag(tmp_path, capsys):
 
 def test_diverging_run_exits_numeric_with_one_line(tmp_path, capsys):
     # eta0=1e300 overflows the first update; the loss check reports it
-    # and numpy's overflow warnings on the way stay silent
-    cfg = tiny_cfg(tmp_path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["train", "--config", cfg, "--steps", "50",
-                         "--eta0", "1e300", "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith("numeric failure: non-finite")
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # and numpy's overflow warnings on the way stay silent. Cut
+    # pseudo-labels are a constant leaf, and their nan reaches the same
+    # check.
+    for extra in ([], ["stop_pseudo_label_grad=1"]):
+        cfg = tiny_cfg(tmp_path, extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train", "--config", cfg, "--steps", "50",
+                             "--eta0", "1e300", "--overwrite",
+                             "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_NUMERIC, extra
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("numeric failure: non-finite")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_shift_is_rejected_before_any_output(tmp_path, capsys):
+    cfg = tiny_cfg(tmp_path, ["task.scale=1e308"])
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid request: target samples must be finite"]
+    assert not out.exists()
 
 
 def test_train_metrics_byte_identical_across_runs(tmp_path):
@@ -374,7 +399,7 @@ def test_translation_padded_to_dim(tmp_path):
     ])
     task = cli.build_task(cfg)
     assert task.source.samples.shape == (15, 4)
-    assert cfg.train.input_dim == 4
+    assert tr.build_model(cfg.train, task.source, None).input_dim == 4
     # the library builder pads the default translation the same way
     direct = dd.make_blobs_task(2, dim=4, per_class=5)
     assert direct.name == task.name
@@ -441,7 +466,8 @@ def test_eval_checkpoint_width_mismatch(tmp_path):
 def test_eval_non_finite_checkpoint_is_data_error(tmp_path, capsys):
     cfg = tiny_cfg(tmp_path)
     ckpt = tmp_path / "model.ckpt"
-    dm.save_checkpoint(tr.build_model(tr.TrainConfig(), None), ckpt)
+    source = dd.make_blobs_task(3, per_class=10).source
+    dm.save_checkpoint(tr.build_model(tr.TrainConfig(), source, None), ckpt)
     ckpt.write_bytes(ckpt.read_bytes().replace(b"0.0", b"nan", 1))
     rc = cli.main([
         "eval", "--config", cfg, "--checkpoint", str(ckpt),
@@ -470,6 +496,22 @@ def test_ablate_emits_variants_times_seeds_rows(tmp_path):
     seeds = [row.split(",")[1] for row in rows[1:]]
     assert seeds == ["1"] * 4 + ["2"] * 4
     assert (out / "reports.txt").read_text().count("variant=") == 8
+
+
+def test_library_ablation_on_another_task_matches_ablate(tmp_path):
+    # the model's widths come from the task, so a library run needs no
+    # width keys, whatever the task's dimension and class count
+    task = dd.make_blobs_task(1, classes=4, dim=4, per_class=30)
+    report = ev.run_ablation("full", task, tr.TrainConfig(total_steps=20))
+    ev.append_results_csv(tmp_path / "library.csv", [report])
+    out = tmp_path / "ab"
+    assert cli.main([
+        "ablate", "--steps", "20", "--seeds", "1", "--set", "task.classes=4",
+        "--set", "task.dim=4", "--set", "task.per_class=30", "--out", str(out),
+    ]) == 0
+    library = (tmp_path / "library.csv").read_text().splitlines()
+    rows = (out / "results.csv").read_text().splitlines()
+    assert library == rows[:2]
 
 
 @pytest.mark.parametrize("seeds", ["1,18446744073709551616", "-1"])

@@ -29,6 +29,12 @@ def test_dataset_rejects_bad_tag_and_empty():
         dd.Dataset(np.zeros((0, 2)), None, "source", 2)
 
 
+def test_dataset_rejects_non_finite_samples():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="target samples must be finite"):
+            dd.Dataset(np.array([[0.0, bad], [1.0, 2.0]]), None, "target", 2)
+
+
 def test_dataset_arrays_are_read_only():
     ds = dd.Dataset(np.zeros((2, 2)), np.eye(2), "source", 2)
     with pytest.raises(ValueError):

@@ -150,6 +150,15 @@ def test_a_distance_requires_ten_per_domain():
         ev.a_distance(g, f, Prng(1))
 
 
+def test_a_distance_rejects_non_finite_features():
+    f = cluster_features(n=30)
+    g = f.copy()
+    g[3, 1] = np.nan
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ContractError, match="finite"):
+            ev.a_distance(a, b, Prng(1))
+
+
 def test_a_distance_diverging_probe_is_numeric_error(monkeypatch):
     # an overflowing step size sends the probe's weights to inf; the scan
     # after its last step reports it
@@ -203,7 +212,7 @@ def test_run_ablation_source_only_zeroes_weights():
 
 def test_evaluate_model_runs_one_forward_per_domain(monkeypatch):
     task = dd.make_blobs_task(seed=4, per_class=10)
-    model = tr.build_model(short_cfg(seed=4), Prng(4))
+    model = tr.build_model(short_cfg(seed=4), task.source, Prng(4))
     forwards, probed = [], []
     original = dm.forward_features
 
@@ -243,10 +252,11 @@ def test_dart_s_equals_full_at_step_zero():
     task = dd.make_blobs_task(seed=6, per_class=20)
     cfg = short_cfg(seed=6, steps=0)
     full = tr.build_model(
-        tr.TrainConfig(**{**vars(cfg), "variant": "full"}), Prng(42)
+        tr.TrainConfig(**{**vars(cfg), "variant": "full"}), task.source, Prng(42)
     )
     darts = tr.build_model(
-        tr.TrainConfig(**{**vars(cfg), "variant": "dart_s"}), Prng(42)
+        tr.TrainConfig(**{**vars(cfg), "variant": "dart_s"}), task.source,
+        Prng(42)
     )
     x = task.target.samples
     f_full, _, s_full = dm.forward_features(full, x)

@@ -352,9 +352,9 @@ def test_lambda_zero_blocks_domain_gradient_to_features():
     g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.0, alpha=0.6, beta=1.0)
     grads = ad.backward(tape, g.ld)
     for name in m.feature_param_names():
-        assert np.all(grads[g.bound.params[name].vid] == 0.0), name
+        assert np.all(grads[g.params[name].vid] == 0.0), name
     # the domain classifier itself still learns
-    d_grads = [grads[g.bound.params[n].vid] for n in m.domain_param_names()]
+    d_grads = [grads[g.params[n].vid] for n in m.domain_param_names()]
     assert any(np.any(gr != 0.0) for gr in d_grads)
 
 
@@ -368,7 +368,7 @@ def test_adversarial_direction_grl_vs_identity():
         tape = Tape()
         g = dm.build_training_graph(m, tape, xs, ys, xt, lam=lam, alpha=0.0, beta=1.0)
         grads = ad.backward(tape, g.ld)
-        return {n: grads[g.bound.params[n].vid] for n in m.feature_param_names()}
+        return {n: grads[g.params[n].vid] for n in m.feature_param_names()}
 
     base = feature_grads(1.0)  # lam=1 keeps magnitude, flips sign once
     for lam in (0.0, 0.5, 1.0, 2.0):
@@ -405,7 +405,7 @@ def test_residual_disabled_gets_zero_gradient():
     g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     grads = ad.backward(tape, g.total)
     for name in m.residual_param_names():
-        assert np.all(grads[g.bound.params[name].vid] == 0.0), name
+        assert np.all(grads[g.params[name].vid] == 0.0), name
 
 
 def test_stop_pseudo_label_grad_cuts_bottleneck_path_from_domain_loss():
@@ -422,7 +422,7 @@ def test_stop_pseudo_label_grad_cuts_bottleneck_path_from_domain_loss():
             stop_pseudo_label_grad=stop,
         )
         grads = ad.backward(tape, g.ld)
-        return grads[g.bound.params["bottleneck.weight"].vid]
+        return grads[g.params["bottleneck.weight"].vid]
 
     assert np.all(bottleneck_grad(True) == 0.0)
     assert np.any(bottleneck_grad(False) != 0.0)
@@ -438,7 +438,7 @@ def test_hardened_pseudo_labels_are_one_hot_in_fusion():
     )
     grads = ad.backward(tape, g.ld)
     # hardening severs the pseudo-label path just like the stop flag
-    assert np.all(grads[g.bound.params["bottleneck.weight"].vid] == 0.0)
+    assert np.all(grads[g.params["bottleneck.weight"].vid] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def test_shuffle_is_permutation_and_deterministic():
 def test_permutation():
     p = Prng(17)
     perm = p.permutation(10)
-    assert sorted(perm) == list(range(10))
+    assert perm.dtype == np.intp
+    assert sorted(perm.tolist()) == list(range(10))
 
 
 def test_derive_seed_streams_distinct():
@@ -140,7 +141,7 @@ def test_permutation_equals_scalar_shuffle(n):
         a, b = Prng(seed), Prng(seed)
         expected = list(range(n))
         scalar_shuffle(b, expected)
-        assert a.permutation(n) == expected
+        assert a.permutation(n).tolist() == expected
         assert a._state == b._state
 
 
@@ -168,6 +169,6 @@ def test_permutation_falls_back_at_first_rejected_draw(monkeypatch):
     monkeypatch.setattr(Prng, "block", rejecting_block)
     monkeypatch.setattr(Prng, "randint", counting_randint)
     p = Prng(31)
-    assert p.permutation(300) == expected
+    assert p.permutation(300).tolist() == expected
     assert p._state == ref._state
     assert scalar_draws == list(range(299, 1, -1))

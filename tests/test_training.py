@@ -76,11 +76,12 @@ def test_effective_config_zeroes_weights_for_source_only():
 
 
 def test_build_model_variant_wiring():
+    src, _ = small_task()
     cfg = small_config(variant="dart_c")
-    m = tr.build_model(cfg, Prng(1))
+    m = tr.build_model(cfg, src, Prng(1))
     assert m.domain_on_joint is False and m.use_residual is True
     cfg = small_config(variant="dart_s")
-    m = tr.build_model(cfg, Prng(1))
+    m = tr.build_model(cfg, src, Prng(1))
     assert m.domain_on_joint is True and m.use_residual is False
 
 
@@ -208,7 +209,7 @@ def test_paired_sampler_domains_advance_independently():
 def test_train_step_updates_match_minus_eta_grad():
     src, tgt = small_task()
     cfg = small_config(eta0=0.1, total_steps=100)
-    model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     before = {k: v.copy() for k, v in model.parameters().items()}
 
     # recompute the update by hand on a frozen copy
@@ -230,7 +231,7 @@ def test_train_step_updates_match_minus_eta_grad():
         metrics.lam, cfg.alpha, cfg.beta,
     )
     grads = backward(tape, graph.total)
-    for name, var in graph.bound.params.items():
+    for name, var in graph.params.items():
         expected = before[name] - 0.1 * grads[var.vid]
         assert np.array_equal(model.parameters()[name], expected), name
 
@@ -241,9 +242,9 @@ def test_train_step_gradient_against_finite_differences():
     src, tgt = small_task(per_class=4)
     cfg = tr.TrainConfig(
         total_steps=10, batch_size=4, hidden=(), feature_dim=3,
-        class_count=3, input_dim=2, domain_hidden=4, eta0=0.1, seed=7,
+        domain_hidden=4, eta0=0.1, seed=7,
     )
-    model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     # non-zero residual weights so every parameter participates
     p = Prng(11)
     for name in model.residual_param_names():
@@ -275,7 +276,7 @@ def test_train_step_gradient_against_finite_differences():
         return float(g2.ly.value), float(g2.lh.value), float(g2.ld.value)
 
     h = 1e-6
-    for name, var in graph.bound.params.items():
+    for name, var in graph.params.items():
         arr = params[name]
         flat = arr.reshape(-1)
         analytic = grads[var.vid].reshape(-1)
@@ -299,7 +300,7 @@ def test_train_step_gradient_against_finite_differences():
 def test_train_step_source_only_leaves_domain_parameters_untouched():
     src, tgt = small_task()
     cfg = small_config(variant="source_only").effective()
-    model = tr.build_model(cfg, Prng(2))
+    model = tr.build_model(cfg, src, Prng(2))
     before = {n: model.parameters()[n].copy() for n in model.domain_param_names()}
     sampler = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed)
     state = tr.SgdState()
@@ -312,7 +313,7 @@ def test_train_step_source_only_leaves_domain_parameters_untouched():
 def test_train_step_momentum_accumulates():
     src, tgt = small_task()
     cfg = small_config(momentum=0.9, eta0=0.05)
-    model = tr.build_model(cfg, Prng(3))
+    model = tr.build_model(cfg, src, Prng(3))
     sampler = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed)
     state = tr.SgdState()
     tr.train_step(model, sampler.next_batch(), cfg, state)
@@ -324,7 +325,7 @@ def test_train_step_momentum_accumulates():
 def test_train_step_reports_non_finite_term():
     src, tgt = small_task()
     cfg = small_config()
-    model = tr.build_model(cfg, Prng(4))
+    model = tr.build_model(cfg, src, Prng(4))
     # force constant features, then logits [inf, -inf, 0]: the softmax
     # max-shift computes inf - inf = nan and the loss goes non-finite
     params = model.parameters()
@@ -351,7 +352,7 @@ def test_train_step_reports_non_finite_term():
 def test_train_loop_zero_steps_returns_initial_model(tmp_path):
     src, tgt = small_task()
     cfg = small_config(total_steps=0)
-    model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     before = {k: v.copy() for k, v in model.parameters().items()}
     report = tr.train_loop(model, src, tgt, cfg,
                            metrics_path=tmp_path / "m.csv")
@@ -366,7 +367,7 @@ def test_train_loop_zero_steps_returns_initial_model(tmp_path):
 def test_train_loop_step_accounting_and_logging(tmp_path):
     src, tgt = small_task()
     cfg = small_config(total_steps=23, log_every=10)
-    model = tr.build_model(cfg, Prng(6))
+    model = tr.build_model(cfg, src, Prng(6))
     report = tr.train_loop(model, src, tgt, cfg, metrics_path=tmp_path / "m.csv")
     assert report.state.p == 23
     logged_steps = [m.step for m in report.history]
@@ -381,7 +382,7 @@ def test_train_loop_determinism_bitwise(tmp_path):
     cfg = small_config(total_steps=30)
 
     def run(tag):
-        model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+        model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
         path = tmp_path / f"{tag}.csv"
         tr.train_loop(model, src, tgt, cfg, metrics_path=path)
         return model, path.read_bytes()
@@ -397,7 +398,8 @@ def test_train_loop_applies_the_variant_loss_weights():
     task = dd.make_blobs_task(1, per_class=30)
 
     def trained(cfg):
-        model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+        model = tr.build_model(cfg, task.source,
+                               Prng(derive_seed(cfg.seed, STREAM_INIT)))
         tr.train_loop(model, task.source, task.target, cfg)
         return model.parameters()
 
@@ -417,10 +419,10 @@ def test_train_loop_learns_separable_identical_domains():
         tgt = dd.apply_shift(src, identity, Prng(200 + seed))
         cfg = tr.TrainConfig(
             total_steps=300, batch_size=30, hidden=(16,), feature_dim=8,
-            class_count=3, input_dim=2, domain_hidden=8, seed=seed,
+            domain_hidden=8, seed=seed,
             eta0=0.02,
         )
-        model = tr.build_model(cfg, Prng(derive_seed(seed, STREAM_INIT)))
+        model = tr.build_model(cfg, src, Prng(derive_seed(seed, STREAM_INIT)))
         tr.train_loop(model, src, tgt, cfg)
         _, _, probs = dm.forward_features(model, src.samples)
         pred = np.argmax(probs, axis=1)
@@ -432,7 +434,7 @@ def test_train_loop_classification_loss_trends_down():
     src, tgt = small_task(per_class=30, spread=0.5)
     cfg = small_config(total_steps=500, log_every=1, seed=8, eta0=0.02,
                        batch_size=16)
-    model = tr.build_model(cfg, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     report = tr.train_loop(model, src, tgt, cfg)
     ly = [m.loss_y for m in report.history]
     first_window = sum(ly[:50]) / 50
@@ -445,7 +447,7 @@ def test_train_loop_non_finite_parameter_is_numeric_error():
     # after the last step is what catches it
     task = dd.make_blobs_task(1, per_class=20)
     cfg = tr.TrainConfig(total_steps=3)
-    model = tr.build_model(cfg, Prng(1))
+    model = tr.build_model(cfg, task.source, Prng(1))
     model.parameters()["extractor.0.bias"][0] = -np.inf
     with pytest.raises(NumericError, match="extractor.0.bias"):
         tr.train_loop(model, task.source, task.target, cfg)
@@ -453,9 +455,16 @@ def test_train_loop_non_finite_parameter_is_numeric_error():
 
 def test_train_loop_validates_widths():
     src, tgt = small_task()
-    cfg = small_config(input_dim=7)
-    model = tr.build_model(cfg, Prng(9))
+    cfg = small_config()
+    wide = dd.gen_blobs(3, 20, 7, 0.8, Prng(3))
+    model = tr.build_model(cfg, wide, Prng(9))
     with pytest.raises(ContractError):
+        tr.train_loop(model, src, tgt, cfg)
+    # same width, another class count: one ContractError, not a ShapeError
+    # from a matmul deep in the graph
+    four = dd.make_blobs_task(1, classes=4, per_class=20)
+    model = tr.build_model(cfg, four.source, Prng(9))
+    with pytest.raises(ContractError, match="class count"):
         tr.train_loop(model, src, tgt, cfg)
 
 
@@ -483,5 +492,6 @@ def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
         ev.a_distance(task.source.samples, task.target.samples, Prng(1))
     else:
         cfg = tr.TrainConfig(variant=step, total_steps=1)
-        tr.train_loop(tr.build_model(cfg, Prng(1)), task.source, task.target, cfg)
+        tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
+                      task.source, task.target, cfg)
     assert recorded == [nodes]
