@@ -134,7 +134,6 @@ _KEYS = {
     "domain_hidden": ("train", "domain_hidden", int),
     "stop_pseudo_label_grad": ("train", "stop_pseudo_label_grad", _parse_bool),
     "harden_pseudo_labels": ("train", "harden_pseudo_labels", _parse_bool),
-    "momentum": ("train", "momentum", _parse_float),
     "variant": ("train", "variant", str),
     "log_every": ("train", "log_every", int),
     "task.kind": ("task", "kind", str),
@@ -145,7 +144,6 @@ _KEYS = {
     "task.rotation": ("task", "rotation", _parse_float),
     "task.translation": ("task", "translation", _parse_floats),
     "task.scale": ("task", "scale", _parse_float),
-    "task.label_noise": ("task", "label_noise", _parse_float),
     "task.normalization": ("task", "normalization", str),
     "task.images": ("task", "images", str),
     "task.labels": ("task", "labels", str),
@@ -314,14 +312,15 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
+    # tasks first, as in train and eval: bad data must leave no directory
+    runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
+    tasks = [build_task(replace(cfg, train=run)) for run in runs]
     out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
-    for seed in cfg.seeds:
-        run = replace(cfg, train=replace(cfg.train, seed=seed))
-        task = build_task(run)
+    for run, task in zip(runs, tasks):
         for variant in tr.VARIANTS:
-            log("debug", f"ablate: variant={variant} seed={seed}")
-            reports.append(ev.run_ablation(variant, task, run.train))
+            log("debug", f"ablate: variant={variant} seed={run.seed}")
+            reports.append(ev.run_ablation(variant, task, run))
     results_path = os.path.join(out, "results.csv")
     if cfg.overwrite and os.path.exists(results_path):
         os.remove(results_path)

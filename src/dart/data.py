@@ -110,7 +110,6 @@ class TaskConfig:
     rotation: float = math.pi / 5
     translation: tuple[float, ...] = (1.5, -1.0)
     scale: float = 1.0
-    label_noise: float = 0.0
     normalization: str = "source"
     images: str = ""
     labels: str = ""
@@ -133,8 +132,6 @@ class TaskConfig:
                 raise ConfigError("task.kind=idx requires task.images and task.labels")
         if self.scale <= 0:
             raise ConfigError("task.scale must be > 0")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise ConfigError("task.label_noise must lie in [0, 1)")
         if self.normalization not in ("source", "none"):
             raise ConfigError(
                 f"task.normalization must be source or none, got {self.normalization!r}"
@@ -158,7 +155,7 @@ def make_task(task_cfg: TaskConfig, seed: int) -> Task:
         if task_cfg.subsample:
             source = subsample(source, task_cfg.subsample, rng)
         name = f"idx-s{seed}"
-    target = apply_shift(source, task_cfg, rng)
+    target = apply_shift(source, task_cfg)
     if task_cfg.normalization == "source":
         source, target = normalize_pair(source, target)
     return Task(source=source, target=target, name=name)
@@ -200,16 +197,16 @@ def gen_blobs(classes: int, per_class: int, d: int, spread: float,
     )
 
 
-def apply_shift(ds: Dataset, cfg: TaskConfig, rng: Prng) -> Dataset:
+def apply_shift(ds: Dataset, cfg: TaskConfig) -> Dataset:
     """Produces the target-domain counterpart of a labeled dataset under
     the config's shift; a translation shorter than the data is zero-padded.
 
-    The returned dataset has no open labels: ground truth (with any
-    requested corruption applied) moves into the sealed field.
+    The returned dataset has no open labels: ground truth moves into the
+    sealed field.
     """
     if len(cfg.translation) > ds.dim:
         raise ContractError(
-            f"translation length {len(cfg.translation)} != dimension {ds.dim}"
+            f"translation length {len(cfg.translation)} exceeds dimension {ds.dim}"
         )
     translation = np.zeros(ds.dim)
     translation[:len(cfg.translation)] = cfg.translation
@@ -219,20 +216,12 @@ def apply_shift(ds: Dataset, cfg: TaskConfig, rng: Prng) -> Dataset:
     rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
     shifted = rotated + translation
 
-    truth = true_label_indices(ds)
-    if cfg.label_noise > 0.0:
-        truth = truth.copy()
-        for i in range(len(truth)):
-            if rng.uniform() < cfg.label_noise:
-                # pick uniformly among the other classes
-                k = rng.randint(ds.class_count - 1)
-                truth[i] = k if k < truth[i] else k + 1
     return Dataset(
         samples=shifted,
         labels=None,
         domain_tag="target",
         class_count=ds.class_count,
-        sealed_labels=one_hot(truth, ds.class_count),
+        sealed_labels=one_hot(true_label_indices(ds), ds.class_count),
     )
 
 

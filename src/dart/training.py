@@ -9,7 +9,7 @@ pass over a single tape per step.
 """
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class TrainConfig:
     domain_hidden: int = 64
     stop_pseudo_label_grad: bool = False
     harden_pseudo_labels: bool = False
-    momentum: float = 0.0
     variant: str = "full"
     log_every: int = 50
 
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ConfigError(
                 f"lr_decay_interval must be >= 1, got {self.lr_decay_interval}"
             )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}"
@@ -203,10 +200,9 @@ class PairedSampler:
 
 @dataclass
 class SgdState:
-    """Step counter plus optional momentum buffers."""
+    """Step counter."""
 
     p: int = 0
-    velocity: dict[str, Tensor] = field(default_factory=dict)
 
 
 @dataclass
@@ -248,17 +244,7 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
     grads = ad.backward(tape, graph.total)
     params = model.parameters()
     for name, var in graph.params.items():
-        g = grads[var.vid]
-        if cfg.momentum > 0.0:
-            v = state.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(g)
-            v = cfg.momentum * v + g
-            state.velocity[name] = v
-            params[name] -= eta * v
-        else:
-            # vanilla rule, kept exact for the finite-difference oracle
-            params[name] -= eta * g
+        params[name] -= eta * grads[var.vid]
 
     state.p += 1
     return StepMetrics(step=p, eta=eta, lam=lam, **values)

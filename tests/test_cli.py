@@ -253,7 +253,7 @@ def test_zero_width_exits_config(tmp_path, capsys, key):
     ("beta", "-inf"),
     ("eta0", "nan"),
     ("lambda0", "nan"),
-    ("momentum", "1e400"),
+    ("gamma_lambda", "1e400"),
     ("task.spread", "nan"),
     ("task.scale", "inf"),
     ("task.rotation", "nan"),
@@ -514,12 +514,23 @@ def test_library_ablation_on_another_task_matches_ablate(tmp_path):
     assert library == rows[:2]
 
 
-@pytest.mark.parametrize("seeds", ["1,18446744073709551616", "-1"])
-def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, seeds):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--set", "seeds=1,18446744073709551616"],
+                 "configuration error: seed must fit in 64 unsigned bits",
+                 id="1,18446744073709551616"),
+    pytest.param(["--set", "seeds=-1"],
+                 "configuration error: seed must fit in 64 unsigned bits",
+                 id="-1"),
+    pytest.param(["--set", "task.scale=1e308", "--seeds", "1"],
+                 "invalid request: target samples must be finite",
+                 id="task.scale=1e308"),
+])
+def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, argv,
+                                                     message):
     out = tmp_path / "abl"
-    rc = cli.main(["ablate", "--set", f"seeds={seeds}", "--out", str(out)])
+    rc = cli.main(["ablate", *argv, "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
-    assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

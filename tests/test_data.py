@@ -100,9 +100,8 @@ def test_blobs_rejects_bad_arguments():
 # apply_shift
 
 
-def shift_spec(rotation, translation, scale=1.0, label_noise=0.0):
-    return dd.TaskConfig(rotation=rotation, translation=translation,
-                         scale=scale, label_noise=label_noise)
+def shift_spec(rotation, translation, scale=1.0):
+    return dd.TaskConfig(rotation=rotation, translation=translation, scale=scale)
 
 
 def identity_spec(d=2):
@@ -111,7 +110,7 @@ def identity_spec(d=2):
 
 def test_shift_identity_preserves_samples():
     ds = dd.gen_blobs(2, 5, 2, 1.0, Prng(3))
-    out = dd.apply_shift(ds, identity_spec(), Prng(4))
+    out = dd.apply_shift(ds, identity_spec())
     assert np.allclose(out.samples, ds.samples, atol=1e-12)
     assert out.domain_tag == "target"
     assert out.labels is None
@@ -122,14 +121,14 @@ def test_shift_half_turn():
     ds = dd.Dataset(np.array([[1.0, 0.0, 7.0]]), np.array([[1.0, 0.0]]),
                     "source", 2)
     spec = shift_spec(math.pi, (0.5, 0.5, 0.0))
-    out = dd.apply_shift(ds, spec, Prng(5))
+    out = dd.apply_shift(ds, spec)
     assert np.allclose(out.samples, [[-0.5, 0.5, 7.0]], atol=1e-12)
 
 
 def test_shift_quarter_rotation_with_scale():
     ds = dd.Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), "source", 2)
     spec = shift_spec(math.pi / 4, (0.0, 0.0), scale=2.0)
-    out = dd.apply_shift(ds, spec, Prng(6))
+    out = dd.apply_shift(ds, spec)
     root2 = math.sqrt(2.0)
     assert np.allclose(out.samples, [[root2, root2]], atol=1e-12)
 
@@ -146,22 +145,9 @@ def inverse_shift(spec):
 def test_shift_inverse_recovers_samples():
     ds = dd.gen_blobs(3, 10, 4, 0.8, Prng(7))
     spec = shift_spec(0.9, (1.5, -1.0, 0.3, 2.0), scale=1.7)
-    fwd = dd.apply_shift(ds, spec, Prng(8))
-    back = dd.apply_shift(fwd, inverse_shift(spec), Prng(9))
+    fwd = dd.apply_shift(ds, spec)
+    back = dd.apply_shift(fwd, inverse_shift(spec))
     assert np.allclose(back.samples, ds.samples, atol=1e-9)
-
-
-def test_shift_label_noise_corrupts_some_labels():
-    ds = dd.gen_blobs(3, 50, 2, 0.5, Prng(10))
-    out = dd.apply_shift(
-        ds, shift_spec(0.0, (0.0, 0.0), label_noise=0.4), Prng(11)
-    )
-    before = np.argmax(ds.labels, axis=1)
-    after = dd.true_label_indices(out)
-    flipped = np.mean(before != after)
-    assert 0.2 < flipped < 0.6
-    # corrupted labels always land on a different class
-    assert np.all(after[before != after] != before[before != after])
 
 
 def test_shift_spec_validation():
@@ -169,9 +155,9 @@ def test_shift_spec_validation():
         dd.make_blobs_task(1, scale=0.0)
     ds = dd.gen_blobs(2, 3, 2, 0.5, Prng(12))
     with pytest.raises(ContractError, match="translation length 3"):
-        dd.apply_shift(ds, shift_spec(0.0, (1.0, 2.0, 3.0)), Prng(13))
+        dd.apply_shift(ds, shift_spec(0.0, (1.0, 2.0, 3.0)))
     # a translation shorter than the data is zero-padded
-    out = dd.apply_shift(ds, shift_spec(0.0, (1.0,)), Prng(13))
+    out = dd.apply_shift(ds, shift_spec(0.0, (1.0,)))
     assert np.allclose(out.samples, ds.samples + [1.0, 0.0], atol=1e-12)
 
 
@@ -239,7 +225,7 @@ def test_normalize_pair_none_mode_is_passthrough():
     cfg = dd.TaskConfig(classes=2, per_class=3, normalization="none")
     rng = Prng(derive_seed(19, STREAM_DATA))
     src = dd.gen_blobs(2, 3, 2, cfg.spread, rng)
-    tgt = dd.apply_shift(src, cfg, rng)
+    tgt = dd.apply_shift(src, cfg)
     task = dd.make_task(cfg, 19)
     assert task.source.samples.tobytes() == src.samples.tobytes()
     assert task.target.samples.tobytes() == tgt.samples.tobytes()

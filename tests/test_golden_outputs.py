@@ -1,10 +1,12 @@
 """Byte-identity guard: fixed digests of the files the CLI writes.
 
-Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train with
-momentum and hardened pseudo-labels, and a train with the pseudo-label
+Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train, a
+train with hardened pseudo-labels and a train with the pseudo-label
 gradient cut on the criterion-9 config, plus a ``train`` and ``eval`` on
 a small subsampled IDX pair, in process. Compares the sha256 of every
-output file against digests recorded before any refactor of ``src/``. A change that moves a single
+output file against digests recorded before any refactor of ``src/``
+(the ``dart_c`` and ``harden`` digests were recorded later, from the code
+as it was before ``momentum`` was removed). A change that moves a single
 byte of a checkpoint, a metrics row or a report fails here.
 
 The digests were taken with numpy 2.4.6 on Python 3.11. A different
@@ -34,9 +36,13 @@ GOLDEN = {
     "eval/results.csv":
         "4700eea57f3f0ae219677f32acd2397fea67a96f645e7d0fcc9cbdf2dfe3eb6a",
     "dart_c/metrics.csv":
-        "9aa1a09e4d2e75d46c9a72ad7c31388ca096386ee75c5dfe10838b9683d9f9ec",
+        "72ebc7d8580b8dd0fce94f9bd67530b6ae106bb9738107f1bb842137c80863eb",
     "dart_c/model.ckpt":
-        "325c693a96d686bcbca200ffd15129422a235635490a53fa13fe142186cdae05",
+        "d400fa2dd337e9eea4f5172bc49270545a797793215ff1a54c1a6e1d5a0fe812",
+    "harden/metrics.csv":
+        "9fded8553a0ae46208acae0872abef2e18a540152972035b886a7cfbd1f2926b",
+    "harden/model.ckpt":
+        "42cff0fd1873cb116053009e34d9b627c63c83da6baa2faf68c6306b98eb239f",
     "stop_grad/metrics.csv":
         "d2d17b9da4025cb6cfa18411e5c8bbd0b1450e07c67d007934f0d4dc231dd9ae",
     "stop_grad/model.ckpt":
@@ -79,8 +85,9 @@ def outputs(tmp_path_factory):
         ["train", *base, "--out", str(root / "train")],
         ["eval", *base, "--checkpoint", str(root / "train" / "model.ckpt"),
          "--out", str(root / "eval")],
-        ["train", *base, "--variant", "dart_c", "--set", "momentum=0.5",
-         "--set", "harden_pseudo_labels=1", "--out", str(root / "dart_c")],
+        ["train", *base, "--variant", "dart_c", "--out", str(root / "dart_c")],
+        ["train", *base, "--set", "harden_pseudo_labels=1",
+         "--out", str(root / "harden")],
         ["train", *base, "--set", "stop_pseudo_label_grad=1",
          "--out", str(root / "stop_grad")],
         ["train", *idx, "--out", str(root / "idx_train")],

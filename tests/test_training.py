@@ -21,8 +21,7 @@ from conftest import central_diff_grads, max_rel_err
 def small_task(seed=3, per_class=20, spread=0.8):
     src = dd.gen_blobs(3, per_class, 2, spread, Prng(seed))
     tgt = dd.apply_shift(
-        src, dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5)),
-        Prng(seed + 1)
+        src, dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5))
     )
     return src, tgt
 
@@ -59,7 +58,6 @@ def test_config_rejects_bad_values():
         {"gamma_lr": 1.5},
         {"batch_size": 0},
         {"total_steps": -1},
-        {"momentum": 1.0},
         {"variant": "other"},
         {"log_every": 0},
     ):
@@ -310,18 +308,6 @@ def test_train_step_source_only_leaves_domain_parameters_untouched():
         assert np.array_equal(model.parameters()[name], before[name]), name
 
 
-def test_train_step_momentum_accumulates():
-    src, tgt = small_task()
-    cfg = small_config(momentum=0.9, eta0=0.05)
-    model = tr.build_model(cfg, src, Prng(3))
-    sampler = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed)
-    state = tr.SgdState()
-    tr.train_step(model, sampler.next_batch(), cfg, state)
-    assert state.velocity  # buffers exist once momentum is on
-    tr.train_step(model, sampler.next_batch(), cfg, state)
-    assert state.p == 2
-
-
 def test_train_step_reports_non_finite_term():
     src, tgt = small_task()
     cfg = small_config()
@@ -416,7 +402,7 @@ def test_train_loop_learns_separable_identical_domains():
     for seed in (1, 2, 3, 4, 5):
         src = dd.gen_blobs(3, 30, 2, spread=0.3, rng=Prng(100 + seed))
         identity = dd.TaskConfig(rotation=0.0, translation=(0.0, 0.0))
-        tgt = dd.apply_shift(src, identity, Prng(200 + seed))
+        tgt = dd.apply_shift(src, identity)
         cfg = tr.TrainConfig(
             total_steps=300, batch_size=30, hidden=(16,), feature_dim=8,
             domain_hidden=8, seed=seed,
