@@ -14,7 +14,11 @@ and leaves registered with :meth:`Tape.parameter` (model parameters) skip
 the finiteness scan that :meth:`Tape.variable` makes: their owner checks
 them where they enter (``Dataset`` its samples, the model its parameters)
 and after training, and a non-finite value derived from them reaches the
-loss check.
+loss check. The A-distance probe records no tape:
+``dart.model.domain_probe_step`` repeats the forward ops and backward
+rules of matmul, add_bias, relu, sigmoid, clamp and log_eps for its fixed
+network, and a tier-1 test fails until a change to one of those rules is
+made there too.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:

@@ -12,11 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dart import autodiff as ad
 from dart import data as dd
 from dart import model as dm
 from dart import training as tr
-from dart.autodiff import Tape, Tensor
+from dart.autodiff import Tensor
 from dart.errors import ContractError, ShapeError
 from dart.rng import STREAM_INIT, STREAM_PROBE, Prng, derive_seed
 
@@ -70,14 +69,17 @@ def accuracy(probs: Tensor, ds: dd.Dataset) -> tuple[float, list[float]]:
 
 def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     """2*(1 - 2*eps) where eps is the held-out error of a domain probe
-    freshly trained under the fixed PROBE_* protocol. The test error is
-    left unclamped below chance, so small negative values are possible on
-    indistinguishable domains."""
+    freshly trained under the fixed PROBE_* protocol. The probe is a
+    ``DOMAIN_LAYERS`` head trained by ``domain_loss``; each step is one
+    ``dm.domain_probe_step`` on arrays, which gives the tape step's bits
+    without recording a tape. The test error is left unclamped below
+    chance, so small negative values are possible on indistinguishable
+    domains."""
     features_src = np.asarray(features_src, dtype=np.float64)
     features_tgt = np.asarray(features_tgt, dtype=np.float64)
     if features_src.shape[0] < 10 or features_tgt.shape[0] < 10:
         raise ContractError("a_distance needs at least 10 samples per domain")
-    # the probe registers them unscanned as constants on every step
+    # the probe's steps read them without a scan
     if not (np.isfinite(features_src).all() and np.isfinite(features_tgt).all()):
         raise ContractError("a_distance needs finite features")
 
@@ -92,23 +94,13 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     # the probe is a fresh copy of the model's domain classifier
     params = dm.init_layers({}, dm.DOMAIN_LAYERS,
                             (features_src.shape[1], PROBE_HIDDEN, 1), rng)
-
-    def probe(tape, *inputs):
-        ws = dm.bind(params, tape)
-        return ws, [dm.domain_head(tape.constant(x), ws) for x in inputs]
-
     for _ in range(PROBE_STEPS):
-        tape = Tape()
-        ws, (d_src, d_tgt) = probe(tape, src_train, tgt_train)
-        grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
-        for name, var in ws.items():
-            params[name] -= PROBE_ETA * grads[var.vid]
+        dm.domain_probe_step(params, src_train, tgt_train, PROBE_ETA)
     dm.check_finite_parameters(params, "after the A-distance probe")
 
     # threshold 0.5: at or above counts as a source prediction
-    _, (d_src, d_tgt) = probe(Tape(), src_test, tgt_test)
-    src_correct = d_src.value[:, 0] >= 0.5
-    tgt_correct = d_tgt.value[:, 0] < 0.5
+    src_correct = dm.domain_head_values(params, src_test)[0][:, 0] >= 0.5
+    tgt_correct = dm.domain_head_values(params, tgt_test)[0][:, 0] < 0.5
     errors = np.concatenate([~src_correct, ~tgt_correct])
     eps = float(np.mean(errors))
     return 2.0 * (1.0 - 2.0 * eps)

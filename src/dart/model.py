@@ -44,6 +44,8 @@ ARCHITECTURE = {
 
 # the two layers of the domain classifier; the A-distance probe is one too
 DOMAIN_LAYERS = ("domain.fc1", "domain.fc2")
+DOMAIN_PARAMS = tuple(f"{layer}.{kind}" for layer in DOMAIN_LAYERS
+                      for kind in ("weight", "bias"))
 
 
 def init_layers(params: dict[str, Tensor], names, widths,
@@ -157,11 +159,11 @@ class DartModel:
 
 
 def bind(params: dict[str, Tensor], tape: Tape) -> dict[str, Var]:
-    """Registers a parameter table (the model's or the A-distance probe's)
-    on a tape in table order, without a finiteness scan: init makes the
-    arrays finite, ``set_parameter`` and ``load_checkpoint`` check them on
-    the way in, training and the probe after their last update and
-    ``forward_features`` before it binds."""
+    """Registers a parameter table on a tape in table order, without a
+    finiteness scan: init makes the arrays finite, ``set_parameter`` and
+    ``load_checkpoint`` check them on the way in, training after its last
+    update and ``forward_features`` before it binds. (The A-distance probe
+    trains without a tape, by ``domain_probe_step``.)"""
     return {name: tape.parameter(arr) for name, arr in params.items()}
 
 
@@ -190,9 +192,9 @@ def domain_head(x: Var, params: dict[str, Var]) -> Var:
 
 def check_finite_parameters(params: dict[str, Tensor], when: str) -> None:
     """NumericError naming the first parameter that holds a non-finite
-    value. The tape binds parameters unscanned, so training and the probe
-    call this after their last update, and ``forward_features`` before it
-    binds."""
+    value. Parameters are updated unscanned (bound on a tape, or by
+    ``domain_probe_step``), so training and the probe call this after their
+    last update, and ``forward_features`` before it binds."""
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise NumericError(f"non-finite parameter {name!r} {when}")
@@ -224,14 +226,19 @@ def entropy_loss(y_pred: Var) -> Var:
     return ad.scalar_mul(ad.sum_all(plogp), -1.0 / n)
 
 
+def check_domain_probabilities(d: Tensor, side: str) -> None:
+    """ContractError unless every domain probability of ``side`` lies
+    strictly inside (0, 1), where the binary cross-entropy is finite."""
+    if (d <= 0.0).any() or (d >= 1.0).any():
+        raise ContractError(
+            f"domain probabilities for {side} must lie strictly in (0, 1)"
+        )
+
+
 def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     """Binary cross-entropy with source labeled 1 and target labeled 0."""
-    for v, side in ((d_src, "source"), (d_tgt, "target")):
-        vals = v.value
-        if (vals <= 0.0).any() or (vals >= 1.0).any():
-            raise ContractError(
-                f"domain probabilities for {side} must lie strictly in (0, 1)"
-            )
+    check_domain_probabilities(d_src.value, "source")
+    check_domain_probabilities(d_tgt.value, "target")
     ns = d_src.value.shape[0]
     nt = d_tgt.value.shape[0]
     src_term = ad.scalar_mul(ad.sum_all(ad.log_eps(d_src)), -1.0 / ns)
@@ -245,6 +252,64 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
 def total_loss(ly: Var, lh: Var, ld: Var, alpha: float, beta: float) -> Var:
     # association matches the plain expression ly + alpha*lh + beta*ld
     return ad.add(ad.add(ly, ad.scalar_mul(lh, alpha)), ad.scalar_mul(ld, beta))
+
+
+# ---------------------------------------------------------------------------
+# The A-distance probe's step: domain_head trained by domain_loss, in closed
+# form. Each line restates a tape op's forward or backward rule, with the
+# same numpy calls in the same order, so the parameters get the tape's bits
+# (test_probe_step_matches_tape_bit_for_bit) without a tape per step.
+
+
+def domain_head_values(params: dict[str, Tensor], x: Tensor) -> tuple[Tensor, tuple]:
+    """``domain_head`` on arrays: the clamped probabilities of the rows of
+    ``x``, and the masks and activations its gradient reads."""
+    w1, b1, w2, b2 = (params[name] for name in DOMAIN_PARAMS)
+    a1 = np.dot(x, w1) + b1
+    h = np.maximum(a1, 0.0)
+    a2 = np.dot(h, w2) + b2
+    e = np.exp(np.minimum(a2, -a2))
+    out = np.where(a2 >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    lo, hi = DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS
+    d = np.minimum(hi, np.maximum(lo, out))
+    return d, (x, a1 > 0.0, h, w2, out, (out >= lo) & (out <= hi))
+
+
+def _domain_head_grads(saved: tuple, g: Tensor) -> tuple[Tensor, ...]:
+    """The gradients of the DOMAIN_PARAMS, in order, for the upstream
+    gradient ``g`` at the output of a ``domain_head_values`` call that
+    returned ``saved``."""
+    x, relu_mask, h, w2, out, clamp_mask = saved
+    g = g * clamp_mask
+    g = g * out * (1.0 - out)
+    g_w2, g_b2 = np.dot(h.T, g), g.sum(axis=0)
+    g = np.dot(g, w2.T) * relu_mask
+    return np.dot(x.T, g), g.sum(axis=0), g_w2, g_b2
+
+
+def _log_eps_grad(x: Tensor, g: float) -> Tensor:
+    """``log_eps``'s backward rule at ``x`` for the upstream gradient ``g``."""
+    return np.where(x >= ad.LOG_EPS, g / np.maximum(x, ad.LOG_EPS), 0.0)
+
+
+def domain_probe_step(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
+                      eta: float) -> None:
+    """One SGD step, in place, of ``domain_loss`` on the DOMAIN_PARAMS of
+    ``params`` for source rows ``x_src`` and target rows ``x_tgt``:
+    the bits of binding ``params`` on a tape, ``backward`` and
+    ``params[name] -= eta * grad``. The loss value is not computed."""
+    d_src, saved_src = domain_head_values(params, x_src)
+    d_tgt, saved_tgt = domain_head_values(params, x_tgt)
+    check_domain_probabilities(d_src, "source")
+    check_domain_probabilities(d_tgt, "target")
+    # the BCE terms weigh each log by -1/n; the target's 1 - d negates
+    g_src = _log_eps_grad(d_src, -1.0 / d_src.shape[0])
+    g_tgt = -_log_eps_grad(1.0 - d_tgt, -1.0 / d_tgt.shape[0])
+    # backward reaches the target branch first and adds the source's to it
+    grads = zip(_domain_head_grads(saved_tgt, g_tgt),
+                _domain_head_grads(saved_src, g_src))
+    for name, (gt, gs) in zip(DOMAIN_PARAMS, grads):
+        params[name] -= eta * (gt + gs)
 
 
 # ---------------------------------------------------------------------------

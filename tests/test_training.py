@@ -460,7 +460,6 @@ def test_train_loop_validates_widths():
 
 @pytest.mark.parametrize("step,nodes", [
     ("full", 60), ("dart_c", 58), ("dart_s", 54), ("source_only", 60),
-    ("probe", 22),
 ])
 def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
     # the golden digests catch a changed value, not an added no-op node
@@ -473,11 +472,45 @@ def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
 
     monkeypatch.setattr(ad, "backward", counting_backward)
     task = dd.make_blobs_task(1, per_class=20)
-    if step == "probe":
-        monkeypatch.setattr(ev, "PROBE_STEPS", 1)
-        ev.a_distance(task.source.samples, task.target.samples, Prng(1))
-    else:
-        cfg = tr.TrainConfig(variant=step, total_steps=1)
-        tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
-                      task.source, task.target, cfg)
+    cfg = tr.TrainConfig(variant=step, total_steps=1)
+    tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
+                  task.source, task.target, cfg)
     assert recorded == [nodes]
+
+
+@pytest.mark.parametrize("width,scale", [(8, 1.0), (64, 1.0), (8, 1e3)],
+                         ids=["150x8", "150x64", "150x8-saturated"])
+def test_probe_step_matches_tape_bit_for_bit(width, scale):
+    # the probe's closed-form step against the tape step it restates:
+    # domain_head and domain_loss on a tape, backward and the same update
+    rng = Prng(width)
+
+    def rows(shift):
+        return scale * (rng.uniform_block(150 * width, -1.0, 1.0)
+                        .reshape(150, width) + shift)
+
+    xs, xt, xs_test, xt_test = rows(0.3), rows(-0.3), rows(0.3), rows(-0.3)
+    fused = dm.init_layers({}, dm.DOMAIN_LAYERS, (width, ev.PROBE_HIDDEN, 1), rng)
+    taped = copy.deepcopy(fused)
+    clamped = 0
+    for _ in range(25):
+        tape = ad.Tape()
+        ws = dm.bind(taped, tape)
+        d_src = dm.domain_head(tape.constant(xs), ws)
+        d_tgt = dm.domain_head(tape.constant(xt), ws)
+        grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
+        for name, var in ws.items():
+            taped[name] -= ev.PROBE_ETA * grads[var.vid]
+        dm.domain_probe_step(fused, xs, xt, ev.PROBE_ETA)
+        d = np.concatenate([d_src.value, d_tgt.value])
+        clamped += np.isin(d, (dm.DOMAIN_PROB_EPS, 1.0 - dm.DOMAIN_PROB_EPS)).sum()
+    # the saturated features hold outputs at the clamp, where its mask cuts
+    # the gradient and log_eps meets its floor
+    assert (clamped > 0) == (scale > 1.0)
+    for name in taped:
+        assert fused[name].tobytes() == taped[name].tobytes(), name
+    tape = ad.Tape()
+    ws = dm.bind(taped, tape)
+    for x in (xs_test, xt_test):
+        held_out = dm.domain_head(tape.constant(x), ws)
+        assert dm.domain_head_values(fused, x)[0].tobytes() == held_out.value.tobytes()
