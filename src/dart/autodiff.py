@@ -15,7 +15,7 @@ the finiteness scan that :meth:`Tape.variable` makes: their owner checks
 them where they enter (``Dataset`` its samples, the model its parameters)
 and after training, and a non-finite value derived from them reaches the
 loss check. The A-distance probe records no tape:
-``dart.model.domain_probe_step`` repeats the forward ops and backward
+``dart.model.train_domain_probe`` repeats the forward ops and backward
 rules of matmul, add_bias, relu, sigmoid, clamp and log_eps for its fixed
 network, and a tier-1 test fails until a change to one of those rules is
 made there too.

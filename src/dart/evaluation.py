@@ -70,9 +70,9 @@ def accuracy(probs: Tensor, ds: dd.Dataset) -> tuple[float, list[float]]:
 def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     """2*(1 - 2*eps) where eps is the held-out error of a domain probe
     freshly trained under the fixed PROBE_* protocol. The probe is a
-    ``DOMAIN_LAYERS`` head trained by ``domain_loss``; each step is one
-    ``dm.domain_probe_step`` on arrays, which gives the tape step's bits
-    without recording a tape. The test error is left unclamped below
+    ``DOMAIN_LAYERS`` head trained by ``domain_loss``, in one
+    ``dm.train_domain_probe`` call on arrays, which gives the tape steps'
+    bits without recording a tape. The test error is left unclamped below
     chance, so small negative values are possible on indistinguishable
     domains."""
     features_src = np.asarray(features_src, dtype=np.float64)
@@ -94,13 +94,12 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     # the probe is a fresh copy of the model's domain classifier
     params = dm.init_layers({}, dm.DOMAIN_LAYERS,
                             (features_src.shape[1], PROBE_HIDDEN, 1), rng)
-    for _ in range(PROBE_STEPS):
-        dm.domain_probe_step(params, src_train, tgt_train, PROBE_ETA)
+    dm.train_domain_probe(params, src_train, tgt_train, PROBE_ETA, PROBE_STEPS)
     dm.check_finite_parameters(params, "after the A-distance probe")
 
     # threshold 0.5: at or above counts as a source prediction
-    src_correct = dm.domain_head_values(params, src_test)[0][:, 0] >= 0.5
-    tgt_correct = dm.domain_head_values(params, tgt_test)[0][:, 0] < 0.5
+    src_correct = dm.domain_head_values(params, src_test)[:, 0] >= 0.5
+    tgt_correct = dm.domain_head_values(params, tgt_test)[:, 0] < 0.5
     errors = np.concatenate([~src_correct, ~tgt_correct])
     eps = float(np.mean(errors))
     return 2.0 * (1.0 - 2.0 * eps)

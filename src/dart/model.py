@@ -163,7 +163,7 @@ def bind(params: dict[str, Tensor], tape: Tape) -> dict[str, Var]:
     finiteness scan: init makes the arrays finite, ``set_parameter`` and
     ``load_checkpoint`` check them on the way in, training after its last
     update and ``forward_features`` before it binds. (The A-distance probe
-    trains without a tape, by ``domain_probe_step``.)"""
+    trains without a tape, by ``train_domain_probe``.)"""
     return {name: tape.parameter(arr) for name, arr in params.items()}
 
 
@@ -193,8 +193,8 @@ def domain_head(x: Var, params: dict[str, Var]) -> Var:
 def check_finite_parameters(params: dict[str, Tensor], when: str) -> None:
     """NumericError naming the first parameter that holds a non-finite
     value. Parameters are updated unscanned (bound on a tape, or by
-    ``domain_probe_step``), so training and the probe call this after their
-    last update, and ``forward_features`` before it binds."""
+    ``train_domain_probe``), so training and the probe call this after
+    their last update, and ``forward_features`` before it binds."""
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise NumericError(f"non-finite parameter {name!r} {when}")
@@ -227,8 +227,11 @@ def entropy_loss(y_pred: Var) -> Var:
 
 
 def check_domain_probabilities(d: Tensor, side: str) -> None:
-    """ContractError unless every domain probability of ``side`` lies
-    strictly inside (0, 1), where the binary cross-entropy is finite."""
+    """NumericError if a domain probability of ``side`` is not finite,
+    ContractError unless every one lies strictly inside (0, 1), where the
+    binary cross-entropy is finite."""
+    if not np.isfinite(d).all():
+        raise NumericError(f"domain probabilities for {side} are not finite")
     if (d <= 0.0).any() or (d >= 1.0).any():
         raise ContractError(
             f"domain probabilities for {side} must lie strictly in (0, 1)"
@@ -255,61 +258,106 @@ def total_loss(ly: Var, lh: Var, ld: Var, alpha: float, beta: float) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# The A-distance probe's step: domain_head trained by domain_loss, in closed
-# form. Each line restates a tape op's forward or backward rule, with the
-# same numpy calls in the same order, so the parameters get the tape's bits
-# (test_probe_step_matches_tape_bit_for_bit) without a tape per step.
+# The A-distance probe: domain_head trained by domain_loss, in closed form.
+# Each numpy call restates a tape op's forward or backward rule, so the
+# parameters get the tape's bits (test_probe_step_matches_tape_bit_for_bit)
+# without a tape per step.
 
 
-def domain_head_values(params: dict[str, Tensor], x: Tensor) -> tuple[Tensor, tuple]:
+def domain_head_values(params: dict[str, Tensor], x: Tensor) -> Tensor:
     """``domain_head`` on arrays: the clamped probabilities of the rows of
-    ``x``, and the masks and activations its gradient reads."""
+    ``x``."""
     w1, b1, w2, b2 = (params[name] for name in DOMAIN_PARAMS)
-    a1 = np.dot(x, w1) + b1
-    h = np.maximum(a1, 0.0)
-    a2 = np.dot(h, w2) + b2
+    a2 = np.dot(np.maximum(np.dot(x, w1) + b1, 0.0), w2) + b2
     e = np.exp(np.minimum(a2, -a2))
     out = np.where(a2 >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.minimum(1.0 - DOMAIN_PROB_EPS, np.maximum(DOMAIN_PROB_EPS, out))
+
+
+def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
+                       eta: float, steps: int) -> None:
+    """``steps`` SGD steps, in place, of ``domain_loss`` on the
+    DOMAIN_PARAMS of ``params`` for source rows ``x_src`` and target rows
+    ``x_tgt``: each the bits of binding ``params`` on a tape, ``backward``
+    and ``params[name] -= eta * grad``. The loss value is not computed and
+    nothing is scanned: a parameter that turns non-finite is left for
+    ``check_finite_parameters``.
+
+    Every work array is made once and written with ``out=``. Elementwise
+    ops run once over both domains' rows, source rows first; products and
+    reductions run per domain, as on the tape, since a product over the
+    merged rows does not give the same bits.
+    """
+    ns, nt = x_src.shape[0], x_tgt.shape[0]
+    n, hidden = ns + nt, params[DOMAIN_PARAMS[1]].size
+    shapes = [params[name].shape for name in DOMAIN_PARAMS]
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+
+    def views(flat):
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
+
+    # the parameters are views of one flat vector, and each domain's
+    # gradients views of a flat buffer laid out alike
+    flat = np.concatenate([params[name].ravel() for name in DOMAIN_PARAMS])
+    w1, b1, w2, b2 = views(flat)
+    g_src, g_tgt = np.empty_like(flat), np.empty_like(flat)
+    a1, h, g1 = (np.empty((n, hidden)) for _ in range(3))
+    relu_mask = np.empty((n, hidden), dtype=bool)
+    a2, e, one_e, out, d, g, t = (np.empty((n, 1)) for _ in range(7))
+    pos, inside, below_hi = (np.empty((n, 1), dtype=bool) for _ in range(3))
     lo, hi = DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS
-    d = np.minimum(hi, np.maximum(lo, out))
-    return d, (x, a1 > 0.0, h, w2, out, (out >= lo) & (out <= hi))
-
-
-def _domain_head_grads(saved: tuple, g: Tensor) -> tuple[Tensor, ...]:
-    """The gradients of the DOMAIN_PARAMS, in order, for the upstream
-    gradient ``g`` at the output of a ``domain_head_values`` call that
-    returned ``saved``."""
-    x, relu_mask, h, w2, out, clamp_mask = saved
-    g = g * clamp_mask
-    g = g * out * (1.0 - out)
-    g_w2, g_b2 = np.dot(h.T, g), g.sum(axis=0)
-    g = np.dot(g, w2.T) * relu_mask
-    return np.dot(x.T, g), g.sum(axis=0), g_w2, g_b2
-
-
-def _log_eps_grad(x: Tensor, g: float) -> Tensor:
-    """``log_eps``'s backward rule at ``x`` for the upstream gradient ``g``."""
-    return np.where(x >= ad.LOG_EPS, g / np.maximum(x, ad.LOG_EPS), 0.0)
-
-
-def domain_probe_step(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
-                      eta: float) -> None:
-    """One SGD step, in place, of ``domain_loss`` on the DOMAIN_PARAMS of
-    ``params`` for source rows ``x_src`` and target rows ``x_tgt``:
-    the bits of binding ``params`` on a tape, ``backward`` and
-    ``params[name] -= eta * grad``. The loss value is not computed."""
-    d_src, saved_src = domain_head_values(params, x_src)
-    d_tgt, saved_tgt = domain_head_values(params, x_tgt)
-    check_domain_probabilities(d_src, "source")
-    check_domain_probabilities(d_tgt, "target")
-    # the BCE terms weigh each log by -1/n; the target's 1 - d negates
-    g_src = _log_eps_grad(d_src, -1.0 / d_src.shape[0])
-    g_tgt = -_log_eps_grad(1.0 - d_tgt, -1.0 / d_tgt.shape[0])
-    # backward reaches the target branch first and adds the source's to it
-    grads = zip(_domain_head_grads(saved_tgt, g_tgt),
-                _domain_head_grads(saved_src, g_src))
-    for name, (gt, gs) in zip(DOMAIN_PARAMS, grads):
-        params[name] -= eta * (gt + gs)
+    # per domain: its rows of the work arrays and its gradient views
+    rows = [(x_src, slice(0, ns), views(g_src)), (x_tgt, slice(ns, n), views(g_tgt))]
+    layer1 = [(x, a1[r], g1[r], g_w1, g_b1) for x, r, (g_w1, g_b1, _, _) in rows]
+    layer2 = [(h[r], a2[r], g[r], g1[r], g_w2, g_b2) for _, r, (_, _, g_w2, g_b2) in rows]
+    for _ in range(steps):
+        for x, a1_x, _, _, _ in layer1:
+            np.dot(x, w1, out=a1_x)
+        a1 += b1
+        np.greater(a1, 0.0, out=relu_mask)
+        np.maximum(a1, 0.0, out=h)
+        for h_x, a2_x, _, _, _, _ in layer2:
+            np.dot(h_x, w2, out=a2_x)
+        a2 += b2
+        # ad.sigmoid's two branches, from one 1 + e
+        np.negative(a2, out=e)
+        np.minimum(a2, e, out=e)
+        np.exp(e, out=e)
+        np.add(1.0, e, out=one_e)
+        np.greater_equal(a2, 0, out=pos)
+        np.divide(e, one_e, out=out)
+        np.divide(1.0, one_e, out=out, where=pos)
+        # ad.clamp and its mask. d = hi, where 1 - d < LOG_EPS, only where
+        # out > hi (1 / (1 + e) never rounds to hi), and the mask cuts those
+        # rows; elsewhere d and 1 - d are at or above LOG_EPS, so log_eps's
+        # rule is a division of the BCE's -1/n weight, whose sign the
+        # target's 1 - d flips. A cut target row's zero gets the other sign
+        # than on the tape, which no update sees: p - eta * (+-0.0) is p
+        # for every p but -0.0, which no parameter starts at or reaches.
+        np.maximum(lo, out, out=d)
+        np.minimum(hi, d, out=d)
+        np.greater_equal(out, lo, out=inside)
+        np.less_equal(out, hi, out=below_hi)
+        inside &= below_hi
+        np.divide(-1.0 / ns, d[:ns], out=g[:ns])
+        np.subtract(1.0, d[ns:], out=g[ns:])
+        np.divide(1.0 / nt, g[ns:], out=g[ns:])
+        g *= inside
+        g *= out
+        np.subtract(1.0, out, out=t)
+        g *= t
+        for h_x, _, g_x, g1_x, g_w2, g_b2 in layer2:
+            np.dot(h_x.T, g_x, out=g_w2)
+            np.add.reduce(g_x, axis=0, out=g_b2)
+            np.dot(g_x, w2.T, out=g1_x)
+        g1 *= relu_mask
+        for x, _, g1_x, g_w1, g_b1 in layer1:
+            np.dot(x.T, g1_x, out=g_w1)
+            np.add.reduce(g1_x, axis=0, out=g_b1)
+        # backward reaches the target branch first and adds the source's
+        flat -= eta * (g_tgt + g_src)
+    for name, value in zip(DOMAIN_PARAMS, views(flat)):
+        params[name][...] = value
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,16 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
     eta = lr_schedule(p, cfg.eta0, cfg.gamma_lr, cfg.lr_decay_interval)
 
     tape = Tape()
-    graph = dm.build_training_graph(
-        model, tape, batch.xs, batch.ys, batch.xt, lam,
-        cfg.alpha, cfg.beta,
-        stop_pseudo_label_grad=cfg.stop_pseudo_label_grad,
-        harden_pseudo_labels=cfg.harden_pseudo_labels,
-    )
+    try:
+        graph = dm.build_training_graph(
+            model, tape, batch.xs, batch.ys, batch.xt, lam,
+            cfg.alpha, cfg.beta,
+            stop_pseudo_label_grad=cfg.stop_pseudo_label_grad,
+            harden_pseudo_labels=cfg.harden_pseudo_labels,
+        )
+    except NumericError as exc:
+        # domain_loss stops at a non-finite domain probability
+        raise NumericError(f"non-finite loss_d at step {p}: {exc}") from exc
     values = {
         "loss_y": float(graph.ly.value),
         "loss_h": float(graph.lh.value),

@@ -285,6 +285,15 @@ def test_domain_loss_rejects_out_of_interval():
         dm.domain_loss(ok, tape.variable(np.array([[0.0]])))
 
 
+def test_domain_probabilities_reject_non_finite_as_numeric():
+    # a nan compares False against both bounds of the interval check
+    for d in (np.array([[np.nan]]), np.array([[0.5], [np.inf]])):
+        with pytest.raises(NumericError, match="not finite"):
+            dm.check_domain_probabilities(d, "source")
+    with pytest.raises(ContractError):
+        dm.check_domain_probabilities(np.array([[0.5], [-0.5]]), "target")
+
+
 def test_total_loss_weighting():
     tape = Tape()
 

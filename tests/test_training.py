@@ -478,20 +478,36 @@ def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
     assert recorded == [nodes]
 
 
-@pytest.mark.parametrize("width,scale", [(8, 1.0), (64, 1.0), (8, 1e3)],
-                         ids=["150x8", "150x64", "150x8-saturated"])
-def test_probe_step_matches_tape_bit_for_bit(width, scale):
-    # the probe's closed-form step against the tape step it restates:
+def test_probe_clamp_keeps_log_eps_rule_a_division():
+    # train_domain_probe divides by d and 1 - d without log_eps's floor.
+    # The clamp keeps d, and 1 - d below the upper clamp, at or above
+    # LOG_EPS; at the upper clamp 1 - d falls below it, but no sigmoid
+    # output 1 / (1 + e) rounds to that bound, so d reaches it only from
+    # above, where the clamp's mask cuts the row
+    hi = 1.0 - dm.DOMAIN_PROB_EPS
+    assert dm.DOMAIN_PROB_EPS >= ad.LOG_EPS
+    assert 1.0 - np.nextafter(hi, 0.0) >= ad.LOG_EPS
+    y = 1.0 / hi
+    assert not (1.0 / (y + np.arange(-64, 65) * np.spacing(y)) == hi).any()
+
+
+@pytest.mark.parametrize("ns,nt,width,scale,at_clamp", [
+    (150, 150, 8, 1.0, "none"), (150, 150, 64, 1.0, "none"),
+    (150, 150, 8, 1e3, "some"), (150, 97, 8, 1.0, "none"),
+    (150, 150, 8, 1e6, "all"),
+], ids=["150x8", "150x64", "150x8-saturated", "150+97x8", "150x8-all-clamped"])
+def test_probe_step_matches_tape_bit_for_bit(ns, nt, width, scale, at_clamp):
+    # the probe's closed-form steps against the tape step they restate:
     # domain_head and domain_loss on a tape, backward and the same update
     rng = Prng(width)
 
-    def rows(shift):
-        return scale * (rng.uniform_block(150 * width, -1.0, 1.0)
-                        .reshape(150, width) + shift)
+    def rows(n, shift):
+        return scale * (rng.uniform_block(n * width, -1.0, 1.0)
+                        .reshape(n, width) + shift)
 
-    xs, xt, xs_test, xt_test = rows(0.3), rows(-0.3), rows(0.3), rows(-0.3)
+    xs, xt, xs_test, xt_test = rows(ns, 0.3), rows(nt, -0.3), rows(ns, 0.3), rows(nt, -0.3)
     fused = dm.init_layers({}, dm.DOMAIN_LAYERS, (width, ev.PROBE_HIDDEN, 1), rng)
-    taped = copy.deepcopy(fused)
+    taped, at_once = copy.deepcopy(fused), copy.deepcopy(fused)
     clamped = 0
     for _ in range(25):
         tape = ad.Tape()
@@ -501,16 +517,20 @@ def test_probe_step_matches_tape_bit_for_bit(width, scale):
         grads = ad.backward(tape, dm.domain_loss(d_src, d_tgt))
         for name, var in ws.items():
             taped[name] -= ev.PROBE_ETA * grads[var.vid]
-        dm.domain_probe_step(fused, xs, xt, ev.PROBE_ETA)
+        dm.train_domain_probe(fused, xs, xt, ev.PROBE_ETA, steps=1)
         d = np.concatenate([d_src.value, d_tgt.value])
         clamped += np.isin(d, (dm.DOMAIN_PROB_EPS, 1.0 - dm.DOMAIN_PROB_EPS)).sum()
-    # the saturated features hold outputs at the clamp, where its mask cuts
-    # the gradient and log_eps meets its floor
-    assert (clamped > 0) == (scale > 1.0)
+    # saturated features hold outputs at the clamp, where its mask cuts
+    # the gradient and 1 - d meets log_eps's floor
+    total = 25 * (ns + nt)
+    assert at_clamp == ("none" if clamped == 0 else "all" if clamped == total else "some")
+    # the same 25 steps in one call reuse its buffers from step to step
+    dm.train_domain_probe(at_once, xs, xt, ev.PROBE_ETA, steps=25)
     for name in taped:
         assert fused[name].tobytes() == taped[name].tobytes(), name
+        assert at_once[name].tobytes() == taped[name].tobytes(), name
     tape = ad.Tape()
     ws = dm.bind(taped, tape)
     for x in (xs_test, xt_test):
         held_out = dm.domain_head(tape.constant(x), ws)
-        assert dm.domain_head_values(fused, x)[0].tobytes() == held_out.value.tobytes()
+        assert dm.domain_head_values(fused, x).tobytes() == held_out.value.tobytes()
