@@ -230,6 +230,10 @@ def check_domain_probabilities(d: Tensor, side: str) -> None:
     """NumericError if a domain probability of ``side`` is not finite,
     ContractError unless every one lies strictly inside (0, 1), where the
     binary cross-entropy is finite."""
+    # one min/max pass settles the usual case (a nan fails it too)
+    if d.size and 0.0 < np.minimum.reduce(d, axis=None) \
+            and np.maximum.reduce(d, axis=None) < 1.0:
+        return
     if not np.isfinite(d).all():
         raise NumericError(f"domain probabilities for {side} are not finite")
     if (d <= 0.0).any() or (d >= 1.0).any():
@@ -245,7 +249,7 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     ns = d_src.value.shape[0]
     nt = d_tgt.value.shape[0]
     src_term = ad.scalar_mul(ad.sum_all(ad.log_eps(d_src)), -1.0 / ns)
-    ones = d_tgt.tape.constant(np.ones_like(d_tgt.value))
+    ones = d_tgt.tape.constant(np.ones(d_tgt.value.shape))
     tgt_term = ad.scalar_mul(
         ad.sum_all(ad.log_eps(ad.subtract(ones, d_tgt))), -1.0 / nt
     )
@@ -304,7 +308,7 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
     a1, h, g1 = (np.empty((n, hidden)) for _ in range(3))
     relu_mask = np.empty((n, hidden), dtype=bool)
     a2, e, one_e, out, d, g, t = (np.empty((n, 1)) for _ in range(7))
-    pos, inside, below_hi = (np.empty((n, 1), dtype=bool) for _ in range(3))
+    pos, inside = (np.empty((n, 1), dtype=bool) for _ in range(2))
     lo, hi = DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS
     # per domain: its rows of the work arrays and its gradient views
     rows = [(x_src, slice(0, ns), views(g_src)), (x_tgt, slice(ns, n), views(g_tgt))]
@@ -336,9 +340,7 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
         # for every p but -0.0, which no parameter starts at or reaches.
         np.maximum(lo, out, out=d)
         np.minimum(hi, d, out=d)
-        np.greater_equal(out, lo, out=inside)
-        np.less_equal(out, hi, out=below_hi)
-        inside &= below_hi
+        np.equal(d, out, out=inside)
         np.divide(-1.0 / ns, d[:ns], out=g[:ns])
         np.subtract(1.0, d[ns:], out=g[ns:])
         np.divide(1.0 / nt, g[ns:], out=g[ns:])
@@ -488,7 +490,7 @@ def save_checkpoint(model: DartModel, path) -> None:
         lines.append(_param_header(name, arr))
         # one text row per weight row; a bias is a single row
         for row in arr.reshape(-1, arr.shape[-1]):
-            lines.append(" ".join(repr(float(v)) for v in row))
+            lines.append(" ".join(map(repr, row.tolist())))
     lines.append("end")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -531,7 +533,7 @@ def _parse_checkpoint(lines: list[str]) -> DartModel:
         if expect(_param_header(name, arr)):
             raise DataFormatError(f"parameter {name!r}: shape differs from model")
         for row in arr.reshape(-1, arr.shape[-1]):  # views into the model
-            vals = [float(v) for v in next(rest, "").split()]
+            vals = list(map(float, next(rest, "").split()))
             if len(vals) != row.size:
                 raise DataFormatError(
                     f"parameter {name!r}: expected {row.size} values per row, "

@@ -713,3 +713,124 @@ def test_finiteness_preserved_on_bounded_inputs():
             assert np.all(np.isfinite(out.value))
         grads = ad.backward(tape, ad.sum_all(ad.log_eps(ad.softmax_rows(x))))
         assert np.all(np.isfinite(grads[x.vid]))
+
+
+# ---------------------------------------------------------------------------
+# exact forms: each op's forward and backward against the plain numpy
+# expressions it restates, bit for bit, on edge inputs
+
+EPS = 1e-12  # dart.model.DOMAIN_PROB_EPS, the domain head's clamp
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, EPS, 1.0 - EPS,
+         np.nextafter(EPS, 0.0), np.nextafter(1.0 - EPS, 2.0),
+         745.0, -745.0, 1e-300, -1e-300, 36.0, -37.0, 0.5, -3.0, 1.0]
+
+
+def edge_rows(width):
+    """The edge values and a random block as rows of ``width``, plus rows
+    clamped at the domain head's bounds."""
+    values = EDGES + Prng(59).uniform_block(4 * width, -4.0, 4.0).tolist()
+    values += [EPS, 1.0 - EPS] * width
+    values += [0.0] * (-len(values) % width)
+    return np.array(values).reshape(-1, width)
+
+
+def upstream(shape):
+    n = math.prod(shape)
+    g = Prng(61).uniform_block(n + 4, -2.0, 2.0)
+    g[-4:] = [0.0, -0.0, 1e-300, 7.0]
+    return g[-n:].reshape(shape)
+
+
+def forward_and_rule(op, *operands):
+    """The op's value and its backward rule, on a tape of unscanned
+    leaves (so nan and inf get in)."""
+    tape = ad.Tape()
+    out = op(*(tape.parameter(x) for x in operands))
+    return out.value, tape.nodes[-1][2]
+
+
+def plain_sigmoid(x, g):
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, (g * out * (1.0 - out),)
+
+
+def plain_clamp(x, g):
+    mask = (x >= EPS) & (x <= 1.0 - EPS)
+    return np.minimum(1.0 - EPS, np.maximum(EPS, x)), (g * mask,)
+
+
+def plain_softmax_rows(z, g):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    return s, (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+
+
+def plain_sum_all(x, g):
+    return np.asarray(x.sum()), (np.full(x.shape, float(g)),)
+
+
+def plain_mean_rows(x, g):
+    n = x.shape[0]
+    return x.mean(axis=0), (np.broadcast_to(g / n, x.shape).copy(),)
+
+
+def plain_add_bias(x, b, g):
+    return x + b, (g, g.sum(axis=0))
+
+
+def plain_kron_rows(f, y, g):
+    n, m = f.shape
+    c = y.shape[1]
+    g3 = g.reshape(n, m, c)
+    return ((f[:, :, None] * y[:, None, :]).reshape(n, m * c),
+            ((g3 * y[:, None, :]).sum(axis=2), (g3 * f[:, :, None]).sum(axis=1)))
+
+
+EXACT_FORMS = {
+    "sigmoid": (ad.sigmoid, plain_sigmoid, lambda: [edge_rows(1)]),
+    "clamp": (lambda x: ad.clamp(x, EPS, 1.0 - EPS), plain_clamp,
+              lambda: [edge_rows(1)]),
+    "softmax_rows": (ad.softmax_rows, plain_softmax_rows, lambda: [edge_rows(3)]),
+    "sum_all": (ad.sum_all, plain_sum_all, lambda: [edge_rows(3)]),
+    "sum_all-finite": (ad.sum_all, plain_sum_all,
+                       lambda: [edge_rows(3)[np.isfinite(edge_rows(3)).all(axis=1)]]),
+    "mean_rows": (ad.mean_rows, plain_mean_rows, lambda: [edge_rows(3)]),
+    "add_bias": (ad.add_bias, plain_add_bias,
+                 lambda: [edge_rows(3), np.array([-0.0, np.inf, 1e-300])]),
+    "kron_rows": (ad.kron_rows, plain_kron_rows,
+                  lambda: [edge_rows(2)[:12], edge_rows(3)[:12]]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_FORMS))
+def test_op_keeps_the_bits_of_its_plain_numpy_form(name):
+    op, plain, operands = EXACT_FORMS[name]
+    xs = operands()
+    with np.errstate(all="ignore"):
+        out, rule = forward_and_rule(op, *xs)
+        g = upstream(out.shape)
+        want_out, want_grads = plain(*xs, g)
+        grads = rule(g)
+    assert out.tobytes() == want_out.tobytes()
+    assert len(grads) == len(want_grads)
+    for got, want in zip(grads, want_grads):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("y, answer", [
+    (np.eye(3)[[0, 2, 1, 0]], True),
+    (np.array([[1.0, -0.0, 0.0], [-0.0, -0.0, 1.0]]), True),
+    (np.zeros((0, 3)), True),
+    (np.array([[0.5, 0.5, 0.0]]), False),
+    (np.array([[1.0, 1.0, 0.0]]), False),
+    (np.array([[1.0, 1e-17, 0.0]]), False),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), False),
+    (np.array([[2.0, 0.0], [1.0, 0.0]]), False),
+    (np.array([[np.nan, 0.0], [1.0, 0.0]]), False),
+    (np.array([[1.0, 1.0, -1.0]]), False),
+    (np.zeros((2, 0)), False),
+    (np.array([1.0, 0.0, 0.0]), False),
+])
+def test_is_one_hot_answers(y, answer):
+    assert ad.is_one_hot(y) is answer

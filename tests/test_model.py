@@ -294,6 +294,28 @@ def test_domain_probabilities_reject_non_finite_as_numeric():
         dm.check_domain_probabilities(np.array([[0.5], [-0.5]]), "target")
 
 
+@pytest.mark.parametrize("d, error", [
+    (np.array([[dm.DOMAIN_PROB_EPS], [0.5], [1.0 - dm.DOMAIN_PROB_EPS]]), None),
+    (np.zeros((0, 1)), None),
+    (np.array([[0.5], [np.nan]]), NumericError),
+    (np.array([[np.inf], [0.5]]), NumericError),
+    (np.array([[-np.inf]]), NumericError),
+    (np.array([[0.5], [0.0]]), ContractError),
+    (np.array([[1.0], [0.5]]), ContractError),
+    (np.array([[-0.5]]), ContractError),
+    (np.array([[1.5]]), ContractError),
+])
+def test_domain_probability_check_outcomes(d, error):
+    # the one-pass min/max test settles in-range arrays; every other array
+    # gets the full checks and their messages
+    if error is None:
+        dm.check_domain_probabilities(d, "source")
+        return
+    message = "not finite" if error is NumericError else "strictly in"
+    with pytest.raises(error, match=message):
+        dm.check_domain_probabilities(d, "source")
+
+
 def test_total_loss_weighting():
     tape = Tape()
 

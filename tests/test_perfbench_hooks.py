@@ -41,3 +41,45 @@ def test_tracer_installs_every_hook_and_uninstall_restores_it():
     assert (mods["cli"], "build_task") in originals
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_books_every_op_of_a_training_step(monkeypatch):
+    # the benchmark's per-op rows see an op only through ad.<op> and
+    # Tape.register; one full step must book each of its tape nodes once
+    mods = {name: importlib.import_module(f"dart.{name}") for name in MODULES}
+    ad, dd, tr = mods["autodiff"], mods["data"], mods["training"]
+    tapes = []
+    backward = ad.backward
+
+    def keeping_backward(tape, loss):
+        tapes.append((tape, loss))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", keeping_backward)
+    task = dd.make_blobs_task(1, per_class=20)
+    cfg = tr.TrainConfig(variant="full", total_steps=1)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install_coarse(mods)
+        tracer.install_fine()
+        model = tr.build_model(cfg, task.source, mods["rng"].Prng(1))
+        tr.train_loop(model, task.source, task.target, cfg)
+    finally:
+        tracer.uninstall()
+
+    [(tape, loss)] = tapes
+    calls = {kind: {op: tracer.row("train", f"autodiff.{op}.{kind}")[0]
+                    for op in tracer_module.OPS}
+             for kind in ("fwd", "bwd")}
+    assert sum(calls["fwd"].values()) == len(tape.nodes) == 60
+    assert tracer.counts[("train", "autodiff.tape_nodes")] == 60
+    # the rules backward runs: nodes a path from the loss reaches through
+    # non-constant ids
+    reached, ran = {loss.vid}, 0
+    for vid, parents, _ in reversed(tape.nodes):
+        if vid in reached:
+            ran += 1
+            reached.update(p for p in parents if p not in tape.constants)
+    assert sum(calls["bwd"].values()) == ran == 60
+    assert calls["bwd"] == calls["fwd"]
