@@ -63,8 +63,7 @@ def is_one_hot(y: Tensor) -> bool:
     """True when ``y`` is 2-d with exactly one 1.0 per row and 0.0 elsewhere."""
     if y.ndim != 2:
         return False
-    # every entry 0.0 or 1.0, so each row sum is exact and must be 1.0;
-    # counts and a gemv, not per-row reduces, whatever the row count
+    # every entry 0.0 or 1.0, so each row sum is exact and must be 1.0
     return bool(
         np.count_nonzero(y == 1.0) + np.count_nonzero(y == 0.0) == y.size
         and np.count_nonzero(np.dot(y, np.ones(y.shape[1])) == 1.0) == len(y))
@@ -174,7 +173,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
             grads[pid] = pg if prev is None else prev + pg
     values = tape.values
     return {vid: np.zeros(values[vid].shape) if grads[vid] is None
-            else grads[vid] for vid in tape.leaves}
+            else np.asarray(grads[vid]) for vid in tape.leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +224,14 @@ def softmax_rows(z: Var) -> Var:
 
 def sigmoid(x: Var) -> Var:
     xv = x.value
-    # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
-    # are the usual two branches, bit for bit (minimum keeps a nan's sign)
-    e = np.negative(xv)
-    np.minimum(xv, e, out=e)
-    np.exp(e, out=e)
-    one_e = np.add(1.0, e)
-    out = np.divide(e, one_e)
+    # e = exp(-|x|), built in out, never overflows; e/(1+e), then 1/(1+e)
+    # where x >= 0, are the usual two branches, bit for bit (minimum keeps
+    # a nan's sign). Writing to out keeps a 0-d x's result a 0-d array.
+    out = np.negative(xv, out=np.empty_like(xv))
+    np.minimum(xv, out, out=out)
+    np.exp(out, out=out)
+    one_e = np.add(1.0, out)
+    np.divide(out, one_e, out=out)
     np.divide(1.0, one_e, out=out, where=np.greater_equal(xv, 0))
 
     def rule(g, out=out):

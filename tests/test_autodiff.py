@@ -438,6 +438,10 @@ def test_backward_scalar_passthrough_seed():
     x = make_var(tape, [2.5])
     grads = ad.backward(tape, ad.sum_all(x))
     assert grads[x.vid].tolist() == [1.0]
+    # a 0-d leaf gets a 0-d array, though scalar_mul's rule makes a scalar
+    z = tape.parameter(np.array(2.0))
+    gz = ad.backward(tape, ad.scalar_mul(z, 3.0))[z.vid]
+    assert type(gz) is np.ndarray and gz.shape == () and gz == 3.0
 
 
 def test_backward_fanout_accumulates():
@@ -471,6 +475,7 @@ def test_backward_returns_exactly_the_leaf_gradients():
     h = ad.relu(ad.matmul(x, w))
     grads = ad.backward(tape, ad.sum_all(ad.add_bias(h, p)))
     assert list(grads) == tape.leaves == [w.vid, x.vid, p.vid]
+    assert all(v.value is tape.values[v.vid] for v in (w, x, p, h))
     assert grads[w.vid].tolist() == [[7.0, 0.0]]
     assert grads[x.vid].tolist() == [[0.0], [0.0]]
     assert grads[p.vid].tolist() == [2.0, 2.0]
@@ -639,12 +644,17 @@ def two_branch_sigmoid(x):
 
 
 def test_sigmoid_equals_the_two_branch_form_bitwise():
-    edges = [0.0, 1e-300, 36.0, 37.0, 745.0, 1e308, float("nan")]
+    edges = [0.0, 1e-300, 1e-12, 0.5, 1.0, 36.0, 37.0, 745.0, 746.0, 1e308,
+             np.inf, float("nan")]
     x = np.array(edges + [-v for v in edges]
                  + Prng(53).uniform_block(200, -50.0, 50.0).tolist())
     x = x.reshape(-1, 1)
     out = ad.sigmoid(ad.Tape().parameter(x)).value
     assert out.tobytes() == two_branch_sigmoid(x).tobytes()
+    for v in (-3.0, -0.0, 2.0):  # a 0-d input gives a 0-d array
+        out = ad.sigmoid(ad.Tape().parameter(np.array(v))).value
+        assert type(out) is np.ndarray and out.shape == ()
+        assert out.tobytes() == two_branch_sigmoid(np.array(v)).tobytes()
 
 
 @pytest.mark.parametrize("lo, hi", [(1e-12, 1.0 - 1e-12), (0.0, 1.0),
@@ -652,9 +662,15 @@ def test_sigmoid_equals_the_two_branch_form_bitwise():
 def test_clamp_equals_np_clip_bitwise(lo, hi):
     x = np.array([float("nan"), -float("nan"), np.inf, -np.inf, 0.0, -0.0,
                   lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0),
-                  np.nextafter(lo, 2.0), np.nextafter(hi, -1.0), 0.25, -3.0])
-    out = ad.clamp(ad.Tape().parameter(x), lo, hi).value
+                  np.nextafter(lo, 2.0), np.nextafter(hi, -1.0), 0.25, -3.0,
+                  1e-300, -1e-300, 745.0, 1.0])
+    tape = ad.Tape()
+    out = ad.clamp(tape.parameter(x), lo, hi).value
     assert out.tobytes() == np.clip(x, lo, hi).tobytes()
+    # the rule passes g exactly where lo <= x <= hi
+    g = upstream(x.shape)
+    mask = (x >= lo) & (x <= hi)
+    assert tape.nodes[-1][2](g)[0].tobytes() == (g * mask).tobytes()
 
 
 def test_clamp_gradient_mask():
@@ -717,7 +733,8 @@ def test_finiteness_preserved_on_bounded_inputs():
 
 # ---------------------------------------------------------------------------
 # exact forms: each op's forward and backward against the plain numpy
-# expressions it restates, bit for bit, on edge inputs
+# expressions it restates, bit for bit, on edge inputs (sigmoid and clamp
+# are pinned above)
 
 EPS = 1e-12  # dart.model.DOMAIN_PROB_EPS, the domain head's clamp
 EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, EPS, 1.0 - EPS,
@@ -749,17 +766,6 @@ def forward_and_rule(op, *operands):
     return out.value, tape.nodes[-1][2]
 
 
-def plain_sigmoid(x, g):
-    e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out, (g * out * (1.0 - out),)
-
-
-def plain_clamp(x, g):
-    mask = (x >= EPS) & (x <= 1.0 - EPS)
-    return np.minimum(1.0 - EPS, np.maximum(EPS, x)), (g * mask,)
-
-
 def plain_softmax_rows(z, g):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
@@ -788,13 +794,11 @@ def plain_kron_rows(f, y, g):
 
 
 EXACT_FORMS = {
-    "sigmoid": (ad.sigmoid, plain_sigmoid, lambda: [edge_rows(1)]),
-    "clamp": (lambda x: ad.clamp(x, EPS, 1.0 - EPS), plain_clamp,
-              lambda: [edge_rows(1)]),
     "softmax_rows": (ad.softmax_rows, plain_softmax_rows, lambda: [edge_rows(3)]),
     "sum_all": (ad.sum_all, plain_sum_all, lambda: [edge_rows(3)]),
     "sum_all-finite": (ad.sum_all, plain_sum_all,
                        lambda: [edge_rows(3)[np.isfinite(edge_rows(3)).all(axis=1)]]),
+    "sum_all-0d": (ad.sum_all, plain_sum_all, lambda: [np.array(-0.0)]),
     "mean_rows": (ad.mean_rows, plain_mean_rows, lambda: [edge_rows(3)]),
     "add_bias": (ad.add_bias, plain_add_bias,
                  lambda: [edge_rows(3), np.array([-0.0, np.inf, 1e-300])]),

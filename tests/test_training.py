@@ -478,29 +478,6 @@ def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
     assert recorded == [nodes]
 
 
-def test_every_var_of_a_step_holds_its_tape_value(monkeypatch):
-    # ops read a Var's own value; backward and the tracer read tape.values
-    made = []
-    for method in ("parameter", "register"):
-        original = getattr(ad.Tape, method)
-
-        def recording(tape, *args, original=original):
-            var = original(tape, *args)
-            made.append(var)
-            return var
-
-        monkeypatch.setattr(ad.Tape, method, recording)
-    task = dd.make_blobs_task(1, per_class=20)
-    cfg = tr.TrainConfig(variant="full", total_steps=1)
-    tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
-                  task.source, task.target, cfg)
-    tape = made[0].tape
-    assert len(made) == len(tape.values) and len(tape.nodes) == 60
-    assert sorted(var.vid for var in made) == list(range(len(tape.values)))
-    for var in made:
-        assert var.tape is tape and var.value is tape.values[var.vid]
-
-
 def test_probe_clamp_keeps_log_eps_rule_a_division():
     # train_domain_probe divides by d and 1 - d without log_eps's floor.
     # The clamp keeps d, and 1 - d below the upper clamp, at or above
