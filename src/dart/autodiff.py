@@ -9,7 +9,11 @@ gradients. Ops and rules call numpy's ufuncs and their ``reduce`` rather
 than the ndarray methods that wrap them (``.sum``, ``.max``), with the
 same bits and less overhead per node. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out, and returns a gradient for every leaf. Leaves registered with
+fan-out, and returns a gradient for every leaf. A parameter leaf may be
+registered with a gradient destination, an array of its shape (a view of
+a flat gradient buffer), which ``backward`` fills with that leaf's
+gradient, the same bits, instead of returning a fresh array. Leaves
+registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
 :func:`multiply` skip the products that would only feed one. Constants
@@ -95,27 +99,32 @@ class Tape:
 
     ``values[i]`` holds the tensor for id ``i``; ``nodes`` holds, for each
     non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
-    ``leaves`` holds the leaf ids in registration order and ``constants``
-    those that need no gradient. Parents always precede their node in
+    ``leaves`` holds the leaf ids in registration order, ``constants``
+    those that need no gradient and ``grad_out`` the gradient destination
+    of each leaf registered with one. Parents always precede their node in
     registration order, so the record is topologically sorted by
     construction. A tape and its tensors belong to a single thread for the
     duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes", "leaves", "constants")
+    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out")
 
     def __init__(self):
         self.values: list[Tensor] = []
         self.nodes: list[tuple[int, tuple[int, ...], BackwardRule]] = []
         self.leaves: list[int] = []
         self.constants: set[int] = set()
+        self.grad_out: dict[int, Tensor] = {}
 
-    def parameter(self, arr: Tensor) -> Var:
+    def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
-        finiteness scan; backward computes its gradient."""
+        finiteness scan; backward computes its gradient, and writes it into
+        ``grad_out`` (a float64 array of the same shape) when given."""
         vid = len(self.values)
         self.values.append(arr)
         self.leaves.append(vid)
+        if grad_out is not None:
+            self.grad_out[vid] = grad_out
         return Var(self, vid, arr)
 
     def variable(self, value) -> Var:
@@ -153,6 +162,10 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 
     The seed gradient at the loss is 1; fan-out accumulates additively.
     Leaves the loss does not depend on, and constants, get zero gradients.
+    A leaf with a gradient destination gets it back, filled in place with
+    the bits of the fresh-array path: from its second contribution on, the
+    sum accumulates there (``np.add(prev, pg, out)`` is ``prev + pg``); a
+    single contribution is copied in, and none gives zeros.
     """
     loss_value = loss.value
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -161,7 +174,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
         )
     grads: list[np.ndarray | None] = [None] * len(tape.values)
     grads[loss.vid] = np.ones(loss_value.shape)
-    constants = tape.constants
+    constants, grad_out = tape.constants, tape.grad_out
     for vid, parents, rule in reversed(tape.nodes):
         g = grads[vid]
         if g is None:
@@ -170,7 +183,11 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
             if pg is None or pid in constants:
                 continue
             prev = grads[pid]
-            grads[pid] = pg if prev is None else prev + pg
+            grads[pid] = pg if prev is None else np.add(prev, pg, grad_out.get(pid))
+    for vid, out in grad_out.items():
+        if grads[vid] is not out:
+            out[...] = 0.0 if grads[vid] is None else grads[vid]
+            grads[vid] = out
     values = tape.values
     return {vid: np.zeros(values[vid].shape) if grads[vid] is None
             else np.asarray(grads[vid]) for vid in tape.leaves}

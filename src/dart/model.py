@@ -10,11 +10,13 @@ probabilities through a gradient-reversal layer.
 Parameter groups: the extractor plus bottleneck form the feature
 parameters; the residual block and the domain classifier are separate
 groups (they sit on opposite sides of the reversal layer during
-training).
+training). All of them are views of one flat vector in checkpoint order,
+so training updates them in one subtraction.
 """
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,39 +44,58 @@ ARCHITECTURE = {
 }
 
 
+def layer_keys(*names: str) -> tuple[tuple[str, str], ...]:
+    """The ``(name.weight, name.bias)`` parameter names of each layer."""
+    return tuple((f"{name}.weight", f"{name}.bias") for name in names)
+
+
 # the two layers of the domain classifier; the A-distance probe is one too
 DOMAIN_LAYERS = ("domain.fc1", "domain.fc2")
-DOMAIN_PARAMS = tuple(f"{layer}.{kind}" for layer in DOMAIN_LAYERS
-                      for kind in ("weight", "bias"))
+DOMAIN_KEYS = layer_keys(*DOMAIN_LAYERS)
+DOMAIN_PARAMS = tuple(key for pair in DOMAIN_KEYS for key in pair)
+
+
+def flat_views(flat: Tensor, shapes) -> list[Tensor]:
+    """Views of consecutive runs of the 1-d ``flat``, one per shape, in
+    order."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 def init_layers(params: dict[str, Tensor], names, widths,
                 rng: Prng | None) -> dict[str, Tensor]:
-    """Adds to ``params`` one linear layer per consecutive pair of
-    ``widths``: a Glorot-uniform ``name.weight`` [in x out] drawn row-major
-    (zeros without ``rng``) and a zero ``name.bias``. Returns ``params``."""
-    for name, fan_in, fan_out in zip(names, widths, widths[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weight = (np.zeros(fan_in * fan_out) if rng is None
-                  else rng.uniform_block(fan_in * fan_out, -limit, limit))
-        params[f"{name}.weight"] = weight.reshape(fan_in, fan_out)
-        params[f"{name}.bias"] = np.zeros(fan_out)
+    """One linear layer per consecutive pair of ``widths``: a
+    Glorot-uniform ``name.weight`` [in x out] drawn row-major (zeros
+    without ``rng``) and a zero ``name.bias``. An entry ``params`` already
+    holds (a zero view of a model's flat vector) is written in place;
+    missing ones are added. Returns ``params``."""
+    for (w_key, b_key), fan_in, fan_out in zip(layer_keys(*names), widths, widths[1:]):
+        weight = params.setdefault(w_key, np.zeros((fan_in, fan_out)))
+        params.setdefault(b_key, np.zeros(fan_out))
+        if rng is not None:
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            np.copyto(weight, rng.uniform_block(weight.size, -limit, limit)
+                      .reshape(weight.shape))
     return params
 
 
-def mlp(x: Var, params: dict[str, Var], names) -> Var:
-    """The named linear layers applied in order, with a ReLU between
-    consecutive layers and none after the last."""
-    for i, name in enumerate(names):
+def mlp(x: Var, params: dict[str, Var], layers) -> Var:
+    """The linear layers, given as ``layer_keys`` pairs, applied in order,
+    with a ReLU between consecutive layers and none after the last."""
+    for i, (w_key, b_key) in enumerate(layers):
         if i:
             x = ad.relu(x)
-        x = ad.add_bias(ad.matmul(x, params[f"{name}.weight"]),
-                        params[f"{name}.bias"])
+        x = ad.add_bias(ad.matmul(x, params[w_key]), params[b_key])
     return x
 
 
 class DartModel:
-    """Full network as one table of named parameters.
+    """Full network as one table of named parameters, each a view of one
+    flat float64 vector in checkpoint order.
 
     ``domain_on_joint`` selects the domain classifier input: the Kronecker
     fusion of features and class probabilities (joint alignment) or the
@@ -82,7 +103,8 @@ class DartModel:
     ``use_residual=False`` removes the perturbation branch so the source
     and target classifiers coincide (the ``dart_s`` ablation wiring).
     Without ``rng`` every parameter starts at zero (a template to load
-    into); biases always start at zero.
+    into); biases always start at zero. ``copy.deepcopy`` gives the copy
+    views of its own vector.
     """
 
     def __init__(
@@ -111,24 +133,52 @@ class DartModel:
         self.domain_on_joint = domain_on_joint
         self.use_residual = use_residual
 
-        # name -> array in checkpoint order; weights are [in x out]
-        self._params: dict[str, Tensor] = {}
-        # the residual block reads the logits, so it chains on the bottleneck
-        extractor = [f"extractor.{i}" for i in range(len(widths) - 1)]
-        init_layers(self._params, (*extractor, "bottleneck", "residual.fc1"),
-                    (*widths, class_count, self.residual_hidden), rng)
-        # zero-init keeps the perturbation at exactly zero, so the source
-        # and target classifiers start bitwise identical
-        init_layers(self._params, ("residual.fc2",),
-                    (self.residual_hidden, class_count), None)
+        # the layers in checkpoint order, each with its widths and init
+        # stream; the residual block reads the logits, so it chains on the
+        # bottleneck, and its zero-init second layer keeps the perturbation
+        # at exactly zero: the two classifiers start bitwise identical
+        extractor = tuple(f"extractor.{i}" for i in range(len(widths) - 1))
         d_in = feature_dim * class_count if domain_on_joint else feature_dim
-        init_layers(self._params, DOMAIN_LAYERS, (d_in, domain_hidden, 1), rng)
+        stacks = (((*extractor, "bottleneck", "residual.fc1"),
+                   (*widths, class_count, self.residual_hidden), rng),
+                  (("residual.fc2",), (self.residual_hidden, class_count), None),
+                  (DOMAIN_LAYERS, (d_in, domain_hidden, 1), rng))
+        # name -> shape in checkpoint order; weights are [in x out]
+        self._shapes = {name: arr.shape for names, stack_widths, _ in stacks
+                        for name, arr in init_layers({}, names, stack_widths, None).items()}
+        self._flat = np.zeros(sum(map(math.prod, self._shapes.values())))
+        params = self.views_of(self._flat)
+        for names, stack_widths, stack_rng in stacks:
+            init_layers(params, names, stack_widths, stack_rng)
+        self._params = MappingProxyType(params)
+        # the layer key pairs mlp reads, resolved once
+        self.extractor_keys = layer_keys(*extractor)
+        self.bottleneck_keys = layer_keys("bottleneck")
+        self.residual_keys = layer_keys("residual.fc1", "residual.fc2")
+
+    def __getstate__(self) -> dict:
+        # the views are rebuilt on the copied vector (copy.deepcopy, pickle)
+        return {k: v for k, v in self.__dict__.items() if k != "_params"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._params = MappingProxyType(self.views_of(self._flat))
 
     # -- parameter access ---------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Named parameters in checkpoint order; arrays are live references."""
+    def parameters(self) -> MappingProxyType:
+        """Named parameters in checkpoint order, a read-only mapping of
+        live views into ``flat_parameters()``: write them in place."""
         return self._params
+
+    def flat_parameters(self) -> Tensor:
+        """The one vector every parameter is a view of, in checkpoint order."""
+        return self._flat
+
+    def views_of(self, flat: Tensor) -> dict[str, Tensor]:
+        """Views of a vector laid out like ``flat_parameters()`` (a flat
+        gradient buffer, say), by parameter name."""
+        return dict(zip(self._shapes, flat_views(flat, self._shapes.values())))
 
     def _param_names(self, *prefixes: str) -> list[str]:
         return [name for name in self._params if name.startswith(prefixes)]
@@ -158,19 +208,22 @@ class DartModel:
         current[...] = arr
 
 
-def bind(params: dict[str, Tensor], tape: Tape) -> dict[str, Var]:
+def bind(params: dict[str, Tensor], tape: Tape,
+         grads: dict[str, Tensor] | None = None) -> dict[str, Var]:
     """Registers a parameter table on a tape in table order, without a
     finiteness scan: init makes the arrays finite, ``set_parameter`` and
     ``load_checkpoint`` check them on the way in, training after its last
-    update and ``forward_features`` before it binds. (The A-distance probe
-    trains without a tape, by ``train_domain_probe``.)"""
-    return {name: tape.parameter(arr) for name, arr in params.items()}
+    update and ``forward_features`` before it binds. With ``grads`` (name
+    -> array, ``DartModel.views_of`` a flat buffer), ``backward`` writes
+    each parameter's gradient there. (The A-distance probe trains without
+    a tape, by ``train_domain_probe``.)"""
+    grads = grads or {}
+    return {name: tape.parameter(arr, grads.get(name)) for name, arr in params.items()}
 
 
 def features(model: DartModel, ws: dict[str, Var], x: Var) -> Var:
     """The feature extractor of ``model`` applied to ``x``."""
-    extractor = [f"extractor.{i}" for i in range(len(model.hidden) + 1)]
-    return mlp(x, ws, extractor)
+    return mlp(x, ws, model.extractor_keys)
 
 
 def source_probs(model: DartModel, ws: dict[str, Var], z: Var) -> Var:
@@ -179,14 +232,14 @@ def source_probs(model: DartModel, ws: dict[str, Var], z: Var) -> Var:
     residual block."""
     if not model.use_residual:
         return ad.softmax_rows(z)
-    delta = mlp(z, ws, ("residual.fc1", "residual.fc2"))
+    delta = mlp(z, ws, model.residual_keys)
     return ad.softmax_rows(ad.add(z, delta))
 
 
 def domain_head(x: Var, params: dict[str, Var]) -> Var:
     """The DOMAIN_LAYERS discriminator: relu hidden layer, then a sigmoid
     output clamped inside the open interval (0, 1)."""
-    d = ad.sigmoid(mlp(x, params, DOMAIN_LAYERS))
+    d = ad.sigmoid(mlp(x, params, DOMAIN_KEYS))
     return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
 
 
@@ -294,15 +347,10 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
     ns, nt = x_src.shape[0], x_tgt.shape[0]
     n, hidden = ns + nt, params[DOMAIN_PARAMS[1]].size
     shapes = [params[name].shape for name in DOMAIN_PARAMS]
-    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-
-    def views(flat):
-        return [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), shapes)]
-
     # the parameters are views of one flat vector, and each domain's
     # gradients views of a flat buffer laid out alike
     flat = np.concatenate([params[name].ravel() for name in DOMAIN_PARAMS])
-    w1, b1, w2, b2 = views(flat)
+    w1, b1, w2, b2 = flat_views(flat, shapes)
     g_src, g_tgt = np.empty_like(flat), np.empty_like(flat)
     a1, h, g1 = (np.empty((n, hidden)) for _ in range(3))
     relu_mask = np.empty((n, hidden), dtype=bool)
@@ -310,7 +358,8 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
     pos, inside = (np.empty((n, 1), dtype=bool) for _ in range(2))
     lo, hi = DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS
     # per domain: its rows of the work arrays and its gradient views
-    rows = [(x_src, slice(0, ns), views(g_src)), (x_tgt, slice(ns, n), views(g_tgt))]
+    rows = [(x_src, slice(0, ns), flat_views(g_src, shapes)),
+            (x_tgt, slice(ns, n), flat_views(g_tgt, shapes))]
     layer1 = [(x, a1[r], g1[r], g_w1, g_b1) for x, r, (g_w1, g_b1, _, _) in rows]
     layer2 = [(h[r], a2[r], g[r], g1[r], g_w2, g_b2) for _, r, (_, _, g_w2, g_b2) in rows]
     for _ in range(steps):
@@ -357,7 +406,7 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
             np.add.reduce(g1_x, axis=0, out=g_b1)
         # backward reaches the target branch first and adds the source's
         flat -= eta * (g_tgt + g_src)
-    for name, value in zip(DOMAIN_PARAMS, views(flat)):
+    for name, value in zip(DOMAIN_PARAMS, flat_views(flat, shapes)):
         params[name][...] = value
 
 
@@ -391,6 +440,7 @@ def build_training_graph(
     beta: float,
     stop_pseudo_label_grad: bool = False,
     harden_pseudo_labels: bool = False,
+    grads: dict[str, Tensor] | None = None,
 ) -> TrainingGraph:
     """One full forward pass over a source/target minibatch pair.
 
@@ -399,16 +449,17 @@ def build_training_graph(
     (the pseudo-label), which stays differentiable unless
     ``stop_pseudo_label_grad`` cuts it or ``harden_pseudo_labels``
     replaces it with its one-hot argmax (hardening is non-differentiable,
-    so it implies the cut).
+    so it implies the cut). ``grads`` are the parameters' gradient
+    destinations (see ``bind``).
     """
-    ws = bind(model.parameters(), tape)
+    ws = bind(model.parameters(), tape, grads)
     xs_v = tape.constant(xs)
     xt_v = tape.constant(xt)
 
     fs = features(model, ws, xs_v)
     ft = features(model, ws, xt_v)
-    zs = mlp(fs, ws, ("bottleneck",))
-    zt = mlp(ft, ws, ("bottleneck",))
+    zs = mlp(fs, ws, model.bottleneck_keys)
+    zt = mlp(ft, ws, model.bottleneck_keys)
     ys_pred = source_probs(model, ws, zs)
     yt_pred = ad.softmax_rows(zt)
 
@@ -454,7 +505,7 @@ def forward_features(model: DartModel, x: Tensor) -> tuple[Tensor, Tensor, Tenso
     tape = Tape()
     ws = bind(model.parameters(), tape)
     f = features(model, ws, tape.variable(x))
-    z = mlp(f, ws, ("bottleneck",))
+    z = mlp(f, ws, model.bottleneck_keys)
     return f.value, ad.softmax_rows(z).value, source_probs(model, ws, z).value
 
 

@@ -5,11 +5,13 @@ The loop trains three parameter groups at once. The feature side
 gradients directly and the domain gradient through the reversal layer;
 the residual block learns only from the source classification loss; the
 domain classifier learns plain discrimination. All of it is one backward
-pass over a single tape per step.
+pass over a single tape per step, which writes every gradient into one
+flat buffer laid out like the model's flat parameter vector, and one SGD
+update of that vector.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -200,9 +202,13 @@ class PairedSampler:
 
 @dataclass
 class SgdState:
-    """Step counter."""
+    """Step counter, and the flat gradient buffer of the model it steps
+    with that buffer's views by parameter name: made by the first
+    ``train_step`` and dropped by ``train_loop`` when it returns."""
 
     p: int = 0
+    grad: Tensor | None = field(default=None, repr=False, compare=False)
+    grads: dict[str, Tensor] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -220,6 +226,10 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
                state: SgdState) -> StepMetrics:
     """One forward/backward/update cycle; increments the step counter."""
     p = state.p
+    flat = model.flat_parameters()
+    if state.grad is None:
+        state.grad = np.empty_like(flat)
+        state.grads = model.views_of(state.grad)
     q = min(p / cfg.total_steps, 1.0) if cfg.total_steps > 0 else 1.0
     lam = lambda_schedule(q, cfg.lambda0, cfg.gamma_lambda)
     eta = lr_schedule(p, cfg.eta0, cfg.gamma_lr, cfg.lr_decay_interval)
@@ -231,6 +241,7 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
             cfg.alpha, cfg.beta,
             stop_pseudo_label_grad=cfg.stop_pseudo_label_grad,
             harden_pseudo_labels=cfg.harden_pseudo_labels,
+            grads=state.grads,
         )
     except NumericError as exc:
         # domain_loss stops at a non-finite domain probability
@@ -245,10 +256,10 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
         if not math.isfinite(v):
             raise NumericError(f"non-finite {term} at step {p}: {v}")
 
-    grads = ad.backward(tape, graph.total)
-    params = model.parameters()
-    for name, var in graph.params.items():
-        params[name] -= eta * grads[var.vid]
+    # fills state.grad; g * eta and p - that are p - eta * g, bit for bit
+    ad.backward(tape, graph.total)
+    state.grad *= eta
+    flat -= state.grad
 
     state.p += 1
     return StepMetrics(step=p, eta=eta, lam=lam, **values)
@@ -296,6 +307,9 @@ def train_loop(
                 if fh:
                     fh.write(format_metrics_row(metrics) + "\n")
     finally:
+        # the gradient buffer is as large as the model; free it before
+        # the caller saves a checkpoint
+        state.grad = state.grads = None
         if fh:
             fh.close()
     dm.check_finite_parameters(model.parameters(), "after training")

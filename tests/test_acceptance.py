@@ -98,7 +98,7 @@ def _domain_grads_through_identity(model, xs, ys, xt):
     ws = dm.bind(model.parameters(), tape)
     fs = dm.features(model, ws, tape.variable(xs))
     ft = dm.features(model, ws, tape.variable(xt))
-    yt_pred = ad.softmax_rows(dm.mlp(ft, ws, ("bottleneck",)))
+    yt_pred = ad.softmax_rows(dm.mlp(ft, ws, model.bottleneck_keys))
     fused_src = ad.kron_rows(fs, tape.variable(ys))
     fused_tgt = ad.kron_rows(ft, yt_pred)
 

@@ -481,6 +481,51 @@ def test_backward_returns_exactly_the_leaf_gradients():
     assert grads[p.vid].tolist() == [2.0, 2.0]
 
 
+def _destination_graph(with_out):
+    """A loss over parameter leaves that get 0 ("none"), 1, 2 and 3
+    gradient contributions, a 0-d leaf with 2, a constant operand and a
+    variable without a destination ("free", 2 contributions). With
+    ``with_out`` each parameter is bound with a nan-filled destination.
+    Returns the gradients by leaf name and the destinations."""
+    rng = Prng(53)
+
+    def draw(*shape):
+        return rng.uniform_block(math.prod(shape), -1.5, 1.5).reshape(shape)
+
+    data = {"none": draw(3, 2), "one": draw(3, 2), "two": draw(2),
+            "three": draw(4, 2), "scalar": np.array(0.75)}
+    x, free_data = draw(4, 3), draw(4, 2)
+    outs = {name: np.full(arr.shape, np.nan) for name, arr in data.items()} if with_out else {}
+    tape = ad.Tape()
+    v = {name: tape.parameter(arr, outs.get(name)) for name, arr in data.items()}
+    free = tape.variable(free_data)
+    h = ad.matmul(tape.constant(x), v["one"])
+    h = ad.add_bias(ad.add_bias(h, v["two"]), v["two"])
+    t = v["three"]
+    h = ad.add(ad.multiply(h, t), t)
+    h = ad.subtract(h, ad.multiply(t, free))
+    h = ad.sigmoid(ad.add(h, free))
+    s = v["scalar"]
+    loss = ad.add(ad.add(ad.sum_all(h), s), ad.scalar_mul(s, 3.0))
+    grads = ad.backward(tape, loss)
+    v["free"] = free
+    return {name: grads[var.vid] for name, var in v.items()}, outs
+
+
+def test_gradient_destination_gets_the_fresh_array_bits():
+    fresh, _ = _destination_graph(with_out=False)
+    filled, outs = _destination_graph(with_out=True)
+    assert set(outs) == {"none", "one", "two", "three", "scalar"}
+    for name, out in outs.items():
+        # backward hands back the destination itself, filled in place
+        assert filled[name] is out, name
+        assert out.tobytes() == fresh[name].tobytes(), name
+    assert outs["none"].tobytes() == np.zeros((3, 2)).tobytes()
+    assert outs["scalar"].shape == () and outs["scalar"] == 4.0
+    assert filled["free"].tobytes() == fresh["free"].tobytes()
+    assert not any(np.shares_memory(filled["free"], out) for out in outs.values())
+
+
 # ---------------------------------------------------------------------------
 # constant leaves
 

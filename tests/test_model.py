@@ -1,5 +1,6 @@
 """Network forwards, losses, wiring flags, and checkpoint round-trips."""
 
+import copy
 import math
 
 import numpy as np
@@ -599,6 +600,52 @@ def test_set_parameter_validates():
         with pytest.raises(ContractError, match="finite"):
             m.set_parameter("extractor.0.bias", [bad, 0.0])
     assert m.parameters()["extractor.0.bias"].tolist() == [0.0, 0.0]
+
+
+def test_parameters_are_read_only_views_of_one_flat_vector():
+    m = dm.DartModel(3, (4,), 2, 3, domain_hidden=5, rng=Prng(71))
+    params, flat = m.parameters(), m.flat_parameters()
+    # checkpoint order, end to end: the views tile the vector
+    assert np.concatenate([arr.ravel() for arr in params.values()]).tobytes() == flat.tobytes()
+    assert all(np.shares_memory(arr, flat) for arr in params.values())
+    with pytest.raises(TypeError):
+        params["bottleneck.bias"] = np.ones(3)
+    with pytest.raises(TypeError):
+        del params["bottleneck.bias"]
+    # the writers work in place
+    m.set_parameter("bottleneck.bias", [1.0, 2.0, 3.0])
+    params["domain.fc2.bias"][0] = 4.0
+    assert flat[-1] == 4.0 and params["bottleneck.bias"].tolist() == [1.0, 2.0, 3.0]
+    grads = m.views_of(np.arange(flat.size, dtype=np.float64))
+    assert list(grads) == list(params)
+    assert all(grads[name].shape == arr.shape for name, arr in params.items())
+
+
+def test_model_init_draws_the_bits_of_fresh_layers():
+    # the model draws into views of its vector what init_layers draws
+    # into fresh arrays, stream for stream
+    m = dm.DartModel(3, (4,), 2, 3, domain_hidden=5, rng=Prng(73))
+    rng = Prng(73)
+    fresh = dm.init_layers({}, ("extractor.0", "extractor.1", "bottleneck", "residual.fc1"),
+                           (3, 4, 2, 3, 3), rng)
+    dm.init_layers(fresh, ("residual.fc2",), (3, 3), None)
+    dm.init_layers(fresh, dm.DOMAIN_LAYERS, (6, 5, 1), rng)
+    assert list(fresh) == list(m.parameters())
+    for name, arr in fresh.items():
+        assert m.parameters()[name].tobytes() == arr.tobytes(), name
+
+
+def test_deepcopy_keeps_the_views_on_its_own_vector():
+    m = tiny_model(rng=Prng(79))
+    clone = copy.deepcopy(m)
+    flat = clone.flat_parameters()
+    assert not np.shares_memory(flat, m.flat_parameters())
+    assert flat.tobytes() == m.flat_parameters().tobytes()
+    assert all(np.shares_memory(arr, flat) for arr in clone.parameters().values())
+    clone.flat_parameters()[:] += 1.0
+    assert clone.parameters()["extractor.0.bias"].tolist() == [1.0, 1.0]
+    assert m.parameters()["extractor.0.bias"].tolist() == [0.0, 0.0]
+    assert clone.extractor_keys == m.extractor_keys == (("extractor.0.weight", "extractor.0.bias"),)
 
 
 def test_forward_features_rejects_a_non_finite_parameter():

@@ -234,6 +234,40 @@ def test_train_step_updates_match_minus_eta_grad():
         assert np.array_equal(model.parameters()[name], expected), name
 
 
+def test_train_step_fills_one_flat_gradient_buffer():
+    # dart_s binds the residual block but never reaches it: its gradient
+    # views are zero-filled and its parameters stay as they are
+    src, tgt = small_task()
+    cfg = small_config(eta0=0.1, variant="dart_s")
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    frozen = copy.deepcopy(model)
+    batch = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed).next_batch()
+    state = tr.SgdState()
+    tr.train_step(model, batch, cfg, state)
+    grad = state.grad
+    assert grad.shape == model.flat_parameters().shape
+    assert list(state.grads) == list(model.parameters())
+    assert all(np.shares_memory(view, grad) for view in state.grads.values())
+    assert not np.shares_memory(grad, model.flat_parameters())
+
+    tape = ad.Tape()
+    graph = dm.build_training_graph(frozen, tape, batch.xs, batch.ys, batch.xt,
+                                    tr.lambda_schedule(0.0, cfg.lambda0, cfg.gamma_lambda),
+                                    cfg.alpha, cfg.beta)
+    grads = ad.backward(tape, graph.total)
+    for name, var in graph.params.items():
+        # the buffer holds eta * g after the update
+        assert state.grads[name].tobytes() == (0.1 * grads[var.vid]).tobytes(), name
+        expected = frozen.parameters()[name] - 0.1 * grads[var.vid]
+        assert model.parameters()[name].tobytes() == expected.tobytes(), name
+    assert not state.grads["residual.fc1.weight"].any()
+
+    tr.train_step(model, batch, cfg, state)
+    assert state.grad is grad and state.p == 2
+    report = tr.train_loop(model, src, tgt, cfg)
+    assert report.state.grad is None and report.state.grads is None
+
+
 def test_train_step_gradient_against_finite_differences():
     # one step at desk scale: parameter delta == -eta * FD gradient of the
     # sign-split objective (domain term flipped for feature parameters)
