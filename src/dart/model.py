@@ -66,20 +66,28 @@ def flat_views(flat: Tensor, shapes) -> list[Tensor]:
     return views
 
 
+def layer_shapes(names, widths) -> dict[str, tuple[int, ...]]:
+    """One linear layer per consecutive pair of ``widths``: the shapes of
+    its ``name.weight`` [in x out] and ``name.bias`` [out], in order."""
+    shapes = {}
+    for (w_key, b_key), fan_in, fan_out in zip(layer_keys(*names), widths, widths[1:]):
+        shapes[w_key], shapes[b_key] = (fan_in, fan_out), (fan_out,)
+    return shapes
+
+
 def init_layers(params: dict[str, Tensor], names, widths,
                 rng: Prng | None) -> dict[str, Tensor]:
-    """One linear layer per consecutive pair of ``widths``: a
-    Glorot-uniform ``name.weight`` [in x out] drawn row-major (zeros
-    without ``rng``) and a zero ``name.bias``. An entry ``params`` already
-    holds (a zero view of a model's flat vector) is written in place;
-    missing ones are added. Returns ``params``."""
-    for (w_key, b_key), fan_in, fan_out in zip(layer_keys(*names), widths, widths[1:]):
-        weight = params.setdefault(w_key, np.zeros((fan_in, fan_out)))
-        params.setdefault(b_key, np.zeros(fan_out))
-        if rng is not None:
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            np.copyto(weight, rng.uniform_block(weight.size, -limit, limit)
-                      .reshape(weight.shape))
+    """The ``layer_shapes`` layers: Glorot-uniform weights drawn row-major
+    (zeros without ``rng``) and zero biases. An entry ``params`` already
+    holds (a contiguous view of a model's flat vector) is written in
+    place; missing ones are added. Returns ``params``."""
+    for name, shape in layer_shapes(names, widths).items():
+        arr = params.setdefault(name, np.empty(shape))
+        if rng is not None and len(shape) == 2:
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            rng.uniform_block(arr.size, -limit, limit, out=arr.reshape(-1))
+        else:
+            arr.fill(0.0)
     return params
 
 
@@ -144,9 +152,9 @@ class DartModel:
                   (("residual.fc2",), (self.residual_hidden, class_count), None),
                   (DOMAIN_LAYERS, (d_in, domain_hidden, 1), rng))
         # name -> shape in checkpoint order; weights are [in x out]
-        self._shapes = {name: arr.shape for names, stack_widths, _ in stacks
-                        for name, arr in init_layers({}, names, stack_widths, None).items()}
-        self._flat = np.zeros(sum(map(math.prod, self._shapes.values())))
+        self._shapes = {name: shape for names, stack_widths, _ in stacks
+                        for name, shape in layer_shapes(names, stack_widths).items()}
+        self._flat = np.empty(sum(map(math.prod, self._shapes.values())))
         params = self.views_of(self._flat)
         for names, stack_widths, stack_rng in stacks:
             init_layers(params, names, stack_widths, stack_rng)

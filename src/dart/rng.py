@@ -74,11 +74,14 @@ class Prng:
         self._state = (self._state + n * _GOLDEN) & _MASK
         return x
 
-    def uniform_block(self, n: int, lo: float, hi: float) -> np.ndarray:
+    def uniform_block(self, n: int, lo: float, hi: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """The next n uniform_range(lo, hi) draws as a float64 array, bitwise
-        equal to the scalar draws."""
-        u = (self.block(n) >> 11).astype(np.float64)
-        u *= 1.0 / (1 << 53)
+        equal to the scalar draws; written into ``out`` (n float64 entries,
+        1-d) when given. Each 53-bit integer converts to float64 exactly."""
+        x = self.block(n)
+        x >>= 11
+        u = np.multiply(x, 1.0 / (1 << 53), out=out)
         u *= hi - lo
         u += lo
         return u

@@ -131,6 +131,10 @@ def test_block_equals_scalar_draws(n):
     assert a.uniform_block(n, -0.9, 0.9).tolist() == [
         b.uniform_range(-0.9, 0.9) for _ in range(n)]
     assert a._state == b._state
+    # drawn into a given array: the same bits
+    out = np.full(n, np.nan)
+    assert Prng(2024).uniform_block(n, -0.9, 0.9, out=out) is out
+    assert out.tobytes() == Prng(2024).uniform_block(n, -0.9, 0.9).tobytes()
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES + [4, 256])
