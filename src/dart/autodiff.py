@@ -9,10 +9,8 @@ gradients. Ops and rules call numpy's ufuncs and their ``reduce`` rather
 than the ndarray methods that wrap them (``.sum``, ``.max``), with the
 same bits and less overhead per node. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out, and returns a gradient for every leaf. A parameter leaf may be
-registered with a gradient destination, an array of its shape (a view of
-a flat gradient buffer), which ``backward`` fills with that leaf's
-gradient, the same bits, instead of returning a fresh array. Leaves
+fan-out, and returns a gradient for every leaf (a parameter's can go to
+a destination array given at registration, with the same bits). Leaves
 registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
@@ -118,8 +116,8 @@ class Tape:
 
     def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
-        finiteness scan; backward computes its gradient, and writes it into
-        ``grad_out`` (a float64 array of the same shape) when given."""
+        finiteness scan; backward computes its gradient, into ``grad_out``
+        (a float64 array of the same shape) when given."""
         vid = len(self.values)
         self.values.append(arr)
         self.leaves.append(vid)

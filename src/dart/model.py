@@ -10,8 +10,7 @@ probabilities through a gradient-reversal layer.
 Parameter groups: the extractor plus bottleneck form the feature
 parameters; the residual block and the domain classifier are separate
 groups (they sit on opposite sides of the reversal layer during
-training). All of them are views of one flat vector in checkpoint order,
-so training updates them in one subtraction.
+training). All of them are views of one flat vector in checkpoint order.
 """
 
 import math
@@ -78,9 +77,9 @@ def layer_shapes(names, widths) -> dict[str, tuple[int, ...]]:
 def init_layers(params: dict[str, Tensor], names, widths,
                 rng: Prng | None) -> dict[str, Tensor]:
     """The ``layer_shapes`` layers: Glorot-uniform weights drawn row-major
-    (zeros without ``rng``) and zero biases. An entry ``params`` already
-    holds (a contiguous view of a model's flat vector) is written in
-    place; missing ones are added. Returns ``params``."""
+    (zeros without ``rng``) and zero biases, written in place into the
+    entries ``params`` holds (contiguous views of a model's vector) and
+    added where missing. Returns ``params``."""
     for name, shape in layer_shapes(names, widths).items():
         arr = params.setdefault(name, np.empty(shape))
         if rng is not None and len(shape) == 2:
@@ -141,10 +140,10 @@ class DartModel:
         self.domain_on_joint = domain_on_joint
         self.use_residual = use_residual
 
-        # the layers in checkpoint order, each with its widths and init
-        # stream; the residual block reads the logits, so it chains on the
+        # the layers in checkpoint order with their widths and init stream:
+        # the residual block reads the logits, so it chains on the
         # bottleneck, and its zero-init second layer keeps the perturbation
-        # at exactly zero: the two classifiers start bitwise identical
+        # at exactly zero, so the two classifiers start bitwise identical
         extractor = tuple(f"extractor.{i}" for i in range(len(widths) - 1))
         d_in = feature_dim * class_count if domain_on_joint else feature_dim
         stacks = (((*extractor, "bottleneck", "residual.fc1"),
@@ -221,10 +220,9 @@ def bind(params: dict[str, Tensor], tape: Tape,
     """Registers a parameter table on a tape in table order, without a
     finiteness scan: init makes the arrays finite, ``set_parameter`` and
     ``load_checkpoint`` check them on the way in, training after its last
-    update and ``forward_features`` before it binds. With ``grads`` (name
-    -> array, ``DartModel.views_of`` a flat buffer), ``backward`` writes
-    each parameter's gradient there. (The A-distance probe trains without
-    a tape, by ``train_domain_probe``.)"""
+    update and ``forward_features`` before it binds. ``backward`` writes
+    each parameter's gradient into ``grads[name]`` when given. (The
+    A-distance probe trains without a tape, by ``train_domain_probe``.)"""
     grads = grads or {}
     return {name: tape.parameter(arr, grads.get(name)) for name, arr in params.items()}
 

@@ -5,13 +5,12 @@ The loop trains three parameter groups at once. The feature side
 gradients directly and the domain gradient through the reversal layer;
 the residual block learns only from the source classification loss; the
 domain classifier learns plain discrimination. All of it is one backward
-pass over a single tape per step, which writes every gradient into one
-flat buffer laid out like the model's flat parameter vector, and one SGD
-update of that vector.
+pass over a single tape per step into one flat gradient buffer, and one
+SGD update of the model's flat parameter vector.
 """
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -202,13 +201,13 @@ class PairedSampler:
 
 @dataclass
 class SgdState:
-    """Step counter, and the flat gradient buffer of the model it steps
-    with that buffer's views by parameter name: made by the first
-    ``train_step`` and dropped by ``train_loop`` when it returns."""
+    """Step counter, and the model's flat gradient buffer with its views
+    by parameter name: made by the first ``train_step``, dropped by
+    ``train_loop`` when it returns."""
 
     p: int = 0
-    grad: Tensor | None = field(default=None, repr=False, compare=False)
-    grads: dict[str, Tensor] | None = field(default=None, repr=False, compare=False)
+    grad: Tensor | None = None
+    grads: dict[str, Tensor] | None = None
 
 
 @dataclass
@@ -307,8 +306,7 @@ def train_loop(
                 if fh:
                     fh.write(format_metrics_row(metrics) + "\n")
     finally:
-        # the gradient buffer is as large as the model; free it before
-        # the caller saves a checkpoint
+        # as large as the model: free it before the checkpoint is written
         state.grad = state.grads = None
         if fh:
             fh.close()
