@@ -19,7 +19,7 @@ and leaves registered with :meth:`Tape.parameter` (model parameters) skip
 the finiteness scan that :meth:`Tape.variable` makes: their owner checks
 them where they enter (``Dataset`` its samples, the model its parameters)
 and after training, and a non-finite value derived from them reaches the
-loss check. The A-distance probe records no tape:
+loss check. The A-distance probe trains without a tape:
 ``dart.model.train_domain_probe`` repeats the forward ops and backward
 rules of matmul, add_bias, relu, sigmoid, clamp and log_eps for its fixed
 network, and a tier-1 test pins it to their bits.
@@ -417,5 +417,6 @@ def clamp(x: Var, lo: float, hi: float) -> Var:
 
 
 def stop_gradient(x: Var) -> Var:
-    """The same value as a constant leaf: no gradient flows back to x."""
+    """The same value as a constant leaf: no gradient flows back to x.
+    No part of the training or evaluation pipeline calls it."""
     return x.tape.constant(x.value)

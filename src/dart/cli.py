@@ -132,7 +132,6 @@ _KEYS = {
     "feature_dim": ("train", "feature_dim", int),
     "residual_hidden": ("train", "residual_hidden", _parse_optional_int),
     "domain_hidden": ("train", "domain_hidden", int),
-    "stop_pseudo_label_grad": ("train", "stop_pseudo_label_grad", _parse_bool),
     "harden_pseudo_labels": ("train", "harden_pseudo_labels", _parse_bool),
     "variant": ("train", "variant", str),
     "log_every": ("train", "log_every", int),
@@ -250,6 +249,12 @@ def build_task(cfg: RunConfig) -> dd.Task:
     return dd.make_task(cfg.task, cfg.train.seed)
 
 
+def _check_batch(train: tr.TrainConfig, task: dd.Task) -> None:
+    """The sampler's batch-size check, before any output is written."""
+    if train.total_steps > 0:
+        tr.PairedSampler(task.source, task.target, train.batch_size, train.seed)
+
+
 def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if not cfg.overwrite:
@@ -268,6 +273,7 @@ def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
 
 def cmd_train(cfg: RunConfig) -> int:
     task = build_task(cfg)
+    _check_batch(cfg.train, task)
     out = _prepare_out_dir(cfg, ["metrics.csv", "model.ckpt"])
     model = tr.build_model(cfg.train, task.source,
                            Prng(derive_seed(cfg.train.seed, STREAM_INIT)))
@@ -312,9 +318,11 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    # tasks first, as in train and eval: bad data must leave no directory
+    # tasks and batch sizes first, as in train: bad input leaves no directory
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
     tasks = [build_task(replace(cfg, train=run)) for run in runs]
+    for run, task in zip(runs, tasks):
+        _check_batch(run, task)
     out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
     for run, task in zip(runs, tasks):

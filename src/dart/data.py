@@ -208,6 +208,8 @@ def apply_shift(ds: Dataset, cfg: TaskConfig) -> Dataset:
         raise ContractError(
             f"translation length {len(cfg.translation)} exceeds dimension {ds.dim}"
         )
+    if ds.dim < 2:
+        raise ContractError(f"the shift rotates 2 coordinates, samples have {ds.dim}")
     translation = np.zeros(ds.dim)
     translation[:len(cfg.translation)] = cfg.translation
     x = ds.samples * cfg.scale

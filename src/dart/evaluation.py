@@ -15,7 +15,7 @@ import numpy as np
 from dart import data as dd
 from dart import model as dm
 from dart import training as tr
-from dart.autodiff import Tensor
+from dart.autodiff import Tape, Tensor
 from dart.errors import ContractError, ShapeError
 from dart.rng import STREAM_INIT, STREAM_PROBE, Prng, derive_seed
 
@@ -72,9 +72,9 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     freshly trained under the fixed PROBE_* protocol. The probe is a
     ``DOMAIN_LAYERS`` head trained by ``domain_loss``, in one
     ``dm.train_domain_probe`` call on arrays, which gives the tape steps'
-    bits without recording a tape. The test error is left unclamped below
-    chance, so small negative values are possible on indistinguishable
-    domains."""
+    bits without recording a tape, and tested by ``dm.domain_head``. The
+    test error is left unclamped below chance, so small negative values
+    are possible on indistinguishable domains."""
     features_src = np.asarray(features_src, dtype=np.float64)
     features_tgt = np.asarray(features_tgt, dtype=np.float64)
     if features_src.shape[0] < 10 or features_tgt.shape[0] < 10:
@@ -97,9 +97,11 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     dm.train_domain_probe(params, src_train, tgt_train, PROBE_ETA, PROBE_STEPS)
     dm.check_finite_parameters(params, "after the A-distance probe")
 
+    tape = Tape()
+    ws = dm.bind(params, tape)
     # threshold 0.5: at or above counts as a source prediction
-    src_correct = dm.domain_head_values(params, src_test)[:, 0] >= 0.5
-    tgt_correct = dm.domain_head_values(params, tgt_test)[:, 0] < 0.5
+    src_correct = dm.domain_head(tape.constant(src_test), ws).value[:, 0] >= 0.5
+    tgt_correct = dm.domain_head(tape.constant(tgt_test), ws).value[:, 0] < 0.5
     errors = np.concatenate([~src_correct, ~tgt_correct])
     eps = float(np.mean(errors))
     return 2.0 * (1.0 - 2.0 * eps)

@@ -326,16 +326,6 @@ def total_loss(ly: Var, lh: Var, ld: Var, alpha: float, beta: float) -> Var:
 # without a tape per step.
 
 
-def domain_head_values(params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """``domain_head`` on arrays: the clamped probabilities of the rows of
-    ``x``."""
-    w1, b1, w2, b2 = (params[name] for name in DOMAIN_PARAMS)
-    a2 = np.dot(np.maximum(np.dot(x, w1) + b1, 0.0), w2) + b2
-    e = np.exp(np.minimum(a2, -a2))
-    out = np.where(a2 >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.minimum(1.0 - DOMAIN_PROB_EPS, np.maximum(DOMAIN_PROB_EPS, out))
-
-
 def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
                        eta: float, steps: int) -> None:
     """``steps`` SGD steps, in place, of ``domain_loss`` on the
@@ -444,7 +434,6 @@ def build_training_graph(
     lam: float,
     alpha: float,
     beta: float,
-    stop_pseudo_label_grad: bool = False,
     harden_pseudo_labels: bool = False,
     grads: dict[str, Tensor] | None = None,
 ) -> TrainingGraph:
@@ -453,10 +442,9 @@ def build_training_graph(
     The source-side fusion pairs features with the true one-hot labels;
     the target side pairs features with the predicted class distribution
     (the pseudo-label), which stays differentiable unless
-    ``stop_pseudo_label_grad`` cuts it or ``harden_pseudo_labels``
-    replaces it with its one-hot argmax (hardening is non-differentiable,
-    so it implies the cut). ``grads`` are the parameters' gradient
-    destinations (see ``bind``).
+    ``harden_pseudo_labels`` replaces it with its one-hot argmax, a
+    constant that cuts its gradient. ``grads`` are the parameters'
+    gradient destinations (see ``bind``).
     """
     ws = bind(model.parameters(), tape, grads)
     xs_v = tape.constant(xs)
@@ -476,8 +464,6 @@ def build_training_graph(
         if harden_pseudo_labels:
             hard = ad.one_hot(np.argmax(yt_pred.value, axis=1), model.class_count)
             y_for_fusion = tape.constant(hard)
-        elif stop_pseudo_label_grad:
-            y_for_fusion = ad.stop_gradient(yt_pred)
         fused_tgt = ad.kron_rows(ft, y_for_fusion)
     else:
         # marginal alignment: the fusion is never built

@@ -53,7 +53,6 @@ class TrainConfig:
     feature_dim: int = 8
     residual_hidden: int | None = None
     domain_hidden: int = 64
-    stop_pseudo_label_grad: bool = False
     harden_pseudo_labels: bool = False
     variant: str = "full"
     log_every: int = 50
@@ -238,7 +237,6 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
         graph = dm.build_training_graph(
             model, tape, batch.xs, batch.ys, batch.xt, lam,
             cfg.alpha, cfg.beta,
-            stop_pseudo_label_grad=cfg.stop_pseudo_label_grad,
             harden_pseudo_labels=cfg.harden_pseudo_labels,
             grads=state.grads,
         )

@@ -3,6 +3,8 @@
 import dataclasses
 import filecmp
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -47,15 +49,15 @@ def tiny_cfg(tmp_path, extra=()):
     return write_cfg(tmp_path / "run.cfg", TINY_KEYS + list(extra))
 
 
-def write_tiny_idx(tmp_path):
-    """12 two-pixel images with labels cycling over 10 classes; returns
-    the image and label paths."""
+def write_tiny_idx(tmp_path, width=2):
+    """12 images of 1 x ``width`` pixels with labels cycling over 10
+    classes; returns the image and label paths."""
     rng = Prng(5)
-    samples = np.array([[rng.uniform(), rng.uniform()] for _ in range(12)])
+    samples = np.array([[rng.uniform() for _ in range(width)] for _ in range(12)])
     labels = np.eye(10)[[i % 10 for i in range(12)]]
     ds = dd.Dataset(samples, labels, "source", 10)
     images, label_path = tmp_path / "im.idx", tmp_path / "lab.idx"
-    dd.write_idx(ds, images, label_path, 1, 2)
+    dd.write_idx(ds, images, label_path, 1, width)
     return images, label_path
 
 
@@ -79,6 +81,16 @@ def test_every_config_field_has_exactly_one_key():
     for section, kind in (("train", tr.TrainConfig), ("task", dd.TaskConfig)):
         for f in dataclasses.fields(kind):
             assert targets.count((section, f.name)) == 1, f"{section}.{f.name}"
+
+
+def test_readme_key_tables_list_exactly_the_config_keys():
+    # the key column of README's two tables under "Config file"
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config file")[1]
+    section = section.split("\n### ")[0]
+    listed = [key for line in section.splitlines() if line.startswith("| `")
+              for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(listed) == sorted(cli._KEYS)
 
 
 def test_config_file_keys_parse(tmp_path):
@@ -337,10 +349,10 @@ def test_train_refuses_overwrite_without_flag(tmp_path, capsys):
 
 def test_diverging_run_exits_numeric_with_one_line(tmp_path, capsys):
     # eta0=1e300 overflows the first update; the loss check reports it
-    # and numpy's overflow warnings on the way stay silent. Cut
-    # pseudo-labels are a constant leaf, and their nan reaches the same
-    # check.
-    for extra in ([], ["stop_pseudo_label_grad=1"]):
+    # and numpy's overflow warnings on the way stay silent. Hardened
+    # pseudo-labels are a constant leaf made by argmax, which stays
+    # finite, and the nan reaches the same check by the other paths.
+    for extra in ([], ["harden_pseudo_labels=1"]):
         cfg = tiny_cfg(tmp_path, extra)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -361,6 +373,31 @@ def test_overflowing_shift_is_rejected_before_any_output(tmp_path, capsys):
         cli.EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
         "invalid request: target samples must be finite"]
+    assert not out.exists()
+
+
+def test_one_wide_samples_are_rejected_before_any_output(tmp_path, capsys):
+    # the shift rotates the first two coordinates; 1x1-pixel images have one
+    images, labels = write_tiny_idx(tmp_path, width=1)
+    cfg = tiny_cfg(tmp_path, ["task.kind=idx", f"task.images={images}",
+                              f"task.labels={labels}", "task.translation=0"])
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid request: the shift rotates 2 coordinates, samples have 1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--seeds", "1"]],
+                         ids=["train", "ablate"])
+def test_batch_larger_than_a_domain_is_rejected_before_any_output(
+        tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert cli.main([*command, "--batch", "1000", "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: batch_size 1000 exceeds dataset size 300"]
     assert not out.exists()
 
 

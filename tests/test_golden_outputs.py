@@ -1,13 +1,13 @@
 """Byte-identity guard: fixed digests of the files the CLI writes.
 
-Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train, a
-train with hardened pseudo-labels and a train with the pseudo-label
-gradient cut on the criterion-9 config, plus a ``train`` and ``eval`` on
-a small subsampled IDX pair, in process. Compares the sha256 of every
-output file against digests recorded before any refactor of ``src/``
-(the ``dart_c`` and ``harden`` digests were recorded later, from the code
-as it was before ``momentum`` was removed). A change that moves a single
-byte of a checkpoint, a metrics row or a report fails here.
+Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train and a
+train with hardened pseudo-labels on the criterion-9 config, plus a
+``train`` and ``eval`` on a small subsampled IDX pair, in process.
+Compares the sha256 of every output file against digests recorded
+before any refactor of ``src/`` (the ``dart_c`` and ``harden`` digests
+were recorded later, from the code as it was before ``momentum`` was
+removed). A change that moves a single byte of a checkpoint, a metrics
+row or a report fails here.
 
 The digests were taken with numpy 2.4.6 on Python 3.11. A different
 numpy or BLAS may move the last bits of a float; re-record the digests
@@ -43,10 +43,6 @@ GOLDEN = {
         "9fded8553a0ae46208acae0872abef2e18a540152972035b886a7cfbd1f2926b",
     "harden/model.ckpt":
         "42cff0fd1873cb116053009e34d9b627c63c83da6baa2faf68c6306b98eb239f",
-    "stop_grad/metrics.csv":
-        "d2d17b9da4025cb6cfa18411e5c8bbd0b1450e07c67d007934f0d4dc231dd9ae",
-    "stop_grad/model.ckpt":
-        "e60db98590ab0d9993db056890231436874aa6dbc48eb7b2af0268e20a2e6602",
     "idx_train/metrics.csv":
         "c01503a47bfad404e02b0a7c730b0a5badbd6e0b83879db936905b012a0ada94",
     "idx_train/model.ckpt":
@@ -88,8 +84,6 @@ def outputs(tmp_path_factory):
         ["train", *base, "--variant", "dart_c", "--out", str(root / "dart_c")],
         ["train", *base, "--set", "harden_pseudo_labels=1",
          "--out", str(root / "harden")],
-        ["train", *base, "--set", "stop_pseudo_label_grad=1",
-         "--out", str(root / "stop_grad")],
         ["train", *idx, "--out", str(root / "idx_train")],
         ["eval", *idx, "--checkpoint", str(root / "idx_train" / "model.ckpt"),
          "--out", str(root / "idx_eval")],

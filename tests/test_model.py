@@ -440,37 +440,24 @@ def test_residual_disabled_gets_zero_gradient():
         assert np.all(grads[g.params[name].vid] == 0.0), name
 
 
-def test_stop_pseudo_label_grad_cuts_bottleneck_path_from_domain_loss():
+def test_hardened_pseudo_labels_are_one_hot_in_fusion():
     # the only route from the domain loss to the bottleneck runs through
-    # the predicted target distribution in the fusion; cutting it zeroes
-    # the bottleneck gradient of that loss
-    m = tiny_model(rng=Prng(53))
+    # the predicted target distribution in the fusion; a hardened one is
+    # a constant, which zeroes the bottleneck gradient of that loss
+    m = tiny_model(rng=Prng(59))
     xs, ys, xt = batch_fixture(m)
 
-    def bottleneck_grad(stop):
+    def bottleneck_grad(harden):
         tape = Tape()
         g = dm.build_training_graph(
-            m, tape, xs, ys, xt, lam=1.0, alpha=0.0, beta=1.0,
-            stop_pseudo_label_grad=stop,
+            m, tape, xs, ys, xt, lam=1.0, alpha=0.6, beta=1.0,
+            harden_pseudo_labels=harden,
         )
         grads = ad.backward(tape, g.ld)
         return grads[g.params["bottleneck.weight"].vid]
 
     assert np.all(bottleneck_grad(True) == 0.0)
     assert np.any(bottleneck_grad(False) != 0.0)
-
-
-def test_hardened_pseudo_labels_are_one_hot_in_fusion():
-    m = tiny_model(rng=Prng(59))
-    xs, ys, xt = batch_fixture(m)
-    tape = Tape()
-    g = dm.build_training_graph(
-        m, tape, xs, ys, xt, lam=1.0, alpha=0.6, beta=1.0,
-        harden_pseudo_labels=True,
-    )
-    grads = ad.backward(tape, g.ld)
-    # hardening severs the pseudo-label path just like the stop flag
-    assert np.all(grads[g.params["bottleneck.weight"].vid] == 0.0)
 
 
 # ---------------------------------------------------------------------------
