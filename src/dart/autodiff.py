@@ -160,6 +160,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 
     The seed gradient at the loss is 1; fan-out accumulates additively.
     Leaves the loss does not depend on, and constants, get zero gradients.
+    A node's gradient is dropped once its rule has run.
     A leaf with a gradient destination gets it back, filled in place with
     the bits of the fresh-array path: from its second contribution on, the
     sum accumulates there (``np.add(prev, pg, out)`` is ``prev + pg``); a
@@ -182,6 +183,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
                 continue
             prev = grads[pid]
             grads[pid] = pg if prev is None else np.add(prev, pg, grad_out.get(pid))
+        grads[vid] = None  # a node is never a leaf: its gradient is spent
     for vid, out in grad_out.items():
         if grads[vid] is not out:
             out[...] = 0.0 if grads[vid] is None else grads[vid]

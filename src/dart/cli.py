@@ -318,17 +318,23 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    # tasks and batch sizes first, as in train: bad input leaves no directory
+    # every seed's task and batch size first, as in train: bad input leaves
+    # no directory. One task is held at a time: the first run's is checked
+    # last and kept, the others are built again from their seed.
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
-    tasks = [build_task(replace(cfg, train=run)) for run in runs]
-    for run, task in zip(runs, tasks):
+    for run in reversed(runs):
+        task = None
+        task = build_task(replace(cfg, train=run))
         _check_batch(run, task)
     out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
-    for run, task in zip(runs, tasks):
+    for run in runs:
+        if task is None:
+            task = build_task(replace(cfg, train=run))
         for variant in tr.VARIANTS:
             log("debug", f"ablate: variant={variant} seed={run.seed}")
             reports.append(ev.run_ablation(variant, task, run))
+        task = None
     results_path = os.path.join(out, "results.csv")
     if cfg.overwrite and os.path.exists(results_path):
         os.remove(results_path)

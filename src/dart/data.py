@@ -212,14 +212,14 @@ def apply_shift(ds: Dataset, cfg: TaskConfig) -> Dataset:
         raise ContractError(f"the shift rotates 2 coordinates, samples have {ds.dim}")
     translation = np.zeros(ds.dim)
     translation[:len(cfg.translation)] = cfg.translation
+    # one new array, then in place: the input's samples are never written
     x = ds.samples * cfg.scale
     c, s = np.cos(cfg.rotation), np.sin(cfg.rotation)
-    rotated = x.copy()
-    rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
-    shifted = rotated + translation
+    x[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
+    x += translation
 
     return Dataset(
-        samples=shifted,
+        samples=x,
         labels=None,
         domain_tag="target",
         class_count=ds.class_count,
@@ -249,13 +249,16 @@ def normalize_pair(source: Dataset,
                    target: Dataset) -> tuple[Dataset, Dataset]:
     """Standardizes both domains with the source's per-feature mean and
     population std (floored at STD_FLOOR), which keeps the shift visible
-    in target space."""
+    in target space. Each output is one new array, divided in place."""
     mean = source.samples.mean(axis=0)
     std = np.maximum(source.samples.std(axis=0), STD_FLOOR)
-    return (
-        replace(source, samples=(source.samples - mean) / std),
-        replace(target, samples=(target.samples - mean) / std),
-    )
+
+    def standardized(ds: Dataset) -> Dataset:
+        x = ds.samples - mean
+        x /= std
+        return replace(ds, samples=x)
+
+    return standardized(source), standardized(target)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,8 @@ def load_idx(path_images, path_labels) -> Dataset:
         raise DataFormatError(
             f"image count {n} does not match label count {n_labels}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    pixels /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8)
     if np.any(labels > 9):
         raise DataFormatError("label byte outside 0..9")

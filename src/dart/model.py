@@ -525,27 +525,28 @@ def _param_header(name: str, arr: Tensor) -> str:
 
 
 def save_checkpoint(model: DartModel, path) -> None:
-    lines = [CHECKPOINT_HEADER]
-    for key in ARCHITECTURE:
-        lines.append(f"meta {key} {_format_meta(getattr(model, key))}")
-    for name, arr in model.parameters().items():
-        lines.append(_param_header(name, arr))
-        # one text row per weight row; a bias is a single row
-        for row in arr.reshape(-1, arr.shape[-1]):
-            lines.append(" ".join(map(repr, row.tolist())))
-    lines.append("end")
+    """Writes each line as soon as it is formatted, so the text is never
+    held whole."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CHECKPOINT_HEADER + "\n")
+        for key in ARCHITECTURE:
+            fh.write(f"meta {key} {_format_meta(getattr(model, key))}\n")
+        for name, arr in model.parameters().items():
+            fh.write(_param_header(name, arr) + "\n")
+            # one text row per weight row; a bias is a single row
+            for row in arr.reshape(-1, arr.shape[-1]):
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+        fh.write("end\n")
 
 
 def load_checkpoint(path) -> DartModel:
     """Reads a checkpoint; malformed content of any kind raises a
     DataFormatError naming the file (OSError still signals an unreadable
-    file). Widths too large to allocate count as malformed."""
+    file). Widths too large to allocate count as malformed. Lines end in
+    ``\\n`` or ``\\r\\n`` and are parsed one at a time as they are read."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        return _parse_checkpoint(lines)
+            return _parse_checkpoint(line.rstrip("\n") for line in fh)
     except (ContractError, DataFormatError, LookupError, MemoryError,
             ValueError) as exc:
         raise DataFormatError(
@@ -553,7 +554,7 @@ def load_checkpoint(path) -> DartModel:
         ) from exc
 
 
-def _parse_checkpoint(lines: list[str]) -> DartModel:
+def _parse_checkpoint(lines) -> DartModel:
     """Header, the ARCHITECTURE meta lines, then one block per parameter
     in model order, then ``end``; anything else is a DataFormatError."""
     rest = iter(lines)

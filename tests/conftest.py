@@ -1,5 +1,5 @@
-"""Shared test utilities: an independent central-difference oracle and a
-byte mutator for the fuzz tests.
+"""Shared test utilities: an independent central-difference oracle, a
+byte mutator for the fuzz tests and a transient-memory probe.
 
 The oracle perturbs raw parameter arrays in place and re-evaluates a
 scalar-returning closure, so it exercises only forward computations and
@@ -8,6 +8,7 @@ stays independent of the backward pass it is used to check.
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,3 +67,15 @@ def mutate_bytes(data, raw: bytes) -> bytes:
     for _ in range(data.draw(st.integers(0, 3))):
         raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
     return bytes(raw[:data.draw(st.integers(0, len(raw)))])
+
+
+def peak_bytes(fn: Callable[[], object]) -> tuple[int, object]:
+    """Peak traced memory of ``fn()`` above what was allocated at entry,
+    and its result. tracemalloc also counts numpy's array buffers."""
+    tracemalloc.start()
+    try:
+        at_entry = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - at_entry, result
+    finally:
+        tracemalloc.stop()

@@ -9,7 +9,7 @@ from dart import autodiff as ad
 from dart.errors import ContractError, ShapeError
 from dart.rng import Prng
 
-from conftest import central_diff_grads, max_rel_err
+from conftest import central_diff_grads, max_rel_err, peak_bytes
 
 
 def make_var(tape, data):
@@ -450,6 +450,23 @@ def test_backward_fanout_accumulates():
     loss = ad.sum_all(ad.add(x, x))
     grads = ad.backward(tape, loss)
     assert grads[x.vid].tolist() == [2.0, 2.0, 2.0]
+
+
+def test_backward_holds_a_fixed_number_of_gradients_on_a_long_chain():
+    # a node's gradient is dropped once its rule has run, so a chain of 60
+    # elementwise nodes holds about two gradient arrays at a time, not 60
+    tape = ad.Tape()
+    x = tape.parameter(np.linspace(-1.0, 1.0, 1000))
+    y = x
+    for _ in range(60):
+        y = ad.scalar_mul(y, 1.01)
+    loss = ad.sum_all(y)
+    peak, grads = peak_bytes(lambda: ad.backward(tape, loss))
+    expected = np.ones(1000)
+    for _ in range(60):
+        expected = 1.01 * expected
+    assert grads[x.vid].tobytes() == expected.tobytes()
+    assert peak < 5 * x.value.nbytes
 
 
 def test_backward_rejects_non_scalar_loss():

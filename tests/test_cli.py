@@ -2,12 +2,14 @@
 
 import dataclasses
 import filecmp
+import gc
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -569,6 +571,31 @@ def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, argv,
     assert rc == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ablate_holds_one_task_at_a_time(tmp_path, monkeypatch):
+    # every seed's task is checked before any output, then dropped and
+    # built again for its runs
+    built, alive = [], []
+    build_task, run_ablation = cli.build_task, ev.run_ablation
+
+    def tracked_build_task(cfg):
+        task = build_task(cfg)
+        built.append(weakref.ref(task))
+        return task
+
+    def counting_run_ablation(variant, task, cfg):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        return run_ablation(variant, task, cfg)
+
+    monkeypatch.setattr(cli, "build_task", tracked_build_task)
+    monkeypatch.setattr(ev, "run_ablation", counting_run_ablation)
+    cfg = tiny_cfg(tmp_path, ["steps=2"])
+    assert cli.main([
+        "ablate", "--config", cfg, "--seeds", "1,2,3", "--out", str(tmp_path / "ab"),
+    ]) == 0
+    assert alive == [1] * 12
 
 
 def test_ablate_refuses_existing_results(tmp_path, capsys):

@@ -10,6 +10,8 @@ from dart import data as dd
 from dart.errors import ConfigError, ContractError, DataFormatError
 from dart.rng import STREAM_DATA, Prng, derive_seed
 
+from conftest import peak_bytes
+
 
 # ---------------------------------------------------------------------------
 # Dataset contracts
@@ -313,3 +315,35 @@ def test_idx_round_trip_exact(tmp_path):
     assert lab2.read_bytes() == lab.read_bytes()
     again = dd.load_idx(img2, lab2)
     assert np.array_equal(again.samples, ds.samples)
+
+
+def idx_task_config(tmp_path, n=200, rows=16, cols=16):
+    """A shifted IDX task on n random rows x cols images."""
+    pixels = Prng(23).block(n * rows * cols).astype(np.uint8)
+    img, lab = write_fixture_pair(tmp_path, pixels, [i % 10 for i in range(n)],
+                                  rows, cols)
+    return dd.TaskConfig(kind="idx", images=str(img), labels=str(lab),
+                         rotation=0.3, translation=(0.5, -0.25), scale=0.8)
+
+
+def test_idx_task_keeps_the_bits_of_the_out_of_place_build(tmp_path):
+    cfg = idx_task_config(tmp_path)
+    task = dd.make_task(cfg, 1)
+    source = dd.load_idx(cfg.images, cfg.labels)
+    x = source.samples * cfg.scale
+    c, s = np.cos(cfg.rotation), np.sin(cfg.rotation)
+    rotated = x.copy()
+    rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
+    shifted = rotated + np.array([0.5, -0.25] + [0.0] * (source.dim - 2))
+    mean = source.samples.mean(axis=0)
+    std = np.maximum(source.samples.std(axis=0), dd.STD_FLOOR)
+    assert task.source.samples.tobytes() == ((source.samples - mean) / std).tobytes()
+    assert task.target.samples.tobytes() == ((shifted - mean) / std).tobytes()
+
+
+def test_make_task_on_idx_holds_at_most_four_sample_arrays(tmp_path):
+    # the loaded pixels, the shifted copy and the two standardized outputs;
+    # each step makes one new array and works in place on it
+    cfg = idx_task_config(tmp_path)
+    peak, task = peak_bytes(lambda: dd.make_task(cfg, 1))
+    assert peak <= 4.5 * task.source.samples.nbytes

@@ -14,7 +14,7 @@ from dart.autodiff import Tape
 from dart.errors import ContractError, DataFormatError, NumericError, ShapeError
 from dart.rng import Prng
 
-from conftest import mutate_bytes
+from conftest import mutate_bytes, peak_bytes
 
 
 def tiny_model(rng=None, **kw):
@@ -575,6 +575,53 @@ def test_mutated_checkpoint_loads_or_is_data_format_error(tmp_path, data):
         dm.load_checkpoint(path)
     except DataFormatError:
         pass
+
+
+def test_crlf_checkpoint_loads_to_the_same_model(tmp_path):
+    m = tiny_model(rng=Prng(83))
+    path = tmp_path / "crlf.ckpt"
+    dm.save_checkpoint(m, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = dm.load_checkpoint(path)
+    assert loaded.flat_parameters().tobytes() == m.flat_parameters().tobytes()
+    assert [getattr(loaded, key) for key in dm.ARCHITECTURE] == [
+        getattr(m, key) for key in dm.ARCHITECTURE]
+
+
+@pytest.mark.parametrize("sep", [b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e"],
+                         ids=["vt", "ff", "fs", "gs", "rs"])
+def test_row_values_separated_by_other_whitespace_load_by_value(tmp_path, sep):
+    # lines end only in \n or \r\n; the other characters that
+    # str.splitlines breaks at are whitespace inside a row, like a space
+    m = tiny_model(rng=Prng(89))
+    path = tmp_path / "sep.ckpt"
+    dm.save_checkpoint(m, path)
+    lines = path.read_bytes().split(b"\n")
+    row = lines.index(b"param bottleneck.weight 2 3") + 1
+    lines[row] = lines[row].replace(b" ", sep)
+    path.write_bytes(b"\n".join(lines))
+    loaded = dm.load_checkpoint(path)
+    assert loaded.flat_parameters().tobytes() == m.flat_parameters().tobytes()
+
+
+def test_save_checkpoint_holds_no_copy_of_the_text(tmp_path):
+    # each line goes to the file as soon as it is formatted
+    m = dm.DartModel(200, (100,), 16, 3, domain_hidden=16, rng=Prng(97))
+    path = tmp_path / "model.ckpt"
+    peak, _ = peak_bytes(lambda: dm.save_checkpoint(m, path))
+    assert peak < path.stat().st_size / 4
+
+
+def test_load_checkpoint_peaks_near_the_parameter_bytes(tmp_path):
+    # lines are parsed as they are read, straight into the model's arrays;
+    # the peak is the model's vector plus the largest layer's throwaway
+    # np.empty in init_layers (2x here), while the file is 2.6x
+    m = dm.DartModel(200, (100,), 16, 3, domain_hidden=16, rng=Prng(101))
+    path = tmp_path / "model.ckpt"
+    dm.save_checkpoint(m, path)
+    peak, loaded = peak_bytes(lambda: dm.load_checkpoint(path))
+    assert loaded.flat_parameters().tobytes() == m.flat_parameters().tobytes()
+    assert peak < 2.5 * m.flat_parameters().nbytes
 
 
 def test_set_parameter_validates():
