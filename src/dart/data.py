@@ -1,13 +1,14 @@
 """Datasets, the task they form, synthetic domain shifts, and IDX binary I/O.
 
-Target ground truth is quarantined: shifting a dataset into the target
-domain moves its labels into a sealed field that the training path never
-touches. Only evaluation reads it back out via ``true_label_indices``.
+Generation, loading and the shifts work on arrays. Target ground truth is
+quarantined: ``make_task`` builds the target with its labels in a sealed
+field that the training path never touches. Only evaluation reads it
+back out via ``true_label_indices``.
 """
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class Dataset:
             if not is_one_hot(lab):
                 raise ContractError(f"{attr} rows must be exact one-hot")
             lab.flags.writeable = False
-            object.__setattr__(self, attr, lab)
+            setattr(self, attr, lab)
         self.samples.flags.writeable = False
 
     @property
@@ -141,24 +142,29 @@ class TaskConfig:
 
 
 def make_task(task_cfg: TaskConfig, seed: int) -> Task:
-    """Builds the source, shifts a copy into the target domain and, for
-    ``normalization="source"``, standardizes both. The seed's data stream
-    makes every variant trained at this seed see identical datasets."""
+    """Builds the source arrays, shifts a copy into the target domain, for
+    ``normalization="source"`` standardizes both, and seals the target's
+    labels. The seed's data stream gives every variant the same task."""
     task_cfg.validate()
     rng = Prng(derive_seed(seed, STREAM_DATA))
     if task_cfg.kind == "blobs":
-        source = gen_blobs(task_cfg.classes, task_cfg.per_class,
-                           task_cfg.dim, task_cfg.spread, rng)
+        x, labels = gen_blobs(task_cfg.classes, task_cfg.per_class,
+                              task_cfg.dim, task_cfg.spread, rng)
         name = f"blobs-c{task_cfg.classes}-s{seed}"
     else:
-        source = load_idx(task_cfg.images, task_cfg.labels)
+        x, labels = load_idx(task_cfg.images, task_cfg.labels)
         if task_cfg.subsample:
-            source = subsample(source, task_cfg.subsample, rng)
+            rows = subsample(len(x), task_cfg.subsample, rng)
+            x, labels = x[rows], labels[rows]
         name = f"idx-s{seed}"
-    target = apply_shift(source, task_cfg)
+    shifted = apply_shift(x, task_cfg)
     if task_cfg.normalization == "source":
-        source, target = normalize_pair(source, target)
-    return Task(source=source, target=target, name=name)
+        normalize_pair(x, shifted)
+    classes = labels.shape[1]
+    return Task(source=Dataset(x, labels, "source", classes),
+                target=Dataset(shifted, None, "target", classes,
+                               sealed_labels=labels),
+                name=name)
 
 
 def make_blobs_task(seed: int, **fields) -> Task:
@@ -171,9 +177,9 @@ def make_blobs_task(seed: int, **fields) -> Task:
 
 
 def gen_blobs(classes: int, per_class: int, d: int, spread: float,
-              rng: Prng) -> Dataset:
-    """Gaussian clusters, one per class, means evenly spaced on a circle
-    of radius 4 in the first two coordinates. Samples are laid out in
+              rng: Prng) -> tuple[Tensor, Tensor]:
+    """Samples and one-hot labels of Gaussian clusters, one per class, means
+    evenly spaced on a circle of radius 4 in the first two coordinates, in
     class-major blocks; draw order is sample-major then coordinate."""
     n = classes * per_class
     samples = np.zeros((n, d))
@@ -189,76 +195,55 @@ def gen_blobs(classes: int, per_class: int, d: int, spread: float,
             samples[row] = mean + spread * noise
             indices.append(j)
             row += 1
-    return Dataset(
-        samples=samples,
-        labels=one_hot(indices, classes),
-        domain_tag="source",
-        class_count=classes,
-    )
+    return samples, one_hot(indices, classes)
 
 
-def apply_shift(ds: Dataset, cfg: TaskConfig) -> Dataset:
-    """Produces the target-domain counterpart of a labeled dataset under
-    the config's shift; a translation shorter than the data is zero-padded.
-
-    The returned dataset has no open labels: ground truth moves into the
-    sealed field.
-    """
-    if len(cfg.translation) > ds.dim:
+def apply_shift(x: Tensor, cfg: TaskConfig) -> Tensor:
+    """The target-domain copy of samples ``x`` under the config's shift; a
+    translation shorter than the data is zero-padded. ``x`` is not
+    written."""
+    dim = x.shape[1]
+    if len(cfg.translation) > dim:
         raise ContractError(
-            f"translation length {len(cfg.translation)} exceeds dimension {ds.dim}"
+            f"translation length {len(cfg.translation)} exceeds dimension {dim}"
         )
-    if ds.dim < 2:
-        raise ContractError(f"the shift rotates 2 coordinates, samples have {ds.dim}")
-    translation = np.zeros(ds.dim)
+    if dim < 2:
+        raise ContractError(f"the shift rotates 2 coordinates, samples have {dim}")
+    translation = np.zeros(dim)
     translation[:len(cfg.translation)] = cfg.translation
-    # one new array, then in place: the input's samples are never written
-    x = ds.samples * cfg.scale
+    # one new array, then in place
+    out = x * cfg.scale
     c, s = np.cos(cfg.rotation), np.sin(cfg.rotation)
-    x[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
-    x += translation
-
-    return Dataset(
-        samples=x,
-        labels=None,
-        domain_tag="target",
-        class_count=ds.class_count,
-        sealed_labels=one_hot(true_label_indices(ds), ds.class_count),
-    )
+    out[:, :2] = out[:, :2] @ np.array([[c, -s], [s, c]]).T
+    out += translation
+    return out
 
 
-def subsample(ds: Dataset, n: int, rng: Prng) -> Dataset:
-    if n < 1 or n > ds.size:
-        raise ContractError(f"subsample size {n} out of range 1..{ds.size}")
-    idx = rng.permutation(ds.size)[:n]
-    return replace(
-        ds,
-        samples=ds.samples[idx],
-        labels=None if ds.labels is None else ds.labels[idx],
-        sealed_labels=(
-            None if ds.sealed_labels is None else ds.sealed_labels[idx]
-        ),
-    )
+def subsample(count: int, n: int, rng: Prng) -> np.ndarray:
+    """Indices of n of ``count`` rows, drawn without replacement."""
+    if n < 1 or n > count:
+        raise ContractError(f"subsample size {n} out of range 1..{count}")
+    return rng.permutation(count)[:n]
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 
 
-def normalize_pair(source: Dataset,
-                   target: Dataset) -> tuple[Dataset, Dataset]:
-    """Standardizes both domains with the source's per-feature mean and
-    population std (floored at STD_FLOOR), which keeps the shift visible
-    in target space. Each output is one new array, divided in place."""
-    mean = source.samples.mean(axis=0)
-    std = np.maximum(source.samples.std(axis=0), STD_FLOOR)
-
-    def standardized(ds: Dataset) -> Dataset:
-        x = ds.samples - mean
+def normalize_pair(source: Tensor, target: Tensor) -> None:
+    """Standardizes both arrays in place with the source's per-feature mean
+    and population std (floored at STD_FLOOR), which keeps the shift
+    visible in target space. The two arrays must be different."""
+    mean = source.mean(axis=0)
+    std = np.maximum(source.std(axis=0), STD_FLOOR)
+    # x / inf would be 0; a nan std comes from non-finite samples, which
+    # the Dataset check names
+    if np.isinf(std).any():
+        raise ContractError("source samples are too large to standardize: "
+                            "a per-feature std is not finite")
+    for x in (source, target):
+        x -= mean
         x /= std
-        return replace(ds, samples=x)
-
-    return standardized(source), standardized(target)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +280,9 @@ def _read_idx(path, magic: int, dims: int, kind: str,
     return shape, payload
 
 
-def load_idx(path_images, path_labels) -> Dataset:
-    """Reads an image/label IDX pair into a flattened, [0,1]-scaled source
-    dataset."""
+def load_idx(path_images, path_labels) -> tuple[Tensor, Tensor]:
+    """Reads an image/label IDX pair into flattened, [0,1]-scaled pixels
+    and one-hot labels over 10 classes."""
     (n, rows, cols), payload = _read_idx(path_images, IDX_IMAGES_MAGIC, 3,
                                          "image", "pixel")
     (n_labels,), label_bytes = _read_idx(path_labels, IDX_LABELS_MAGIC, 1,
@@ -306,17 +291,15 @@ def load_idx(path_images, path_labels) -> Dataset:
         raise DataFormatError(
             f"image count {n} does not match label count {n_labels}"
         )
+    if n < 1:  # the source statistics would warn on no rows
+        raise ContractError(
+            f"samples must be a non-empty 2-d array, got (0, {rows * cols})")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
     pixels /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8)
     if np.any(labels > 9):
         raise DataFormatError("label byte outside 0..9")
-    return Dataset(
-        samples=pixels.reshape(n, rows * cols),
-        labels=one_hot(labels.tolist(), 10),
-        domain_tag="source",
-        class_count=10,
-    )
+    return pixels.reshape(n, rows * cols), one_hot(labels.tolist(), 10)
 
 
 def write_idx(ds: Dataset, path_images, path_labels, rows: int,

@@ -81,7 +81,9 @@ def init_layers(params: dict[str, Tensor], names, widths,
     entries ``params`` holds (contiguous views of a model's vector) and
     added where missing. Returns ``params``."""
     for name, shape in layer_shapes(names, widths).items():
-        arr = params.setdefault(name, np.empty(shape))
+        arr = params.get(name)
+        if arr is None:
+            arr = params[name] = np.empty(shape)
         if rng is not None and len(shape) == 2:
             limit = math.sqrt(6.0 / (shape[0] + shape[1]))
             rng.uniform_block(arr.size, -limit, limit, out=arr.reshape(-1))

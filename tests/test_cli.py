@@ -6,6 +6,7 @@ import gc
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -378,6 +379,29 @@ def test_overflowing_shift_is_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spread", ["1e160", "1e200"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_overflowing_source_std_is_rejected_before_any_output(
+        tmp_path, capsys, command, spread):
+    # np.std overflows to inf and x / inf is 0: unchecked, both domains
+    # would standardize to all-zero samples and train without complaint
+    cfg = tiny_cfg(tmp_path)
+    argv = [command, "--config", cfg, "--set", f"task.spread={spread}"]
+    if command == "eval":
+        ckpt = tmp_path / "ckpt"
+        assert cli.main(["train", "--config", cfg, "--out", str(ckpt)]) == 0
+        argv += ["--checkpoint", str(ckpt / "model.ckpt")]
+    if command == "ablate":
+        argv += ["--seeds", "1"]
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid request: source samples are too large to standardize: "
+        "a per-feature std is not finite"]
+    assert not out.exists()
+
+
 def test_one_wide_samples_are_rejected_before_any_output(tmp_path, capsys):
     # the shift rotates the first two coordinates; 1x1-pixel images have one
     images, labels = write_tiny_idx(tmp_path, width=1)
@@ -388,6 +412,24 @@ def test_one_wide_samples_are_rejected_before_any_output(tmp_path, capsys):
         cli.EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
         "invalid request: the shift rotates 2 coordinates, samples have 1"]
+    assert not out.exists()
+
+
+def test_empty_idx_is_rejected_with_one_line_and_no_warning(tmp_path, capsys):
+    # the source mean and std of no rows would warn before the Dataset check
+    images, labels = tmp_path / "im.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", dd.IDX_IMAGES_MAGIC, 0, 2, 2))
+    labels.write_bytes(struct.pack(">II", dd.IDX_LABELS_MAGIC, 0))
+    cfg = tiny_cfg(tmp_path, ["task.kind=idx", f"task.images={images}",
+                              f"task.labels={labels}"])
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == \
+            cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid request: samples must be a non-empty 2-d array, got (0, 4)"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

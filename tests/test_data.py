@@ -62,28 +62,30 @@ def test_true_label_indices_prefers_open_then_sealed():
 
 
 def test_blobs_zero_spread_sits_on_means():
-    ds = dd.gen_blobs(3, 2, 2, spread=0.0, rng=Prng(1))
+    x, _ = dd.gen_blobs(3, 2, 2, spread=0.0, rng=Prng(1))
     for j in range(3):
         angle = 2 * math.pi * j / 3
         mean = [4 * math.cos(angle), 4 * math.sin(angle)]
         for k in range(2):
-            assert np.allclose(ds.samples[2 * j + k], mean, atol=1e-12)
+            assert np.allclose(x[2 * j + k], mean, atol=1e-12)
 
 
 def test_blobs_counts_and_label_layout():
-    ds = dd.gen_blobs(2, 3, 2, spread=0.5, rng=Prng(2))
-    assert ds.size == 6
-    assert ds.labels[:3].tolist() == [[1.0, 0.0]] * 3
-    assert ds.labels[3:].tolist() == [[0.0, 1.0]] * 3
-    assert ds.domain_tag == "source"
+    x, labels = dd.gen_blobs(2, 3, 2, spread=0.5, rng=Prng(2))
+    assert len(x) == 6
+    assert labels[:3].tolist() == [[1.0, 0.0]] * 3
+    assert labels[3:].tolist() == [[0.0, 1.0]] * 3
+    task = dd.make_blobs_task(2, classes=2, per_class=3)
+    assert task.source.domain_tag == "source"
+    assert np.array_equal(task.source.labels, labels)
 
 
 def test_blobs_golden_checksum():
     # frozen after the first verified run; guards the draw order
-    ds = dd.gen_blobs(3, 4, 2, spread=1.0, rng=Prng(42))
-    digest = float(np.sum(np.abs(ds.samples)))
+    x, _ = dd.gen_blobs(3, 4, 2, spread=1.0, rng=Prng(42))
+    digest = float(np.sum(np.abs(x)))
     assert digest == pytest.approx(GOLDEN_BLOB_ABS_SUM, abs=1e-9)
-    assert ds.samples[0, 0] == pytest.approx(GOLDEN_BLOB_FIRST, abs=1e-12)
+    assert x[0, 0] == pytest.approx(GOLDEN_BLOB_FIRST, abs=1e-12)
 
 
 # Values recorded from the initial run of gen_blobs(3, 4, 2, 1.0, Prng(42)).
@@ -111,28 +113,32 @@ def identity_spec(d=2):
 
 
 def test_shift_identity_preserves_samples():
-    ds = dd.gen_blobs(2, 5, 2, 1.0, Prng(3))
-    out = dd.apply_shift(ds, identity_spec())
-    assert np.allclose(out.samples, ds.samples, atol=1e-12)
-    assert out.domain_tag == "target"
-    assert out.labels is None
-    assert np.array_equal(out.sealed_labels, ds.labels)
+    x, _ = dd.gen_blobs(2, 5, 2, 1.0, Prng(3))
+    out = dd.apply_shift(x, identity_spec())
+    assert np.allclose(out, x, atol=1e-12)
+
+
+def test_shift_leaves_its_input_unwritten():
+    x, _ = dd.gen_blobs(3, 10, 4, 0.8, Prng(7))
+    before = x.copy()
+    x.flags.writeable = False
+    out = dd.apply_shift(x, shift_spec(0.9, (1.5, -1.0), scale=1.7))
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, x)
+    assert out.flags.writeable
 
 
 def test_shift_half_turn():
-    ds = dd.Dataset(np.array([[1.0, 0.0, 7.0]]), np.array([[1.0, 0.0]]),
-                    "source", 2)
     spec = shift_spec(math.pi, (0.5, 0.5, 0.0))
-    out = dd.apply_shift(ds, spec)
-    assert np.allclose(out.samples, [[-0.5, 0.5, 7.0]], atol=1e-12)
+    out = dd.apply_shift(np.array([[1.0, 0.0, 7.0]]), spec)
+    assert np.allclose(out, [[-0.5, 0.5, 7.0]], atol=1e-12)
 
 
 def test_shift_quarter_rotation_with_scale():
-    ds = dd.Dataset(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), "source", 2)
     spec = shift_spec(math.pi / 4, (0.0, 0.0), scale=2.0)
-    out = dd.apply_shift(ds, spec)
+    out = dd.apply_shift(np.array([[1.0, 0.0]]), spec)
     root2 = math.sqrt(2.0)
-    assert np.allclose(out.samples, [[root2, root2]], atol=1e-12)
+    assert np.allclose(out, [[root2, root2]], atol=1e-12)
 
 
 def inverse_shift(spec):
@@ -145,94 +151,114 @@ def inverse_shift(spec):
 
 
 def test_shift_inverse_recovers_samples():
-    ds = dd.gen_blobs(3, 10, 4, 0.8, Prng(7))
+    x, _ = dd.gen_blobs(3, 10, 4, 0.8, Prng(7))
     spec = shift_spec(0.9, (1.5, -1.0, 0.3, 2.0), scale=1.7)
-    fwd = dd.apply_shift(ds, spec)
+    fwd = dd.apply_shift(x, spec)
     back = dd.apply_shift(fwd, inverse_shift(spec))
-    assert np.allclose(back.samples, ds.samples, atol=1e-9)
+    assert np.allclose(back, x, atol=1e-9)
 
 
 def test_shift_spec_validation():
     with pytest.raises(ConfigError):
         dd.make_blobs_task(1, scale=0.0)
-    ds = dd.gen_blobs(2, 3, 2, 0.5, Prng(12))
+    x, _ = dd.gen_blobs(2, 3, 2, 0.5, Prng(12))
     with pytest.raises(ContractError, match="translation length 3"):
-        dd.apply_shift(ds, shift_spec(0.0, (1.0, 2.0, 3.0)))
+        dd.apply_shift(x, shift_spec(0.0, (1.0, 2.0, 3.0)))
     # a translation shorter than the data is zero-padded
-    out = dd.apply_shift(ds, shift_spec(0.0, (1.0,)))
-    assert np.allclose(out.samples, ds.samples + [1.0, 0.0], atol=1e-12)
+    out = dd.apply_shift(x, shift_spec(0.0, (1.0,)))
+    assert np.allclose(out, x + [1.0, 0.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # subsample
 
 
-def test_subsample_keeps_alignment():
-    ds = dd.gen_blobs(3, 20, 2, 0.5, Prng(14))
-    sub = dd.subsample(ds, 10, Prng(15))
+def test_subsample_keeps_alignment(tmp_path):
+    cfg = idx_task_config(tmp_path, n=40)
+    x, labels = dd.load_idx(cfg.images, cfg.labels)
+    cfg.subsample, cfg.normalization = 10, "none"
+    sub = dd.make_task(cfg, 15).source
     assert sub.size == 10
     # every subsampled row exists in the original with the same label
     for i in range(10):
-        matches = np.where((ds.samples == sub.samples[i]).all(axis=1))[0]
+        matches = np.where((x == sub.samples[i]).all(axis=1))[0]
         assert len(matches) == 1
-        assert np.array_equal(ds.labels[matches[0]], sub.labels[i])
+        assert np.array_equal(labels[matches[0]], sub.labels[i])
 
 
 def test_subsample_out_of_range():
-    ds = dd.gen_blobs(2, 2, 2, 0.5, Prng(16))
-    with pytest.raises(ContractError):
-        dd.subsample(ds, 5, Prng(17))
+    with pytest.raises(ContractError, match="out of range 1..4"):
+        dd.subsample(4, 5, Prng(17))
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
+def normalized_pair(x):
+    """``normalize_pair`` on two copies of ``x``; returns both."""
+    source, target = x.copy(), x.copy()
+    dd.normalize_pair(source, target)
+    return source, target
+
+
 def test_normalize_constant_feature_floored_to_zero():
-    ds = dd.Dataset(
-        np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]]), None, "source", 2
-    )
-    out, _ = dd.normalize_pair(ds, ds)
-    assert np.all(out.samples[:, 0] == 0.0)
+    out, _ = normalized_pair(np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]]))
+    assert np.all(out[:, 0] == 0.0)
 
 
 def test_normalize_two_point_feature():
-    ds = dd.Dataset(np.array([[0.0, 0.0], [2.0, 2.0]]), None, "source", 2)
-    out, _ = dd.normalize_pair(ds, ds)
-    assert np.allclose(out.samples, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
+    out, _ = normalized_pair(np.array([[0.0, 0.0], [2.0, 2.0]]))
+    assert np.allclose(out, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
 
 
 def test_normalize_idempotent_on_standardized_data():
     rng = Prng(18)
     raw = np.array([[rng.normal() for _ in range(3)] for _ in range(50)])
-    raw_ds = dd.Dataset(raw, None, "source", 2)
-    ds, _ = dd.normalize_pair(raw_ds, raw_ds)
-    again, _ = dd.normalize_pair(ds, ds)
-    assert np.allclose(again.samples, ds.samples, atol=1e-9)
+    ds, _ = normalized_pair(raw)
+    again, _ = normalized_pair(ds)
+    assert np.allclose(again, ds, atol=1e-9)
 
 
 def test_normalize_pair_uses_source_statistics():
-    src = dd.Dataset(np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]),
-                     None, "source", 2)
-    tgt = dd.Dataset(np.array([[10.0, 10.0]]), None, "target", 2,
-                     sealed_labels=None)
-    ns, nt = dd.normalize_pair(src, tgt)
-    mean, std = src.samples.mean(axis=0), src.samples.std(axis=0)
-    assert np.allclose(nt.samples, (tgt.samples - mean) / std, atol=1e-12)
+    src = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
+    tgt = np.array([[10.0, 10.0]])
+    ns, nt = src.copy(), tgt.copy()
+    dd.normalize_pair(ns, nt)
+    mean, std = src.mean(axis=0), src.std(axis=0)
+    assert np.allclose(nt, (tgt - mean) / std, atol=1e-12)
     # target keeps its own shift relative to the source frame
-    assert nt.samples[0, 0] > ns.samples[:, 0].max()
+    assert nt[0, 0] > ns[:, 0].max()
 
 
 def test_normalize_pair_none_mode_is_passthrough():
     cfg = dd.TaskConfig(classes=2, per_class=3, normalization="none")
     rng = Prng(derive_seed(19, STREAM_DATA))
-    src = dd.gen_blobs(2, 3, 2, cfg.spread, rng)
+    src, _ = dd.gen_blobs(2, 3, 2, cfg.spread, rng)
     tgt = dd.apply_shift(src, cfg)
     task = dd.make_task(cfg, 19)
-    assert task.source.samples.tobytes() == src.samples.tobytes()
-    assert task.target.samples.tobytes() == tgt.samples.tobytes()
+    assert task.source.samples.tobytes() == src.tobytes()
+    assert task.target.samples.tobytes() == tgt.tobytes()
     with pytest.raises(ConfigError):
         dd.make_blobs_task(19, normalization="target")
+
+
+def test_overflowing_source_std_is_a_contract_error():
+    # the std of values near 1e160 overflows to inf, and x / inf would
+    # standardize both domains to zeros
+    src, tgt = np.array([[1e160, 0.0], [-1e160, 1.0]]), np.ones((1, 2))
+    with np.errstate(over="ignore"):
+        for spread in (1e160, 1e200):
+            with pytest.raises(ContractError, match="std is not finite"):
+                dd.make_blobs_task(1, spread=spread)
+        with pytest.raises(ContractError, match="too large to standardize"):
+            dd.normalize_pair(src, tgt)
+    # the check comes before either array is written
+    assert src.tolist() == [[1e160, 0.0], [-1e160, 1.0]]
+    assert tgt.tolist() == [[1.0, 1.0]]
+    task = dd.make_blobs_task(1, spread=1e150)
+    assert np.all(task.source.samples.std(axis=0) > 0.5)
+    assert np.all(np.isfinite(task.target.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +283,12 @@ def write_fixture_pair(tmp_path, pixels, labels, rows=2, cols=2,
 def test_idx_two_image_fixture_parses_exactly(tmp_path):
     pixels = [0, 255, 128, 0, 255, 255, 0, 64]
     img, lab = write_fixture_pair(tmp_path, pixels, [3, 7])
-    ds = dd.load_idx(img, lab)
-    assert ds.size == 2
-    assert ds.dim == 4
-    assert ds.class_count == 10
-    assert ds.samples[0].tolist() == [0.0, 1.0, 128 / 255.0, 0.0]
-    assert ds.samples[1].tolist() == [1.0, 1.0, 0.0, 64 / 255.0]
-    assert dd.true_label_indices(ds).tolist() == [3, 7]
+    x, labels = dd.load_idx(img, lab)
+    assert x.shape == (2, 4)
+    assert labels.shape == (2, 10)
+    assert x[0].tolist() == [0.0, 1.0, 128 / 255.0, 0.0]
+    assert x[1].tolist() == [1.0, 1.0, 0.0, 64 / 255.0]
+    assert np.argmax(labels, axis=1).tolist() == [3, 7]
 
 
 def test_idx_wrong_image_magic_names_expected(tmp_path):
@@ -307,14 +332,15 @@ def test_idx_round_trip_exact(tmp_path):
     rng = Prng(21)
     pixels = [rng.randint(256) for _ in range(3 * 4)]
     img, lab = write_fixture_pair(tmp_path, pixels, [0, 5, 9])
-    ds = dd.load_idx(img, lab)
+    x, labels = dd.load_idx(img, lab)
     img2 = tmp_path / "images2.idx"
     lab2 = tmp_path / "labels2.idx"
-    dd.write_idx(ds, img2, lab2, rows=2, cols=2)
+    dd.write_idx(dd.Dataset(x, labels, "source", 10), img2, lab2,
+                 rows=2, cols=2)
     assert img2.read_bytes() == img.read_bytes()
     assert lab2.read_bytes() == lab.read_bytes()
-    again = dd.load_idx(img2, lab2)
-    assert np.array_equal(again.samples, ds.samples)
+    again, _ = dd.load_idx(img2, lab2)
+    assert np.array_equal(again, x)
 
 
 def idx_task_config(tmp_path, n=200, rows=16, cols=16):
@@ -329,21 +355,58 @@ def idx_task_config(tmp_path, n=200, rows=16, cols=16):
 def test_idx_task_keeps_the_bits_of_the_out_of_place_build(tmp_path):
     cfg = idx_task_config(tmp_path)
     task = dd.make_task(cfg, 1)
-    source = dd.load_idx(cfg.images, cfg.labels)
-    x = source.samples * cfg.scale
+    source, _ = dd.load_idx(cfg.images, cfg.labels)
+    x = source * cfg.scale
     c, s = np.cos(cfg.rotation), np.sin(cfg.rotation)
     rotated = x.copy()
     rotated[:, :2] = x[:, :2] @ np.array([[c, -s], [s, c]]).T
-    shifted = rotated + np.array([0.5, -0.25] + [0.0] * (source.dim - 2))
-    mean = source.samples.mean(axis=0)
-    std = np.maximum(source.samples.std(axis=0), dd.STD_FLOOR)
-    assert task.source.samples.tobytes() == ((source.samples - mean) / std).tobytes()
+    shifted = rotated + np.array([0.5, -0.25] + [0.0] * (source.shape[1] - 2))
+    mean = source.mean(axis=0)
+    std = np.maximum(source.std(axis=0), dd.STD_FLOOR)
+    assert task.source.samples.tobytes() == ((source - mean) / std).tobytes()
     assert task.target.samples.tobytes() == ((shifted - mean) / std).tobytes()
 
 
-def test_make_task_on_idx_holds_at_most_four_sample_arrays(tmp_path):
-    # the loaded pixels, the shifted copy and the two standardized outputs;
-    # each step makes one new array and works in place on it
+def test_make_task_on_idx_holds_at_most_three_and_a_half_sample_arrays(
+        tmp_path):
+    # the loaded pixels and their shifted copy, which the task keeps, and
+    # np.std's full-size temporary; both are standardized in place
     cfg = idx_task_config(tmp_path)
     peak, task = peak_bytes(lambda: dd.make_task(cfg, 1))
-    assert peak <= 4.5 * task.source.samples.nbytes
+    assert peak <= 3.5 * task.source.samples.nbytes
+
+
+@pytest.mark.parametrize("kind", ["blobs", "idx"])
+def test_make_task_builds_exactly_two_datasets(tmp_path, monkeypatch, kind):
+    # every transform works on arrays; make_task checks each domain once
+    built = []
+    post_init = dd.Dataset.__post_init__
+
+    def counting(ds):
+        built.append(ds.domain_tag)
+        post_init(ds)
+
+    monkeypatch.setattr(dd.Dataset, "__post_init__", counting)
+    cfg = dd.TaskConfig()
+    if kind == "idx":
+        cfg = idx_task_config(tmp_path)
+        cfg.subsample = 50
+    dd.make_task(cfg, 1)
+    assert built == ["source", "target"]
+
+
+@pytest.mark.parametrize("kind", ["blobs", "idx"])
+def test_make_task_seals_the_target_labels(tmp_path, kind):
+    cfg = idx_task_config(tmp_path) if kind == "idx" else dd.TaskConfig()
+    task = dd.make_task(cfg, 1)
+    assert task.source.domain_tag == "source"
+    assert task.target.domain_tag == "target"
+    assert task.target.labels is None
+    assert np.array_equal(task.target.sealed_labels, task.source.labels)
+    assert np.array_equal(dd.true_label_indices(task.target),
+                          np.argmax(task.source.labels, axis=1))
+    # make_task hands its own arrays over; nothing a Dataset holds is
+    # writable
+    for arr in (task.source.samples, task.source.labels,
+                task.target.samples, task.target.sealed_labels):
+        assert not arr.flags.writeable

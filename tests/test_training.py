@@ -18,12 +18,15 @@ from dart.rng import STREAM_INIT, Prng, derive_seed
 from conftest import central_diff_grads, max_rel_err
 
 
-def small_task(seed=3, per_class=20, spread=0.8):
-    src = dd.gen_blobs(3, per_class, 2, spread, Prng(seed))
-    tgt = dd.apply_shift(
-        src, dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5))
-    )
-    return src, tgt
+SHIFT = dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5))
+
+
+def small_task(seed=3, per_class=20, spread=0.8, dim=2, shift=SHIFT):
+    """Unstandardized 3-blob source and target datasets."""
+    x, labels = dd.gen_blobs(3, per_class, dim, spread, Prng(seed))
+    return (dd.Dataset(x, labels, "source", 3),
+            dd.Dataset(dd.apply_shift(x, shift), None, "target", 3,
+                       sealed_labels=labels))
 
 
 def small_config(**kw):
@@ -434,9 +437,9 @@ def test_train_loop_applies_the_variant_loss_weights():
 def test_train_loop_learns_separable_identical_domains():
     # source == target, linearly separable: source accuracy should saturate
     for seed in (1, 2, 3, 4, 5):
-        src = dd.gen_blobs(3, 30, 2, spread=0.3, rng=Prng(100 + seed))
         identity = dd.TaskConfig(rotation=0.0, translation=(0.0, 0.0))
-        tgt = dd.apply_shift(src, identity)
+        src, tgt = small_task(100 + seed, per_class=30, spread=0.3,
+                              shift=identity)
         cfg = tr.TrainConfig(
             total_steps=300, batch_size=30, hidden=(16,), feature_dim=8,
             domain_hidden=8, seed=seed,
@@ -476,7 +479,7 @@ def test_train_loop_non_finite_parameter_is_numeric_error():
 def test_train_loop_validates_widths():
     src, tgt = small_task()
     cfg = small_config()
-    wide = dd.gen_blobs(3, 20, 7, 0.8, Prng(3))
+    wide, _ = small_task(dim=7)
     model = tr.build_model(cfg, wide, Prng(9))
     with pytest.raises(ContractError):
         tr.train_loop(model, src, tgt, cfg)
