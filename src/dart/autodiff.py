@@ -98,14 +98,15 @@ class Tape:
     ``values[i]`` holds the tensor for id ``i``; ``nodes`` holds, for each
     non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
     ``leaves`` holds the leaf ids in registration order, ``constants``
-    those that need no gradient and ``grad_out`` the gradient destination
-    of each leaf registered with one. Parents always precede their node in
-    registration order, so the record is topologically sorted by
-    construction. A tape and its tensors belong to a single thread for the
-    duration of a forward/backward pass.
+    those that need no gradient, ``grad_out`` the gradient destination
+    of each leaf registered with one and ``unfilled`` the leaves whose
+    destination the current :func:`backward` has not written yet. Parents
+    always precede their node in registration order, so the record is
+    topologically sorted by construction. A tape and its tensors belong to
+    a single thread for the duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out")
+    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "unfilled")
 
     def __init__(self):
         self.values: list[Tensor] = []
@@ -113,11 +114,13 @@ class Tape:
         self.leaves: list[int] = []
         self.constants: set[int] = set()
         self.grad_out: dict[int, Tensor] = {}
+        self.unfilled: set[int] = set()
 
     def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
         finiteness scan; backward computes its gradient, into ``grad_out``
-        (a float64 array of the same shape) when given."""
+        (a float64 array of the same shape) when given: a matmul computes
+        the first contribution there, and later ones add in place."""
         vid = len(self.values)
         self.values.append(arr)
         self.leaves.append(vid)
@@ -162,9 +165,12 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     Leaves the loss does not depend on, and constants, get zero gradients.
     A node's gradient is dropped once its rule has run.
     A leaf with a gradient destination gets it back, filled in place with
-    the bits of the fresh-array path: from its second contribution on, the
-    sum accumulates there (``np.add(prev, pg, out)`` is ``prev + pg``); a
-    single contribution is copied in, and none gives zeros.
+    the bits of the fresh-array path. A matmul computes its weight's
+    gradient straight into a destination not yet written
+    (``np.dot(av.T, g, out=dest)``); from a leaf's second contribution on,
+    the sum accumulates in place (``np.add(prev, pg, out)`` is
+    ``prev + pg``); a single contribution from another op is copied in,
+    and none gives zeros.
     """
     loss_value = loss.value
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -173,7 +179,8 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
         )
     grads: list[np.ndarray | None] = [None] * len(tape.values)
     grads[loss.vid] = np.ones(loss_value.shape)
-    constants, grad_out = tape.constants, tape.grad_out
+    constants, grad_out, unfilled = tape.constants, tape.grad_out, tape.unfilled
+    unfilled.update(grad_out)
     for vid, parents, rule in reversed(tape.nodes):
         g = grads[vid]
         if g is None:
@@ -182,7 +189,11 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
             if pg is None or pid in constants:
                 continue
             prev = grads[pid]
-            grads[pid] = pg if prev is None else np.add(prev, pg, grad_out.get(pid))
+            if prev is None:
+                grads[pid] = pg
+            else:
+                grads[pid] = np.add(prev, pg, grad_out.get(pid))
+                unfilled.discard(pid)  # a destination now holds the sum
         grads[vid] = None  # a node is never a leaf: its gradient is spent
     for vid, out in grad_out.items():
         if grads[vid] is not out:
@@ -206,10 +217,17 @@ def matmul(a: Var, b: Var) -> Var:
         )
 
     a_const = a.vid in tape.constants
+    # the rule holds the tape's set, never the tape: a tape -> node -> rule
+    # -> tape cycle would keep every step's tape alive until a gc pass
+    b_vid, dest, unfilled = b.vid, tape.grad_out.get(b.vid), tape.unfilled
 
     # np.dot gives @'s bits here, and is faster on a k=1 outer product
     def rule(g, av=av, bv=bv):
-        return None if a_const else np.dot(g, bv.T), np.dot(av.T, g)
+        ga = None if a_const else np.dot(g, bv.T)
+        if b_vid in unfilled:
+            unfilled.discard(b_vid)
+            return ga, np.dot(av.T, g, out=dest)
+        return ga, np.dot(av.T, g)
 
     return tape.register(np.dot(av, bv), (a.vid, b.vid), rule)
 

@@ -318,14 +318,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    # every seed's task and batch size first, as in train: bad input leaves
-    # no directory. One task is held at a time: the first run's is checked
-    # last and kept, the others are built again from their seed.
+    # every seed's task, batch size and probe rows first, as in train: bad
+    # input leaves no directory. One task is held at a time: the first
+    # run's is checked last and kept, the others are built again from
+    # their seed.
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
     for run in reversed(runs):
         task = None
         task = build_task(replace(cfg, train=run))
         _check_batch(run, task)
+        ev.check_probe_rows(task.source.size, task.target.size)
     out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
     for run in runs:

@@ -20,6 +20,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 STD_FLOOR = 1e-8
+STD_BLOCK = 64  # source rows per block of normalize_pair's squared deviations
 
 
 @dataclass
@@ -233,9 +234,23 @@ def subsample(count: int, n: int, rng: Prng) -> np.ndarray:
 def normalize_pair(source: Tensor, target: Tensor) -> None:
     """Standardizes both arrays in place with the source's per-feature mean
     and population std (floored at STD_FLOOR), which keeps the shift
-    visible in target space. The two arrays must be different."""
-    mean = source.mean(axis=0)
-    std = np.maximum(source.std(axis=0), STD_FLOOR)
+    visible in target space. The two arrays must be different. The
+    statistics have ``source.mean(axis=0)``'s and ``source.std(axis=0)``'s
+    bits for a C-contiguous source of two or more features, as
+    ``make_task`` makes it."""
+    n, d = source.shape
+    mean = np.add.reduce(source, axis=0) / n
+    # the squared deviations STD_BLOCK rows at a time, not in np.std's
+    # full-size temporary, summed row after row as numpy sums a column:
+    # row 0 of the buffer carries the sum so far
+    buf = np.empty((STD_BLOCK + 1, d))
+    for start in range(0, n, STD_BLOCK):
+        rows = source[start:start + STD_BLOCK]
+        block = buf[1:1 + len(rows)]
+        np.subtract(rows, mean, out=block)
+        np.square(block, out=block)
+        buf[0] = np.add.reduce(buf[:1 + len(rows)] if start else block, axis=0)
+    std = np.maximum(np.sqrt(buf[0] / n), STD_FLOOR)
     # x / inf would be 0; a nan std comes from non-finite samples, which
     # the Dataset check names
     if np.isinf(std).any():
@@ -294,8 +309,7 @@ def load_idx(path_images, path_labels) -> tuple[Tensor, Tensor]:
     if n < 1:  # the source statistics would warn on no rows
         raise ContractError(
             f"samples must be a non-empty 2-d array, got (0, {rows * cols})")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    pixels /= 255.0
+    pixels = np.divide(np.frombuffer(payload, dtype=np.uint8), 255.0)
     labels = np.frombuffer(label_bytes, dtype=np.uint8)
     if np.any(labels > 9):
         raise DataFormatError("label byte outside 0..9")

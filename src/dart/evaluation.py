@@ -25,6 +25,7 @@ RESULTS_COLUMNS = ("variant", "seed", "src_acc", "tgt_acc", "a_distance")
 PROBE_STEPS = 2000
 PROBE_ETA = 0.01
 PROBE_HIDDEN = 64
+PROBE_MIN_ROWS = 10
 
 # training settings an ablation report echoes next to the probe protocol
 ECHO_TRAINING_KEYS = ("alpha", "beta", "eta0", "gamma_lr", "lambda0",
@@ -67,6 +68,14 @@ def accuracy(probs: Tensor, ds: dd.Dataset) -> tuple[float, list[float]]:
 # Proxy A-distance
 
 
+def check_probe_rows(n_src: int, n_tgt: int) -> None:
+    """ContractError unless both domains have PROBE_MIN_ROWS rows, enough
+    to split into the probe's train and test halves."""
+    if n_src < PROBE_MIN_ROWS or n_tgt < PROBE_MIN_ROWS:
+        raise ContractError(
+            f"a_distance needs at least {PROBE_MIN_ROWS} samples per domain")
+
+
 def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     """2*(1 - 2*eps) where eps is the held-out error of a domain probe
     freshly trained under the fixed PROBE_* protocol. The probe is a
@@ -77,8 +86,7 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
     are possible on indistinguishable domains."""
     features_src = np.asarray(features_src, dtype=np.float64)
     features_tgt = np.asarray(features_tgt, dtype=np.float64)
-    if features_src.shape[0] < 10 or features_tgt.shape[0] < 10:
-        raise ContractError("a_distance needs at least 10 samples per domain")
+    check_probe_rows(features_src.shape[0], features_tgt.shape[0])
     # the probe's steps read them without a scan
     if not (np.isfinite(features_src).all() and np.isfinite(features_tgt).all()):
         raise ContractError("a_distance needs finite features")

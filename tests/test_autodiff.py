@@ -1,6 +1,8 @@
 """Tape and operator tests, anchored to hand-checkable and oracle values."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -498,41 +500,57 @@ def test_backward_returns_exactly_the_leaf_gradients():
     assert grads[p.vid].tolist() == [2.0, 2.0]
 
 
-def _destination_graph(with_out):
+def _destination_graph(with_out, passes=1):
     """A loss over parameter leaves that get 0 ("none"), 1, 2 and 3
-    gradient contributions, a 0-d leaf with 2, a constant operand and a
+    gradient contributions, a 0-d leaf with 2, a weight that two matmuls
+    share ("shared"), a matmul weight whose first contribution in backward
+    order comes from another op ("mixed"), a constant operand and a
     variable without a destination ("free", 2 contributions). With
     ``with_out`` each parameter is bound with a nan-filled destination.
-    Returns the gradients by leaf name and the destinations."""
+    ``backward`` runs ``passes`` times on the one tape. Returns the last
+    pass's gradients by leaf name and the destinations."""
     rng = Prng(53)
 
     def draw(*shape):
         return rng.uniform_block(math.prod(shape), -1.5, 1.5).reshape(shape)
 
     data = {"none": draw(3, 2), "one": draw(3, 2), "two": draw(2),
-            "three": draw(4, 2), "scalar": np.array(0.75)}
+            "three": draw(4, 2), "scalar": np.array(0.75),
+            "shared": draw(2, 2), "mixed": draw(2, 2)}
     x, free_data = draw(4, 3), draw(4, 2)
     outs = {name: np.full(arr.shape, np.nan) for name, arr in data.items()} if with_out else {}
     tape = ad.Tape()
     v = {name: tape.parameter(arr, outs.get(name)) for name, arr in data.items()}
     free = tape.variable(free_data)
     h = ad.matmul(tape.constant(x), v["one"])
+    h = ad.add(ad.matmul(h, v["shared"]), ad.matmul(ad.relu(h), v["shared"]))
+    h = ad.matmul(h, v["mixed"])
     h = ad.add_bias(ad.add_bias(h, v["two"]), v["two"])
     t = v["three"]
     h = ad.add(ad.multiply(h, t), t)
     h = ad.subtract(h, ad.multiply(t, free))
     h = ad.sigmoid(ad.add(h, free))
     s = v["scalar"]
-    loss = ad.add(ad.add(ad.sum_all(h), s), ad.scalar_mul(s, 3.0))
-    grads = ad.backward(tape, loss)
+    m = ad.sum_all(ad.multiply(v["mixed"], v["mixed"]))
+    loss = ad.add(ad.add(ad.add(ad.sum_all(h), s), ad.scalar_mul(s, 3.0)), m)
+    for _ in range(passes):
+        grads = ad.backward(tape, loss)
     v["free"] = free
     return {name: grads[var.vid] for name, var in v.items()}, outs
 
 
 def test_gradient_destination_gets_the_fresh_array_bits():
+    _check_destinations(passes=1)
+
+
+def test_second_backward_refills_the_destinations_with_the_same_bits():
+    _check_destinations(passes=2)
+
+
+def _check_destinations(passes):
     fresh, _ = _destination_graph(with_out=False)
-    filled, outs = _destination_graph(with_out=True)
-    assert set(outs) == {"none", "one", "two", "three", "scalar"}
+    filled, outs = _destination_graph(with_out=True, passes=passes)
+    assert set(outs) == {"none", "one", "two", "three", "scalar", "shared", "mixed"}
     for name, out in outs.items():
         # backward hands back the destination itself, filled in place
         assert filled[name] is out, name
@@ -541,6 +559,23 @@ def test_gradient_destination_gets_the_fresh_array_bits():
     assert outs["scalar"].shape == () and outs["scalar"] == 4.0
     assert filled["free"].tobytes() == fresh["free"].tobytes()
     assert not any(np.shares_memory(filled["free"], out) for out in outs.values())
+
+
+def test_backward_leaves_no_reference_cycle_through_the_tape():
+    # a rule that held its tape would keep the tape, and the batch it
+    # holds, alive until a gc pass; freed at once, the weakref dies
+    x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    ref = weakref.ref(x)
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        w = tape.parameter(np.ones((3, 2)), np.empty((3, 2)))
+        loss = ad.sum_all(ad.relu(ad.matmul(tape.constant(x), w)))
+        ad.backward(tape, loss)
+        del tape, w, loss, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

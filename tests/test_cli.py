@@ -605,6 +605,12 @@ def test_library_ablation_on_another_task_matches_ablate(tmp_path):
     pytest.param(["--set", "task.scale=1e308", "--seeds", "1"],
                  "invalid request: target samples must be finite",
                  id="task.scale=1e308"),
+    # 9 rows per domain: the A-distance probe after the first variant's
+    # training would fail with the directory made
+    pytest.param(["--steps", "5", "--seeds", "1,2", "--batch", "4",
+                  "--set", "task.per_class=3"],
+                 "invalid request: a_distance needs at least 10 samples per domain",
+                 id="task.per_class=3"),
 ])
 def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, argv,
                                                      message):

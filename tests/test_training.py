@@ -3,6 +3,7 @@
 import copy
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dart import training as tr
 from dart.errors import ConfigError, ContractError, NumericError
 from dart.rng import STREAM_INIT, Prng, derive_seed
 
-from conftest import central_diff_grads, max_rel_err
+from conftest import central_diff_grads, max_rel_err, peak_bytes
 
 
 SHIFT = dd.TaskConfig(rotation=math.pi / 6, translation=(1.0, -0.5))
@@ -269,6 +270,23 @@ def test_train_step_fills_one_flat_gradient_buffer():
     assert state.grad is grad and state.p == 2
     report = tr.train_loop(model, src, tgt, cfg)
     assert report.state.grad is None and report.state.grads is None
+
+
+def test_train_step_holds_one_first_layer_gradient_at_a_time():
+    # backward computes the first matmul contribution of a weight straight
+    # into the flat buffer and adds the other branch's in place, so one
+    # step never holds two full-size extractor.0.weight gradients
+    cfg = tr.TrainConfig(hidden=(128,), feature_dim=8, domain_hidden=16,
+                         batch_size=16, total_steps=10)
+    shape = SimpleNamespace(dim=1024, class_count=4)
+    model = tr.build_model(cfg, shape, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    rows = Prng(5).uniform_block(2 * 16 * 1024, -1.0, 1.0).reshape(2, 16, 1024)
+    batch = tr.Batch(xs=rows[0], ys=ad.one_hot([i % 4 for i in range(16)], 4),
+                     xt=rows[1])
+    state = tr.SgdState()
+    tr.train_step(model, batch, cfg, state)  # makes the flat buffer
+    peak, _ = peak_bytes(lambda: tr.train_step(model, batch, cfg, state))
+    assert peak < 2.0 * model.parameters()["extractor.0.weight"].nbytes
 
 
 def test_train_step_gradient_against_finite_differences():
