@@ -1,5 +1,6 @@
 """Shared test utilities: an independent central-difference oracle, a
-byte mutator for the fuzz tests and a transient-memory probe.
+byte mutator for the fuzz tests, a transient-memory probe and the name
+of the running OpenBLAS kernel.
 
 The oracle perturbs raw parameter arrays in place and re-evaluates a
 scalar-returning closure, so it exercises only forward computations and
@@ -8,6 +9,9 @@ stays independent of the backward pass it is used to check.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import tracemalloc
 from typing import Callable, Sequence
 
@@ -16,6 +20,33 @@ import pytest
 from hypothesis import strategies as st
 
 from dart import autodiff as ad
+
+
+def openblas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs (``OPENBLAS_CORETYPE``
+    overrides its choice), or a note saying the library was not found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*"))
+    if not libs:
+        return "unknown (no bundled libscipy_openblas64_)"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    return f"openblas kernel: {openblas_kernel()}"
+
+
+def kernel_digests(by_kernel: dict) -> dict:
+    """The running kernel's entry of ``by_kernel``; a kernel with no
+    recorded digests fails the test, naming the kernel."""
+    kernel = openblas_kernel()
+    if kernel not in by_kernel:
+        pytest.fail(f"no digests recorded for OpenBLAS kernel {kernel!r} "
+                    f"(recorded: {', '.join(by_kernel)}); record them from "
+                    f"unchanged code")
+    return by_kernel[kernel]
 
 
 @pytest.fixture

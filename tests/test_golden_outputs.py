@@ -9,9 +9,12 @@ were recorded later, from the code as it was before ``momentum`` was
 removed). A change that moves a single byte of a checkpoint, a metrics
 row or a report fails here.
 
-The digests were taken with numpy 2.4.6 on Python 3.11. A different
-numpy or BLAS may move the last bits of a float; re-record the digests
-from the unchanged code before refactoring on such a setup.
+The digests were taken with numpy 2.4.6 (OpenBLAS 0.3.31) on Python
+3.11, one set per OpenBLAS kernel, since the kernels round matrix
+products differently. The test compares against the running kernel's
+set (``OPENBLAS_CORETYPE`` picks it) and fails on a kernel with none. A
+different numpy or BLAS may move the last bits of a float; re-record the
+digests from the unchanged code before refactoring on such a setup.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import struct
 
 import pytest
 
+from conftest import kernel_digests
 from dart import cli
 
 CONFIG = "steps=40\nbatch=16\nseed=6\nlog_every=10\ntask.per_class=25\n"
@@ -51,6 +55,46 @@ GOLDEN = {
         "8b5a21012b7679a63e7c5fa2eebfbc6a2a8a5895c2132df101a895d9e8ac4b32",
     "idx_eval/results.csv":
         "ccf8cb98a2fde4274a145ed01a72a1e4bacdfa07c0f294144afc749e6a03c58b",
+}
+
+# kernel -> digests; the other kernels differ from SkylakeX's (GOLDEN) on
+# the files listed, recorded from the same unchanged code
+GOLDEN_BY_KERNEL = {
+    "SkylakeX": GOLDEN,
+    "Haswell": {
+        **GOLDEN,
+        "train/model.ckpt":
+            "b8fa4909374b801d440efe021feb8e836fdcad17f3b20c4e66ae7ecbc21288b1",
+        "dart_c/metrics.csv":
+            "fb82d2230951247a3fc54720446c43130454040a55b3bf0859cb4ab813373c35",
+        "dart_c/model.ckpt":
+            "6be2de1749e739f523af3342680b634317fac216f340e9379501c7ac02b92dce",
+        "harden/metrics.csv":
+            "67c286561e20c3e3d86ae30dac27ee722727d5e99f72c83815d2bd22e279a519",
+        "harden/model.ckpt":
+            "c456892fe8c15720d5cb62d311fb9089626e5dab3672261e68d7547d96274e83",
+        "idx_train/metrics.csv":
+            "c27093e515a3edaa6dcd09ae209a04d5a29d0cba74909d61aaa677e3aa314a0f",
+        "idx_train/model.ckpt":
+            "be9dcd649d23589d277083a32fd72c7be9d17463a6e6a0a64800df3ff6631e83",
+    },
+    "Sandybridge": {
+        **GOLDEN,
+        "train/model.ckpt":
+            "7c84e150a0933bbdf4dec5bcffdcec3cda80529629ec2ee27db456bc6b2167c0",
+        "dart_c/metrics.csv":
+            "5b1bfc09d1432f6dbf6e87cced8d298233d3dbc2ffa0a6733405cc88b303f0e4",
+        "dart_c/model.ckpt":
+            "6e4ba77c7d7f9b3315eaf8698467681deb19e4ff258087a3cd9a2a8554adcef9",
+        "harden/metrics.csv":
+            "36c045b5158c3179e6b5f6cc86a8014c428eb06b4fba69037fe4a0f32a34eedf",
+        "harden/model.ckpt":
+            "36a54ac635cb1d7967023eba8546078ffc9d93ea2086707df32277f0de3b6f6b",
+        "idx_train/metrics.csv":
+            "27dae3c1e640dcbdf729914670707527795330ac7963a1901700d8ffc3634729",
+        "idx_train/model.ckpt":
+            "4af056a211ab4c7c55eb3b0ff8adaba11fc356aab2432f1714f40aab59e40dbd",
+    },
 }
 
 
@@ -95,4 +139,4 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_recorded_digest(outputs, name):
-    assert sha256(outputs / name) == GOLDEN[name]
+    assert sha256(outputs / name) == kernel_digests(GOLDEN_BY_KERNEL)[name]

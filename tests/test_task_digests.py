@@ -2,7 +2,9 @@
 evaluation: source samples, source labels, target samples and the
 target's sealed labels, for blobs and IDX tasks with and without
 standardization. Any change to the task build that moves one bit fails
-here."""
+here. One set per OpenBLAS kernel: the shift's rotation is a matrix
+product, which the kernels round differently; the test picks the running
+kernel's set and fails on a kernel with none."""
 
 import hashlib
 import struct
@@ -10,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import kernel_digests
 from dart import data as dd
 from dart.rng import Prng
 
@@ -52,14 +55,34 @@ CASES = {
                            "9de878b8b20121a1", "20e8bbab1beb9905")),
 }
 
+# kernel -> name -> the four digests. Haswell gives SkylakeX's (CASES)
+# bytes; Sandybridge moves every target sample array, recorded from the
+# same unchanged code.
+DIGESTS_BY_KERNEL = {
+    "SkylakeX": {name: case[2] for name, case in CASES.items()},
+    "Haswell": {name: case[2] for name, case in CASES.items()},
+    "Sandybridge": {
+        "blobs": ("d6ac95648e2510fd", BLOB_LABELS,
+                  "0c7b11c4161c470f", BLOB_LABELS),
+        "blobs-raw": ("65e011639363186b", BLOB_LABELS,
+                      "685d5fb9a4c4889b", BLOB_LABELS),
+        "blobs-wide": ("91ffd7f360726b99", BLOB_LABELS,
+                       "5c90a1e3a0d73604", BLOB_LABELS),
+        "idx": ("1713e005f1da62c6", "e710b28731c1777b",
+                "7d0698a6b9bb902b", "e710b28731c1777b"),
+        "idx-subsample-raw": ("580f95c9db0cd663", "20e8bbab1beb9905",
+                              "818f50e4f484b47f", "20e8bbab1beb9905"),
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_make_task_arrays_keep_their_bytes(tmp_path, name):
-    fields, idx, want = CASES[name]
+    fields, idx, _ = CASES[name]
     if idx:
         fields = {**fields, **write_idx_fixture(tmp_path)}
     task = dd.make_task(dd.TaskConfig(**fields), 7)
     got = tuple(digest(a) for a in (task.source.samples, task.source.labels,
                                     task.target.samples,
                                     task.target.sealed_labels))
-    assert got == want
+    assert got == kernel_digests(DIGESTS_BY_KERNEL)[name]
