@@ -45,6 +45,9 @@ from .errors import ContractError, ShapeError
 
 Tensor = np.ndarray
 
+# The most float64 entries one array can hold: numpy indexes bytes with intp.
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 # Floor of log_eps; keeps logarithms of saturated probabilities finite.
 LOG_EPS = 1e-12
 

@@ -45,6 +45,7 @@ EXIT_CODES = {
     DataFormatError: (EXIT_DATA, "data error"),
     OSError: (EXIT_DATA, "data error"),
     NumericError: (EXIT_NUMERIC, "numeric failure"),
+    MemoryError: (EXIT_CONFIG, "out of memory"),
 }
 
 _LOG_LEVELS = ("quiet", "info", "debug")
@@ -255,8 +256,9 @@ def _check_batch(train: tr.TrainConfig, task: dd.Task) -> None:
         tr.PairedSampler(task.source, task.target, train.batch_size, train.seed)
 
 
-def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def _refuse_overwrite(cfg: RunConfig, filenames: list[str]) -> None:
+    """ConfigError if an output file exists and ``overwrite`` is off; run
+    before any costly work, and changes nothing."""
     if not cfg.overwrite:
         for name in filenames:
             path = os.path.join(cfg.out_dir, name)
@@ -264,7 +266,13 @@ def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
                 raise ConfigError(
                     f"refusing to overwrite {path}; pass --overwrite to allow"
                 )
-    return cfg.out_dir
+
+
+def _out_path(cfg: RunConfig, name: str) -> str:
+    """``name`` in the output directory, which is made at the first write,
+    so that bad input leaves no directory."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +280,15 @@ def _prepare_out_dir(cfg: RunConfig, filenames: list[str]) -> str:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    _refuse_overwrite(cfg, ["metrics.csv", "model.ckpt"])
     task = build_task(cfg)
     _check_batch(cfg.train, task)
-    out = _prepare_out_dir(cfg, ["metrics.csv", "model.ckpt"])
     model = tr.build_model(cfg.train, task.source,
                            Prng(derive_seed(cfg.train.seed, STREAM_INIT)))
-    metrics_path = os.path.join(out, "metrics.csv")
+    metrics_path = _out_path(cfg, "metrics.csv")
     report = tr.train_loop(model, task.source, task.target, cfg.train,
                            metrics_path=metrics_path)
-    ckpt_path = os.path.join(out, "model.ckpt")
+    ckpt_path = _out_path(cfg, "model.ckpt")
     dm.save_checkpoint(report.model, ckpt_path)
     if report.history:
         last = report.history[-1]
@@ -293,6 +301,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval needs a checkpoint (checkpoint=... or --checkpoint)")
+    _refuse_overwrite(cfg, ["report.txt"])
     model = dm.load_checkpoint(cfg.checkpoint)
     task = build_task(cfg)
     ckpt_shape = (model.input_dim, model.class_count,
@@ -306,11 +315,9 @@ def cmd_eval(cfg: RunConfig) -> int:
             f"variant's {task_shape}"
         )
     report = ev.evaluate_model(model, task, cfg.train.seed, cfg.train.variant)
-    out = _prepare_out_dir(cfg, ["report.txt"])
-    report_path = os.path.join(out, "report.txt")
-    with open(report_path, "w", encoding="ascii") as fh:
+    with open(_out_path(cfg, "report.txt"), "w", encoding="ascii") as fh:
         fh.write(ev.serialize_report(report))
-    ev.append_results_csv(os.path.join(out, "results.csv"), [report])
+    ev.append_results_csv(_out_path(cfg, "results.csv"), [report])
     log("info", f"target accuracy {report.target_accuracy:.4f}, "
                 f"a_distance {report.a_distance:+.4f}")
     print(ev.serialize_report(report), end="")
@@ -319,16 +326,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     # every seed's task, batch size and probe rows first, as in train: bad
-    # input leaves no directory. One task is held at a time: the first
+    # input fails before any run. One task is held at a time: the first
     # run's is checked last and kept, the others are built again from
     # their seed.
+    _refuse_overwrite(cfg, ["results.csv", "reports.txt"])
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
     for run in reversed(runs):
         task = None
         task = build_task(replace(cfg, train=run))
         _check_batch(run, task)
         ev.check_probe_rows(task.source.size, task.target.size)
-    out = _prepare_out_dir(cfg, ["results.csv", "reports.txt"])
     reports = []
     for run in runs:
         if task is None:
@@ -337,11 +344,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
             log("debug", f"ablate: variant={variant} seed={run.seed}")
             reports.append(ev.run_ablation(variant, task, run))
         task = None
-    results_path = os.path.join(out, "results.csv")
+    results_path = _out_path(cfg, "results.csv")
     if cfg.overwrite and os.path.exists(results_path):
         os.remove(results_path)
     ev.append_results_csv(results_path, reports)
-    with open(os.path.join(out, "reports.txt"), "w", encoding="ascii") as fh:
+    with open(_out_path(cfg, "reports.txt"), "w", encoding="ascii") as fh:
         for r in reports:
             fh.write(ev.serialize_report(r) + "\n")
     log("info", f"wrote {results_path} ({len(reports)} rows)")

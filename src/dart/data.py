@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dart.autodiff import Tensor, is_one_hot, one_hot
+from dart.autodiff import MAX_ENTRIES, Tensor, is_one_hot, one_hot
 from dart.errors import ConfigError, ContractError, DataFormatError
 from dart.rng import STREAM_DATA, Prng, derive_seed
 
@@ -129,6 +129,12 @@ class TaskConfig:
                 raise ConfigError("task.dim must be >= 2")
             if self.spread < 0:
                 raise ConfigError("task.spread must be >= 0")
+            for width, key in ((self.dim, "dim"), (self.classes, "classes")):
+                entries = self.classes * self.per_class * width
+                if entries > MAX_ENTRIES:
+                    raise ConfigError(
+                        f"task.classes * task.per_class * task.{key} = "
+                        f"{entries} entries are more than an array can hold")
         else:
             if not self.images or not self.labels:
                 raise ConfigError("task.kind=idx requires task.images and task.labels")

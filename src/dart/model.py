@@ -155,7 +155,13 @@ class DartModel:
         # name -> shape in checkpoint order; weights are [in x out]
         self._shapes = {name: shape for names, stack_widths, _ in stacks
                         for name, shape in layer_shapes(names, stack_widths).items()}
-        self._flat = np.empty(sum(map(math.prod, self._shapes.values())))
+        size = sum(map(math.prod, self._shapes.values()))
+        if size > ad.MAX_ENTRIES:
+            raise ContractError(
+                f"the widths (hidden, feature_dim, residual_hidden, "
+                f"domain_hidden) give {size} parameters, more than an array "
+                f"can hold")
+        self._flat = np.empty(size)
         params = self.views_of(self._flat)
         for names, stack_widths, stack_rng in stacks:
             init_layers(params, names, stack_widths, stack_rng)

@@ -445,6 +445,47 @@ def test_batch_larger_than_a_domain_is_rejected_before_any_output(
     assert not out.exists()
 
 
+# each request exceeds the 128 TiB user address space, so none is
+# allocated whatever the machine's overcommit setting
+TOO_LARGE_TO_ALLOCATE = [
+    "task.dim=10000000000000",
+    "task.dim=100000000000000000",
+    "hidden=100000000000000000",
+    "feature_dim=10000000000000",
+    "residual_hidden=10000000000000",
+    "hidden=1000000000000000000",
+]
+
+
+@pytest.mark.parametrize("setting", TOO_LARGE_TO_ALLOCATE)
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--seeds", "1"]],
+                         ids=["train", "ablate"])
+def test_size_too_large_to_allocate_exits_config_before_any_output(
+        tmp_path, capsys, command, setting):
+    out = tmp_path / "run"
+    assert cli.main([*command, "--steps", "1", "--set", setting,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, keys", [
+    ("task.dim=100000000000000000", "task.classes * task.per_class * task.dim"),
+    ("task.classes=1000000000000",
+     "task.classes * task.per_class * task.classes"),
+    ("hidden=1000000000000000000", "hidden, feature_dim, residual_hidden"),
+])
+def test_size_no_array_can_hold_is_rejected_naming_its_keys(
+        tmp_path, capsys, setting, keys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--steps", "1", "--set", setting,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert keys in err and "more than an array can hold" in err
+    assert not out.exists()
+
+
 def test_train_metrics_byte_identical_across_runs(tmp_path):
     cfg = tiny_cfg(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -513,6 +554,26 @@ def test_eval_flow_writes_report_and_results(tmp_path, capsys):
     rows = (eval_out / "results.csv").read_text().splitlines()
     assert rows[0] == "variant,seed,src_acc,tgt_acc,a_distance"
     assert len(rows) == 2 and rows[1].startswith("full,3,")
+
+
+def test_refused_eval_never_evaluates(tmp_path, capsys, monkeypatch):
+    cfg = tiny_cfg(tmp_path)
+    trained = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(trained)]) == 0
+    out = tmp_path / "eval"
+    out.mkdir()
+    (out / "report.txt").write_text("kept\n")
+    calls = []
+    monkeypatch.setattr(ev, "evaluate_model", lambda *args: calls.append(args))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg, "--checkpoint",
+                     str(trained / "model.ckpt"), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: refusing to overwrite {out / 'report.txt'}; "
+        "pass --overwrite to allow"]
+    assert calls == []
+    assert (out / "report.txt").read_text() == "kept\n"
 
 
 def test_eval_missing_checkpoint_is_data_error(tmp_path):
@@ -656,6 +717,24 @@ def test_ablate_refuses_existing_results(tmp_path, capsys):
         "ablate", "--config", cfg, "--seeds", "1", "--out", str(out),
     ]) == cli.EXIT_CONFIG
     assert "overwrite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, existing", [
+    (["train"], "model.ckpt"),
+    (["eval", "--checkpoint", "missing.ckpt"], "report.txt"),
+    (["ablate", "--seeds", "1"], "reports.txt"),
+])
+def test_refusal_comes_before_any_task_is_built(tmp_path, capsys, monkeypatch,
+                                                 command, existing):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / existing).write_text("")
+    built = []
+    monkeypatch.setattr(cli, "build_task", built.append)
+    assert cli.main([*command, "--config", tiny_cfg(tmp_path),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert built == []
 
 
 def test_ablate_overwrite_replaces_results(tmp_path):
