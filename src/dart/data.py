@@ -188,21 +188,14 @@ def gen_blobs(classes: int, per_class: int, d: int, spread: float,
     """Samples and one-hot labels of Gaussian clusters, one per class, means
     evenly spaced on a circle of radius 4 in the first two coordinates, in
     class-major blocks; draw order is sample-major then coordinate."""
-    n = classes * per_class
-    samples = np.zeros((n, d))
-    indices = []
-    row = 0
+    means = np.zeros((classes, d))
     for j in range(classes):
         angle = 2.0 * np.pi * j / classes
-        mean = np.zeros(d)
-        mean[0] = 4.0 * np.cos(angle)
-        mean[1] = 4.0 * np.sin(angle)
-        for _ in range(per_class):
-            noise = np.array([rng.normal() for _ in range(d)])
-            samples[row] = mean + spread * noise
-            indices.append(j)
-            row += 1
-    return samples, one_hot(indices, classes)
+        means[j, 0] = 4.0 * np.cos(angle)
+        means[j, 1] = 4.0 * np.sin(angle)
+    labels = np.repeat(np.arange(classes), per_class)
+    noise = rng.normal_block(labels.size * d).reshape(labels.size, d)
+    return means[labels] + spread * noise, one_hot(labels, classes)
 
 
 def apply_shift(x: Tensor, cfg: TaskConfig) -> Tensor:

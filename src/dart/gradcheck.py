@@ -64,8 +64,8 @@ def build_tiny_instance(seed: int = DEFAULT_SEED):
         domain_hidden=TINY_DOMAIN_HIDDEN,
         rng=init_rng,
     )
-    for arr in model.parameters().values():
-        arr.flat[:] = init_rng.uniform_block(arr.size, -0.9, 0.9)
+    flat = model.flat_parameters()
+    init_rng.uniform_block(flat.size, -0.9, 0.9, out=flat)
 
     data_rng = Prng(derive_seed(seed, STREAM_DATA))
 

@@ -92,11 +92,15 @@ class Prng:
     def uniform_range(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
-    def normal(self) -> float:
-        # Box-Muller; 1 - uniform() lies in (0, 1] so the log is finite.
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    def normal_block(self, n: int) -> np.ndarray:
+        """The next n standard normals as a float64 array: Box-Muller on
+        consecutive pairs of 2n uniform() draws; 1 - u1 lies in (0, 1], so
+        the log is finite. Each pair goes through ``math``: numpy's log
+        differs from it in the last bit on some inputs."""
+        u = self.uniform_block(2 * n, 0.0, 1.0).tolist()
+        return np.array([
+            math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+            for u1, u2 in zip(u[::2], u[1::2])], dtype=np.float64)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, avoiding modulo bias."""

@@ -1,6 +1,6 @@
 """Shared test utilities: an independent central-difference oracle, a
-byte mutator for the fuzz tests, a transient-memory probe and the name
-of the running OpenBLAS kernel.
+byte mutator for the fuzz tests, a transient-memory probe, the scalar
+Box-Muller draw and the name of the running OpenBLAS kernel.
 
 The oracle perturbs raw parameter arrays in place and re-evaluates a
 scalar-returning closure, so it exercises only forward computations and
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 import tracemalloc
 from typing import Callable, Sequence
@@ -20,6 +21,14 @@ import pytest
 from hypothesis import strategies as st
 
 from dart import autodiff as ad
+
+
+def scalar_normal(rng) -> float:
+    """One Box-Muller normal from two ``uniform()`` draws, the reference
+    that ``Prng.normal_block`` reproduces pair by pair."""
+    u1 = 1.0 - rng.uniform()
+    u2 = rng.uniform()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def openblas_kernel() -> str:

@@ -10,7 +10,7 @@ from dart import data as dd
 from dart.errors import ConfigError, ContractError, DataFormatError
 from dart.rng import STREAM_DATA, Prng, derive_seed
 
-from conftest import peak_bytes
+from conftest import peak_bytes, scalar_normal
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,36 @@ def test_blobs_golden_checksum():
     digest = float(np.sum(np.abs(x)))
     assert digest == pytest.approx(GOLDEN_BLOB_ABS_SUM, abs=1e-9)
     assert x[0, 0] == pytest.approx(GOLDEN_BLOB_FIRST, abs=1e-12)
+
+
+def looped_blobs(classes, per_class, d, spread, rng):
+    """gen_blobs row by row and coordinate by coordinate, one scalar
+    normal at a time."""
+    samples = np.zeros((classes * per_class, d))
+    indices = []
+    for j in range(classes):
+        angle = 2.0 * np.pi * j / classes
+        mean = np.zeros(d)
+        mean[0] = 4.0 * np.cos(angle)
+        mean[1] = 4.0 * np.sin(angle)
+        for _ in range(per_class):
+            noise = np.array([scalar_normal(rng) for _ in range(d)])
+            samples[len(indices)] = mean + spread * noise
+            indices.append(j)
+    return samples, np.eye(classes)[indices]
+
+
+@pytest.mark.parametrize("shape", [(3, 100, 2, 1.1), (5, 40, 4, 0.3),
+                                   (2, 1, 2, 0.0)])
+def test_blobs_equal_the_row_by_row_loop(shape):
+    for seed in range(1, 11):
+        a, b = Prng(seed), Prng(seed)
+        x, labels = dd.gen_blobs(*shape, a)
+        want_x, want_labels = looped_blobs(*shape, b)
+        assert x.shape == want_x.shape and x.dtype == want_x.dtype
+        assert x.tobytes() == want_x.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+        assert a._state == b._state
 
 
 # Values recorded from the initial run of gen_blobs(3, 4, 2, 1.0, Prng(42)).
@@ -214,7 +244,7 @@ def test_normalize_two_point_feature():
 
 def test_normalize_idempotent_on_standardized_data():
     rng = Prng(18)
-    raw = np.array([[rng.normal() for _ in range(3)] for _ in range(50)])
+    raw = rng.normal_block(150).reshape(50, 3)
     ds, _ = normalized_pair(raw)
     again, _ = normalized_pair(ds)
     assert np.allclose(again, ds, atol=1e-9)

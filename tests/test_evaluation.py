@@ -117,7 +117,7 @@ def cluster_features(seed=17, n=300, d=4, wobble=0.4):
     rows = []
     for i in range(n):
         c = centers[i % 3]
-        rows.append([c[j] + wobble * rng.normal() for j in range(d)])
+        rows.append(c + wobble * rng.normal_block(d))
     return np.asarray(rows)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import scalar_normal
 from dart.rng import (
     STREAM_DATA,
     STREAM_INIT,
@@ -52,7 +53,7 @@ def test_uniform_range():
 
 def test_normal_moments():
     p = Prng(9)
-    draws = np.array([p.normal() for _ in range(20000)])
+    draws = p.normal_block(20000)
     assert abs(draws.mean()) < 0.03
     assert abs(draws.std() - 1.0) < 0.03
     assert np.all(np.isfinite(draws))
@@ -106,7 +107,7 @@ def test_mix64_is_deterministic_bijection_sample():
 def test_determinism_same_seed_same_sequence():
     a, b = Prng(123), Prng(123)
     assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
-    assert a.normal() == b.normal()
+    assert a.normal_block(1)[0] == b.normal_block(1)[0]
     assert a.randint(1000) == b.randint(1000)
 
 
@@ -135,6 +136,16 @@ def test_block_equals_scalar_draws(n):
     out = np.full(n, np.nan)
     assert Prng(2024).uniform_block(n, -0.9, 0.9, out=out) is out
     assert out.tobytes() == Prng(2024).uniform_block(n, -0.9, 0.9).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 600])
+def test_normal_block_equals_scalar_box_muller(n):
+    a, b = Prng(2024), Prng(2024)
+    got = a.normal_block(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    want = np.array([scalar_normal(b) for _ in range(n)], dtype=np.float64)
+    assert got.tobytes() == want.tobytes()
+    assert a._state == b._state
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES + [4, 256])
