@@ -39,7 +39,7 @@ def openblas_kernel() -> str:
     if not libs:
         return "unknown (no bundled libscipy_openblas64_)"
     corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 

@@ -27,6 +27,7 @@ def test_byte_guards_pass_under_the_haswell_kernel():
     tail = proc.stdout[-3000:] + proc.stderr[-1000:]
     assert "openblas kernel: Haswell" in proc.stdout, tail
     assert proc.returncode == 0, tail
+    # 12 golden files and 5 task cases, none skipped
     assert re.search(r"\b17 passed\b", proc.stdout), tail
 
 

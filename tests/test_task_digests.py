@@ -58,9 +58,10 @@ CASES = {
 # kernel -> name -> the four digests. Haswell gives SkylakeX's (CASES)
 # bytes; Sandybridge moves every target sample array, recorded from the
 # same unchanged code.
+SKYLAKEX = {name: case[2] for name, case in CASES.items()}
 DIGESTS_BY_KERNEL = {
-    "SkylakeX": {name: case[2] for name, case in CASES.items()},
-    "Haswell": {name: case[2] for name, case in CASES.items()},
+    "SkylakeX": SKYLAKEX,
+    "Haswell": SKYLAKEX,
     "Sandybridge": {
         "blobs": ("d6ac95648e2510fd", BLOB_LABELS,
                   "0c7b11c4161c470f", BLOB_LABELS),
