@@ -1,12 +1,15 @@
 """Byte-identity guard: fixed digests of the files the CLI writes.
 
-Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train and a
-train with hardened pseudo-labels on the criterion-9 config, plus a
-``train`` and ``eval`` on a small subsampled IDX pair, in process.
-Compares the sha256 of every output file against digests recorded
-before any refactor of ``src/`` (the ``dart_c`` and ``harden`` digests
-were recorded later, from the code as it was before ``momentum`` was
-removed). A change that moves a single byte of a checkpoint, a metrics
+Runs ``train``, ``eval`` of that checkpoint, a ``dart_c`` train, a
+train with hardened pseudo-labels, a ``source_only`` train and a train
+with ``beta=0`` on the criterion-9 config, plus a ``train`` and ``eval``
+on a small subsampled IDX pair, in process. Compares the sha256 of every
+output file against digests recorded before any refactor of ``src/``
+(the ``dart_c`` and ``harden`` digests were recorded later, from the
+code as it was before ``momentum`` was removed; the ``source_only`` and
+``beta0`` ones, which pin training with a zero loss weight, from the
+code as it was before backward skipped the branches such a weight
+zeroes). A change that moves a single byte of a checkpoint, a metrics
 row or a report fails here.
 
 The digests were taken with numpy 2.4.6 (OpenBLAS 0.3.31) on Python
@@ -47,6 +50,14 @@ GOLDEN = {
         "9fded8553a0ae46208acae0872abef2e18a540152972035b886a7cfbd1f2926b",
     "harden/model.ckpt":
         "42cff0fd1873cb116053009e34d9b627c63c83da6baa2faf68c6306b98eb239f",
+    "source_only/metrics.csv":
+        "7b39e9cf669e4f891897cd0e2b91f3e3f0b47e06ba993cc7ca651275ebe23e6c",
+    "source_only/model.ckpt":
+        "afa15c394e8b04726d10af4e0629f0290f7d48ed760c535a9e0acf3ab774af5b",
+    "beta0/metrics.csv":
+        "2963055f58120a5110ebbe843ce96114a2a8b1559ad74a0eadbe456cd969baca",
+    "beta0/model.ckpt":
+        "8dee2bd401cccc8d3a9006f66f34e139d258b5c7dab9929f529cd063fc0d7ca2",
     "idx_train/metrics.csv":
         "c01503a47bfad404e02b0a7c730b0a5badbd6e0b83879db936905b012a0ada94",
     "idx_train/model.ckpt":
@@ -90,6 +101,14 @@ GOLDEN_BY_KERNEL = {
             "36c045b5158c3179e6b5f6cc86a8014c428eb06b4fba69037fe4a0f32a34eedf",
         "harden/model.ckpt":
             "36a54ac635cb1d7967023eba8546078ffc9d93ea2086707df32277f0de3b6f6b",
+        "source_only/metrics.csv":
+            "064be59c25dd433c1fd7022ac9368b04fbd1b6fd5cec1634a1f8af2395e9cc64",
+        "source_only/model.ckpt":
+            "8161fd577f254e77ca22610e855be02143ee816d602c304f00549b1e5f8386c6",
+        "beta0/metrics.csv":
+            "e049cee27c78059a4211da1027594eb134b959dffe048b5503b064a87d457da5",
+        "beta0/model.ckpt":
+            "49fb9d7cb7a00c8b8753e2264786367d2d7b0b85f76057470c6c30607e64811d",
         "idx_train/metrics.csv":
             "27dae3c1e640dcbdf729914670707527795330ac7963a1901700d8ffc3634729",
         "idx_train/model.ckpt":
@@ -128,6 +147,9 @@ def outputs(tmp_path_factory):
         ["train", *base, "--variant", "dart_c", "--out", str(root / "dart_c")],
         ["train", *base, "--set", "harden_pseudo_labels=1",
          "--out", str(root / "harden")],
+        ["train", *base, "--variant", "source_only",
+         "--out", str(root / "source_only")],
+        ["train", *base, "--set", "beta=0", "--out", str(root / "beta0")],
         ["train", *idx, "--out", str(root / "idx_train")],
         ["eval", *idx, "--checkpoint", str(root / "idx_train" / "model.ckpt"),
          "--out", str(root / "idx_eval")],
