@@ -14,12 +14,21 @@ a destination array given at registration, with the same bits). Leaves
 registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one. Constants
-and leaves registered with :meth:`Tape.parameter` (model parameters) skip
-the finiteness scan that :meth:`Tape.variable` makes: their owner checks
-them where they enter (``Dataset`` its samples, the model its parameters)
-and after training, and a non-finite value derived from them reaches the
-loss check. The A-distance probe trains without a tape:
+:func:`multiply` skip the products that would only feed one. A rule
+returns None for a gradient that is structurally zero (a constant
+parent, or a :func:`scalar_mul` scale of exactly 0), and backward adds
+nothing for it: what only such a gradient reaches is never
+differentiated, and a leaf left without one gets zeros. Where the
+dense products are finite their bytes hold: each skipped one is a signed
+zero, adding a zero to a nonzero sum is exact, and a sum of zeros moves
+only the sign of a zero, which ``p - eta * g`` drops for every ``p`` but
+-0.0, and no update from +0.0 biases and finite weights makes -0.0. (A
+dense ``0 * inf`` would be nan; the skipped product is not computed.)
+Constants and leaves registered with :meth:`Tape.parameter` (model
+parameters) skip the finiteness scan that :meth:`Tape.variable` makes:
+their owner checks them where they enter (``Dataset`` its samples, the
+model its parameters) and after training, and a non-finite value derived
+from them reaches the loss check. The A-distance probe trains without a tape:
 ``dart.model.train_domain_probe`` repeats the forward ops and backward
 rules of matmul, add_bias, relu, sigmoid, clamp and log_eps for its fixed
 network, and a tier-1 test pins it to their bits.
@@ -165,7 +174,8 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     """Gradient of a scalar loss w.r.t. every leaf of the tape, by id.
 
     The seed gradient at the loss is 1; fan-out accumulates additively.
-    Leaves the loss does not depend on, and constants, get zero gradients.
+    Leaves the loss does not depend on, constants, and leaves reached only
+    through a rule's None get zero gradients.
     A node's gradient is dropped once its rule has run.
     A leaf with a gradient destination gets it back, filled in place with
     the bits of the fresh-array path. A matmul computes its weight's
@@ -377,10 +387,13 @@ def multiply(a: Var, b: Var) -> Var:
 
 
 def scalar_mul(x: Var, s: float) -> Var:
+    """``s * x``. A scale of exactly 0 (either sign) sends back no gradient
+    (None), so :func:`backward` never differentiates what only this node
+    reaches: a loss term weighted 0 costs its forward pass alone."""
     s = float(s)
 
     def rule(g, s=s):
-        return (s * g,)
+        return (s * g,) if s else (None,)
 
     return x.tape.register(s * x.value, (x.vid,), rule)
 

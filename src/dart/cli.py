@@ -269,8 +269,9 @@ def _refuse_overwrite(cfg: RunConfig, filenames: list[str]) -> None:
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    """``name`` in the output directory, which is made at the first write,
-    so that bad input leaves no directory."""
+    """``name`` in the output directory, which is made here, so that a
+    command that checks its input first leaves no directory on bad
+    input."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
 
@@ -325,10 +326,12 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    # every seed's task, batch size and probe rows first, as in train: bad
-    # input fails before any run. One task is held at a time: the first
-    # run's is checked last and kept, the others are built again from
-    # their seed.
+    # every seed's task, batch size and probe rows, then one model with
+    # full's wiring (the largest), as in train: bad input fails before the
+    # output directory is made, and that is made before the first run, so
+    # an --out that cannot be made fails at once. One task is held at a
+    # time: the first run's is checked last and kept, the others are built
+    # again from their seed.
     _refuse_overwrite(cfg, ["results.csv", "reports.txt"])
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
     for run in reversed(runs):
@@ -336,6 +339,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         task = build_task(replace(cfg, train=run))
         _check_batch(run, task)
         ev.check_probe_rows(task.source.size, task.target.size)
+    tr.build_model(replace(runs[0], variant="full"), task.source, None)
+    results_path = _out_path(cfg, "results.csv")
     reports = []
     for run in runs:
         if task is None:
@@ -344,7 +349,6 @@ def cmd_ablate(cfg: RunConfig) -> int:
             log("debug", f"ablate: variant={variant} seed={run.seed}")
             reports.append(ev.run_ablation(variant, task, run))
         task = None
-    results_path = _out_path(cfg, "results.csv")
     if cfg.overwrite and os.path.exists(results_path):
         os.remove(results_path)
     ev.append_results_csv(results_path, reports)

@@ -682,6 +682,21 @@ def test_ablate_checks_every_seed_before_any_output(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_ablate_fails_on_an_unmakeable_out_before_any_run(tmp_path, capsys,
+                                                          monkeypatch):
+    # the directory is made after the input checks and before the first
+    # run, so an --out under a file fails at once, not after the sweep
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    runs = []
+    monkeypatch.setattr(ev, "run_ablation", lambda *args: runs.append(args))
+    rc = cli.main(["ablate", "--steps", "300", "--seeds", "1",
+                   "--out", str(afile / "x")])
+    assert rc == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_ablate_holds_one_task_at_a_time(tmp_path, monkeypatch):
     # every seed's task is checked before any output, then dropped and
     # built again for its runs

@@ -2,7 +2,11 @@
 
 import time
 
+import pytest
+
+from dart import cli
 from dart import gradcheck as gc
+from dart import training as tr
 
 
 def test_gradcheck_passes_on_tiny_instance():
@@ -23,8 +27,28 @@ def test_gradcheck_sweeps_every_parameter():
 
 
 def test_gradcheck_alternate_seeds_also_pass():
-    for seed in (1, 2, 3):
+    for seed in (2, 3, 11):
         assert gc.run_gradcheck(seed=seed).passed
+
+
+def test_gradcheck_command_checks_the_default_instance(capsys):
+    # dart gradcheck passes the config's seed, the module's default
+    assert gc.DEFAULT_SEED == tr.TrainConfig().seed
+    report = gc.run_gradcheck()
+    assert cli.main(["gradcheck"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        f"max relative error {report.max_rel_err:.3e} over {report.checked} "
+        f"parameters (worst: {report.worst_param})\n")
+
+
+@pytest.mark.parametrize("weight", ["TINY_ALPHA", "TINY_BETA"])
+def test_gradcheck_passes_with_a_zero_loss_weight(monkeypatch, weight):
+    # backward skips the zero-weighted term's branch; the finite
+    # differences still sweep it, so its exact zeros are checked too
+    monkeypatch.setattr(gc, weight, 0.0)
+    report = gc.run_gradcheck()
+    assert report.passed
+    assert report.checked == 96
 
 
 def test_gradcheck_detects_a_broken_gradient(monkeypatch):

@@ -83,3 +83,29 @@ def test_tracer_books_every_op_of_a_training_step(monkeypatch):
             reached.update(p for p in parents if p not in tape.constants)
     assert sum(calls["bwd"].values()) == ran == 60
     assert calls["bwd"] == calls["fwd"]
+
+
+def test_tracer_books_a_source_only_step_without_its_zeroed_branches():
+    # source_only weights the entropy and domain losses 0: every op still
+    # runs forward, wiring included (2 kron_rows calls), and backward runs
+    # only the rules that reach the classification loss
+    mods = {name: importlib.import_module(f"dart.{name}") for name in MODULES}
+    dd, tr = mods["data"], mods["training"]
+    task = dd.make_blobs_task(1, per_class=20)
+    cfg = tr.TrainConfig(variant="source_only", total_steps=1)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install_coarse(mods)
+        tracer.install_fine()
+        model = tr.build_model(cfg, task.source, mods["rng"].Prng(1))
+        tr.train_loop(model, task.source, task.target, cfg)
+    finally:
+        tracer.uninstall()
+
+    calls = {kind: sum(tracer.row("train", f"autodiff.{op}.{kind}")[0]
+                       for op in tracer_module.OPS)
+             for kind in ("fwd", "bwd")}
+    assert calls == {"fwd": 60, "bwd": 22}
+    assert tracer.row("train", "autodiff.kron_rows.fwd")[0] == 2
+    assert tracer.runs[0]["kron_calls"] == 2

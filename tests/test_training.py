@@ -584,3 +584,65 @@ def test_probe_step_matches_tape_bit_for_bit(ns, nt, width, scale, at_clamp):
     for name in taped:
         assert fused[name].tobytes() == taped[name].tobytes(), name
         assert at_once[name].tobytes() == taped[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# zero loss weights
+
+ZERO_WEIGHTS = {
+    "source_only": {"variant": "source_only"},
+    "alpha=0": {"alpha": 0.0},
+    "beta=0": {"beta": 0.0},
+    "dart_s,alpha=beta=0": {"variant": "dart_s", "alpha": 0.0, "beta": 0.0},
+}
+
+
+@pytest.mark.parametrize("weights", ZERO_WEIGHTS.values(), ids=ZERO_WEIGHTS)
+def test_zero_weighted_terms_keep_the_dense_rules_bytes(monkeypatch, weights):
+    # scalar_mul(., 0.0) sends back None, and backward skips the branch;
+    # the dense rule sends back 0 * g through all of it
+    task = dd.make_blobs_task(6, per_class=30)
+    cfg = tr.TrainConfig(total_steps=200, log_every=1, seed=6, **weights)
+
+    def trained():
+        model = tr.build_model(cfg, task.source,
+                               Prng(derive_seed(cfg.seed, STREAM_INIT)))
+        report = tr.train_loop(model, task.source, task.target, cfg)
+        return (model.flat_parameters().tobytes(),
+                [tr.format_metrics_row(m) for m in report.history])
+
+    pruned = trained()
+    dense_calls = []
+
+    def dense_scalar_mul(x, s):
+        dense_calls.append(s)
+        s = float(s)
+        return x.tape.register(s * x.value, (x.vid,), lambda g: (s * g,))
+
+    monkeypatch.setattr(ad, "scalar_mul", dense_scalar_mul)
+    assert trained() == pruned
+    assert 0.0 in dense_calls
+
+
+@pytest.mark.parametrize("weights,rules", [
+    ({"variant": "full"}, 60), ({"variant": "source_only"}, 22),
+    ({"alpha": 0.0}, 56), ({"beta": 0.0}, 34),
+], ids=["full", "source_only", "alpha=0", "beta=0"])
+def test_one_step_runs_the_rules_of_weighted_terms_only(monkeypatch, weights,
+                                                        rules):
+    ran = []
+    register = ad.Tape.register
+
+    def counting_register(tape, value, parents, rule):
+        def counted(g):
+            ran.append(rule)
+            return rule(g)
+
+        return register(tape, value, parents, counted)
+
+    monkeypatch.setattr(ad.Tape, "register", counting_register)
+    task = dd.make_blobs_task(1, per_class=20)
+    cfg = tr.TrainConfig(total_steps=1, **weights)
+    tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
+                  task.source, task.target, cfg)
+    assert len(ran) == rules
