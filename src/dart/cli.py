@@ -14,7 +14,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,12 +86,6 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_hidden(raw: str) -> tuple[int, ...]:
-    if raw in ("", "-"):
-        return ()
-    return tuple(int(part) for part in raw.split(","))
-
-
 def _parse_float(raw: str) -> float:
     # nan passes every range check in validate(), so refuse it here
     value = float(raw)
@@ -99,59 +94,38 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    if not raw:
-        return ()
-    return tuple(_parse_float(part) for part in raw.split(","))
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
 def _parse_optional_int(raw: str) -> int | None:
     if raw in ("", "-", "none"):
         return None
     return int(raw)
 
 
-# key -> (section, attribute, converter); sections address RunConfig parts.
-# Converters get the stripped raw text; _assign reports their ValueError as
-# a ConfigError naming the key.
+def _parse_list(item, raw: str) -> tuple:
+    if raw in ("", "-"):
+        return ()
+    return tuple(item(part) for part in raw.split(","))
+
+
+# field type -> converter of the stripped raw text; _assign reports a
+# ValueError as a ConfigError naming the key
+_PARSERS = {float: _parse_float, int: int, str: str, bool: _parse_bool,
+            int | None: _parse_optional_int,
+            tuple[int, ...]: partial(_parse_list, int),
+            tuple[float, ...]: partial(_parse_list, _parse_float)}
+
+_RENAMED = {"total_steps": "steps", "batch_size": "batch", "out_dir": "out"}
+
+# key -> (section, attribute, converter): one key per field of TrainConfig
+# and TaskConfig (prefixed ``task.``) and per RunConfig field other than
+# the command and those two parts, named after the field unless renamed;
+# sections address RunConfig parts.
 _KEYS = {
-    "alpha": ("train", "alpha", _parse_float),
-    "beta": ("train", "beta", _parse_float),
-    "eta0": ("train", "eta0", _parse_float),
-    "gamma_lr": ("train", "gamma_lr", _parse_float),
-    "lr_decay_interval": ("train", "lr_decay_interval", int),
-    "lambda0": ("train", "lambda0", _parse_float),
-    "gamma_lambda": ("train", "gamma_lambda", _parse_float),
-    "steps": ("train", "total_steps", int),
-    "batch": ("train", "batch_size", int),
-    "seed": ("train", "seed", int),
-    "hidden": ("train", "hidden", _parse_hidden),
-    "feature_dim": ("train", "feature_dim", int),
-    "residual_hidden": ("train", "residual_hidden", _parse_optional_int),
-    "domain_hidden": ("train", "domain_hidden", int),
-    "harden_pseudo_labels": ("train", "harden_pseudo_labels", _parse_bool),
-    "variant": ("train", "variant", str),
-    "log_every": ("train", "log_every", int),
-    "task.kind": ("task", "kind", str),
-    "task.classes": ("task", "classes", int),
-    "task.per_class": ("task", "per_class", int),
-    "task.dim": ("task", "dim", int),
-    "task.spread": ("task", "spread", _parse_float),
-    "task.rotation": ("task", "rotation", _parse_float),
-    "task.translation": ("task", "translation", _parse_floats),
-    "task.scale": ("task", "scale", _parse_float),
-    "task.normalization": ("task", "normalization", str),
-    "task.images": ("task", "images", str),
-    "task.labels": ("task", "labels", str),
-    "task.subsample": ("task", "subsample", int),
-    "out": ("run", "out_dir", str),
-    "overwrite": ("run", "overwrite", _parse_bool),
-    "checkpoint": ("run", "checkpoint", str),
-    "seeds": ("run", "seeds", _parse_ints),
+    prefix + _RENAMED.get(f.name, f.name): (section, f.name, _PARSERS[f.type])
+    for section, prefix, kind in (("train", "", tr.TrainConfig),
+                                  ("task", "task.", dd.TaskConfig),
+                                  ("run", "", RunConfig))
+    for f in fields(kind)
+    if f.name not in ("command", "train", "task")
 }
 
 # keys that also get a dedicated --KEY flag; flags win over file and --set
@@ -165,8 +139,6 @@ def _assign(cfg: RunConfig, key: str, raw: str) -> None:
     section, attr, convert = _KEYS[key]
     try:
         value = convert(raw.strip())
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     target = {"train": cfg.train, "task": cfg.task, "run": cfg}[section]
@@ -175,7 +147,7 @@ def _assign(cfg: RunConfig, key: str, raw: str) -> None:
 
 def _read_config_file(cfg: RunConfig, path: str) -> None:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
@@ -233,6 +205,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             _assign(cfg, key, getattr(args, key))
     if args.overwrite:
         cfg.overwrite = True
+    if not cfg.seeds:
+        raise ConfigError("seeds must list at least one seed")
     cfg.task.validate()
     cfg.train.validate()
     for seed in cfg.seeds:

@@ -84,6 +84,9 @@ def test_every_config_field_has_exactly_one_key():
     for section, kind in (("train", tr.TrainConfig), ("task", dd.TaskConfig)):
         for f in dataclasses.fields(kind):
             assert targets.count((section, f.name)) == 1, f"{section}.{f.name}"
+    for attr in ("out_dir", "overwrite", "checkpoint", "seeds"):
+        assert targets.count(("run", attr)) == 1, attr
+    assert len(targets) == 17 + 12 + 4
 
 
 def test_readme_key_tables_list_exactly_the_config_keys():
@@ -94,6 +97,26 @@ def test_readme_key_tables_list_exactly_the_config_keys():
     listed = [key for line in section.splitlines() if line.startswith("| `")
               for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
     assert sorted(listed) == sorted(cli._KEYS)
+
+
+def readme_key_rows():
+    """(keys, default) for each row of README's two tables under
+    "Config file", backticks stripped from the default."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config file")[1]
+    section = section.split("\n### ")[0]
+    return [(re.findall(r"`([^`]+)`", cells[1]), cells[2].strip().strip("`"))
+            for line in section.splitlines() if line.startswith("| `")
+            for cells in [line.split("|")]]
+
+
+def test_readme_default_column_matches_the_config_defaults():
+    cfg = cli.RunConfig()
+    for keys, default in readme_key_rows():
+        for key in keys:
+            section, attr, convert = cli._KEYS[key]
+            target = {"train": cfg.train, "task": cfg.task, "run": cfg}[section]
+            assert convert(default) == getattr(target, attr), key
 
 
 def test_config_file_keys_parse(tmp_path):
@@ -114,6 +137,44 @@ def test_config_file_keys_parse(tmp_path):
     assert cfg.task.translation == (2.0, -0.5, 0.25)
     assert cfg.overwrite is True
     assert cfg.seeds == (7, 8, 9)
+
+
+def test_config_file_with_byte_order_mark_and_crlf_parses(tmp_path):
+    # as saved by editors that write "UTF-8 with BOM" and CRLF line ends
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfsteps=2\r\nalpha=0.25\r\n")
+    cfg = cli.parse_config(["train", "--config", str(path)])
+    assert (cfg.train.total_steps, cfg.train.alpha) == (2, 0.25)
+
+
+@pytest.mark.parametrize("key", ["hidden", "task.translation"])
+@pytest.mark.parametrize("raw", ["-", ""])
+def test_list_key_reads_dash_or_empty_as_none(key, raw):
+    cfg = cli.parse_config(["train", "--set", f"{key}={raw}"])
+    section, attr, _ = cli._KEYS[key]
+    assert getattr(getattr(cfg, section), attr) == ()
+
+
+@pytest.mark.parametrize("item", ["hidden=16,", "seeds=1,,2",
+                                  "task.translation=1.5,,0"])
+def test_empty_list_entry_exits_config_naming_the_key(capsys, item):
+    assert cli.main(["train", "--set", item]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    key = item.split("=")[0]
+    assert err.startswith(f"configuration error: bad value for {key}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("raw", ["-", ""])
+def test_empty_seeds_exits_config_before_any_output(tmp_path, capsys,
+                                                    command, raw):
+    out = tmp_path / "run"
+    rc = cli.main([command, "--set", f"seeds={raw}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: seeds must list at least one seed\n"
+    assert not out.exists()
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):
