@@ -9,9 +9,9 @@ gradients. Ops and rules call numpy's ufuncs and their ``reduce`` rather
 than the ndarray methods that wrap them (``.sum``, ``.max``), with the
 same bits and less overhead per node. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out, and returns a gradient for every leaf (a parameter's can go to
-a destination array given at registration, with the same bits). Leaves
-registered with
+fan-out in one record on the tape, and returns a gradient for every leaf
+(a parameter's can go to a destination array given at registration, with
+the same bits). Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
 :func:`multiply` skip the products that would only feed one. A rule
@@ -111,14 +111,14 @@ class Tape:
     non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
     ``leaves`` holds the leaf ids in registration order, ``constants``
     those that need no gradient, ``grad_out`` the gradient destination
-    of each leaf registered with one and ``unfilled`` the leaves whose
-    destination the current :func:`backward` has not written yet. Parents
+    of each leaf registered with one and ``grads`` the gradient so far of
+    each id the current (or last) :func:`backward` has reached. Parents
     always precede their node in registration order, so the record is
     topologically sorted by construction. A tape and its tensors belong to
     a single thread for the duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "unfilled")
+    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "grads")
 
     def __init__(self):
         self.values: list[Tensor] = []
@@ -126,7 +126,7 @@ class Tape:
         self.leaves: list[int] = []
         self.constants: set[int] = set()
         self.grad_out: dict[int, Tensor] = {}
-        self.unfilled: set[int] = set()
+        self.grads: dict[int, Tensor] = {}
 
     def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
@@ -173,48 +173,44 @@ def _check_same_tape(a: Var, b: Var) -> Tape:
 def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     """Gradient of a scalar loss w.r.t. every leaf of the tape, by id.
 
-    The seed gradient at the loss is 1; fan-out accumulates additively.
-    Leaves the loss does not depend on, constants, and leaves reached only
-    through a rule's None get zero gradients.
-    A node's gradient is dropped once its rule has run.
-    A leaf with a gradient destination gets it back, filled in place with
-    the bits of the fresh-array path. A matmul computes its weight's
-    gradient straight into a destination not yet written
-    (``np.dot(av.T, g, out=dest)``); from a leaf's second contribution on,
-    the sum accumulates in place (``np.add(prev, pg, out)`` is
-    ``prev + pg``); a single contribution from another op is copied in,
-    and none gives zeros.
+    The seed gradient at the loss is 1; fan-out accumulates additively in
+    ``tape.grads``, which backward clears when it starts and from which it
+    pops a node's entry when the node's rule runs. Leaves the loss does not
+    depend on, constants, and leaves reached only through a rule's None get
+    zero gradients. A leaf with a gradient destination gets it back, filled
+    in place with the bits of the fresh-array path. The one invariant: the
+    leaf has an entry in ``grads`` exactly when a contribution has reached
+    it. So a matmul computes its weight's gradient into the destination
+    when there is no entry (``np.dot(av.T, g, out=dest)``), each later
+    contribution is added in place (``np.add(prev, pg, out)`` is
+    ``prev + pg``), a single one from another op is copied in, and none
+    gives zeros.
     """
     loss_value = loss.value
     if loss_value.size != 1 or loss_value.ndim > 1:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss_value.shape}"
         )
-    grads: list[np.ndarray | None] = [None] * len(tape.values)
+    grads, constants, grad_out = tape.grads, tape.constants, tape.grad_out
+    grads.clear()
     grads[loss.vid] = np.ones(loss_value.shape)
-    constants, grad_out, unfilled = tape.constants, tape.grad_out, tape.unfilled
-    unfilled.update(grad_out)
     for vid, parents, rule in reversed(tape.nodes):
-        g = grads[vid]
+        g = grads.pop(vid, None)  # a node is never a leaf: its gradient is spent
         if g is None:
             continue
         for pid, pg in zip(parents, rule(g)):
             if pg is None or pid in constants:
                 continue
-            prev = grads[pid]
-            if prev is None:
-                grads[pid] = pg
-            else:
-                grads[pid] = np.add(prev, pg, grad_out.get(pid))
-                unfilled.discard(pid)  # a destination now holds the sum
-        grads[vid] = None  # a node is never a leaf: its gradient is spent
+            prev = grads.get(pid)
+            grads[pid] = pg if prev is None else np.add(prev, pg, grad_out.get(pid))
     for vid, out in grad_out.items():
-        if grads[vid] is not out:
-            out[...] = 0.0 if grads[vid] is None else grads[vid]
+        g = grads.get(vid)
+        if g is not out:
+            out[...] = 0.0 if g is None else g
             grads[vid] = out
     values = tape.values
-    return {vid: np.zeros(values[vid].shape) if grads[vid] is None
-            else np.asarray(grads[vid]) for vid in tape.leaves}
+    return {vid: np.asarray(grads[vid]) if vid in grads
+            else np.zeros(values[vid].shape) for vid in tape.leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +226,15 @@ def matmul(a: Var, b: Var) -> Var:
         )
 
     a_const = a.vid in tape.constants
-    # the rule holds the tape's set, never the tape: a tape -> node -> rule
-    # -> tape cycle would keep every step's tape alive until a gc pass
-    b_vid, dest, unfilled = b.vid, tape.grad_out.get(b.vid), tape.unfilled
+    # the rule holds the tape's gradient record, never the tape: a tape ->
+    # node -> rule -> tape cycle would keep every step's tape alive until a
+    # gc pass
+    b_vid, dest, grads = b.vid, tape.grad_out.get(b.vid), tape.grads
 
     # np.dot gives @'s bits here, and is faster on a k=1 outer product
     def rule(g, av=av, bv=bv):
-        ga = None if a_const else np.dot(g, bv.T)
-        if b_vid in unfilled:
-            unfilled.discard(b_vid)
-            return ga, np.dot(av.T, g, out=dest)
-        return ga, np.dot(av.T, g)
+        return (None if a_const else np.dot(g, bv.T),
+                np.dot(av.T, g, out=None if b_vid in grads else dest))
 
     return tape.register(np.dot(av, bv), (a.vid, b.vid), rule)
 

@@ -83,7 +83,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean: 1/0, true/false, yes/no or on/off")
 
 
 def _parse_float(raw: str) -> float:

@@ -561,6 +561,33 @@ def _check_destinations(passes):
     assert not any(np.shares_memory(filled["free"], out) for out in outs.values())
 
 
+def test_backward_after_a_raising_rule_refills_the_destinations(monkeypatch):
+    # a pass stopped part-way leaves its sums in tape.grads and in the
+    # destinations it reached; the next pass on the tape starts afresh
+    fresh, _ = _destination_graph(with_out=False)
+    backward = ad.backward
+
+    def stopped_then_rerun(tape, loss):
+        vid, parents, rule = tape.nodes[0]  # x @ one: its rule runs last
+
+        def failing(g):
+            raise RuntimeError("stopped")
+
+        tape.nodes[0] = (vid, parents, failing)
+        with pytest.raises(RuntimeError, match="stopped"):
+            backward(tape, loss)
+        tape.nodes[0] = (vid, parents, rule)
+        assert tape.grads
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", stopped_then_rerun)
+    filled, outs = _destination_graph(with_out=True)
+    for name, out in outs.items():
+        assert filled[name] is out, name
+        assert out.tobytes() == fresh[name].tobytes(), name
+    assert filled["free"].tobytes() == fresh["free"].tobytes()
+
+
 def test_backward_leaves_no_reference_cycle_through_the_tape():
     # a rule that held its tape would keep the tape, and the batch it
     # holds, alive until a gc pass; freed at once, the weakref dies

@@ -227,6 +227,20 @@ def test_bad_boolean_rejected(tmp_path):
         cli.parse_config(["train", "--config", path])
 
 
+@pytest.mark.parametrize("item", ["overwrite=maybe", "harden_pseudo_labels=2"])
+@pytest.mark.parametrize("where", ["set", "file"])
+def test_bad_boolean_exits_config_naming_the_key(tmp_path, capsys, item, where):
+    key, raw = item.split("=")
+    given = (["--set", item] if where == "set"
+             else ["--config", write_cfg(tmp_path / "a.cfg", [item])])
+    out = tmp_path / "run"
+    assert cli.main(["train", *given, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: bad value for {key}: {raw!r} (")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_integer_names_the_key(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", ["steps=soon"])
     with pytest.raises(ConfigError, match="steps"):

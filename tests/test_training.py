@@ -272,12 +272,17 @@ def test_train_step_fills_one_flat_gradient_buffer():
     assert report.state.grad is None and report.state.grads is None
 
 
-def test_train_step_holds_one_first_layer_gradient_at_a_time():
+@pytest.mark.parametrize("weights", [
+    {"variant": "full"}, {"variant": "dart_c"}, {"variant": "dart_s"},
+    {"variant": "source_only"}, {"alpha": 0.0}, {"beta": 0.0},
+], ids=["full", "dart_c", "dart_s", "source_only", "alpha=0", "beta=0"])
+def test_train_step_holds_one_first_layer_gradient_at_a_time(weights):
     # backward computes the first matmul contribution of a weight straight
     # into the flat buffer and adds the other branch's in place, so one
-    # step never holds two full-size extractor.0.weight gradients
+    # step never holds two full-size extractor.0.weight gradients; where a
+    # zero weight skips the target branch, the source side writes first
     cfg = tr.TrainConfig(hidden=(128,), feature_dim=8, domain_hidden=16,
-                         batch_size=16, total_steps=10)
+                         batch_size=16, total_steps=10, **weights).effective()
     shape = SimpleNamespace(dim=1024, class_count=4)
     model = tr.build_model(cfg, shape, Prng(derive_seed(cfg.seed, STREAM_INIT)))
     rows = Prng(5).uniform_block(2 * 16 * 1024, -1.0, 1.0).reshape(2, 16, 1024)
