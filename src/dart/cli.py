@@ -87,7 +87,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float(raw: str) -> float:
-    # nan passes every range check in validate(), so refuse it here
+    # refuse nan and inf at the key: inf passes validate()'s lower bounds
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("value must be finite")

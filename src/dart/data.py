@@ -121,14 +121,11 @@ class TaskConfig:
         if self.kind not in ("blobs", "idx"):
             raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
         if self.kind == "blobs":
-            if self.classes < 2:
-                raise ConfigError("task.classes must be >= 2")
-            if self.per_class < 1:
-                raise ConfigError("task.per_class must be >= 1")
-            if self.dim < 2:
-                raise ConfigError("task.dim must be >= 2")
-            if self.spread < 0:
-                raise ConfigError("task.spread must be >= 0")
+            # `not value >= least` also refuses nan
+            for name, least in (("classes", 2), ("per_class", 1), ("dim", 2),
+                                ("spread", 0)):
+                if not getattr(self, name) >= least:
+                    raise ConfigError(f"task.{name} must be >= {least}")
             for width, key in ((self.dim, "dim"), (self.classes, "classes")):
                 entries = self.classes * self.per_class * width
                 if entries > MAX_ENTRIES:
@@ -138,13 +135,13 @@ class TaskConfig:
         else:
             if not self.images or not self.labels:
                 raise ConfigError("task.kind=idx requires task.images and task.labels")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ConfigError("task.scale must be > 0")
         if self.normalization not in ("source", "none"):
             raise ConfigError(
                 f"task.normalization must be source or none, got {self.normalization!r}"
             )
-        if self.subsample < 0:
+        if not self.subsample >= 0:
             raise ConfigError("task.subsample must be >= 0")
 
 

@@ -11,10 +11,14 @@ against two expressions assembled from one (ly, lh, ld) sweep:
 which is precisely what the backward pass produces (the domain loss
 reaches feature parameters only through the reversal layer; it reaches
 the residual block not at all, and the domain classifier sits above the
-reversal point).
+reversal point). The analytic side is the flat gradient buffer a
+training step applies, filled by one backward pass; the sweep walks it
+entry by entry alongside the flat parameter vector.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from dart import autodiff as ad
 from dart import model as dm
@@ -85,46 +89,33 @@ def run_gradcheck(seed: int = DEFAULT_SEED) -> GradcheckReport:
     model, xs, ys, xt = build_tiny_instance(seed)
     h, alpha, beta, lam = STEP, TINY_ALPHA, TINY_BETA, TINY_LAMBDA
 
+    flat = model.flat_parameters()
+    analytic = np.empty_like(flat)
     tape = Tape()
-    graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, alpha, beta)
-    grads = ad.backward(tape, graph.total)
-    analytic = {
-        name: grads[var.vid] for name, var in graph.params.items()
-    }
+    graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, alpha, beta,
+                                    grads=model.views_of(analytic))
+    ad.backward(tape, graph.total)
 
     def losses_now():
-        t = Tape()
-        g = dm.build_training_graph(model, t, xs, ys, xt, lam, alpha, beta)
+        g = dm.build_training_graph(model, Tape(), xs, ys, xt, lam, alpha, beta)
         return float(g.ly.value), float(g.lh.value), float(g.ld.value)
 
-    params = model.parameters()
+    # (label, sign of ld's difference) of each entry of flat
     feature_names = set(model.feature_param_names())
-    worst = 0.0
-    worst_param = ""
-    checked = 0
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
-        a = analytic[name].reshape(-1)
-        sign = -lam * beta if name in feature_names else beta
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            ly_p, lh_p, ld_p = losses_now()
-            flat[idx] = orig - h
-            ly_m, lh_m, ld_m = losses_now()
-            flat[idx] = orig
-            fd = (
-                (ly_p - ly_m) + alpha * (lh_p - lh_m) + sign * (ld_p - ld_m)
-            ) / (2.0 * h)
-            err = abs(a[idx] - fd) / max(abs(a[idx]), abs(fd), REL_ERR_FLOOR)
-            checked += 1
-            if err > worst:
-                worst = err
-                worst_param = f"{name}[{idx}]"
-    return GradcheckReport(
-        max_rel_err=worst,
-        worst_param=worst_param,
-        checked=checked,
-        tolerance=TOLERANCE,
-        passed=worst < TOLERANCE,
-    )
+    entries = [(f"{name}[{i}]", -lam * beta if name in feature_names else beta)
+               for name, arr in model.parameters().items() for i in range(arr.size)]
+    worst, worst_param = 0.0, ""
+    for k, (label, sign) in enumerate(entries):
+        orig = flat[k]
+        flat[k] = orig + h
+        ly_p, lh_p, ld_p = losses_now()
+        flat[k] = orig - h
+        ly_m, lh_m, ld_m = losses_now()
+        flat[k] = orig
+        fd = ((ly_p - ly_m) + alpha * (lh_p - lh_m) + sign * (ld_p - ld_m)) / (2.0 * h)
+        a = analytic[k]
+        err = abs(a - fd) / max(abs(a), abs(fd), REL_ERR_FLOOR)
+        if err > worst:
+            worst, worst_param = err, label
+    return GradcheckReport(max_rel_err=worst, worst_param=worst_param, checked=flat.size,
+                           tolerance=TOLERANCE, passed=worst < TOLERANCE)

@@ -34,6 +34,12 @@ METRICS_COLUMNS = ("step", "eta", "lambda", "loss_y", "loss_h", "loss_d",
                    "loss_total")
 
 
+# TrainConfig field -> its least valid value
+_LOWER_BOUNDS = {"alpha": 0, "beta": 0, "eta0": 0, "lambda0": 0, "gamma_lambda": 0,
+                 "total_steps": 0, "batch_size": 1, "lr_decay_interval": 1,
+                 "log_every": 1}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters and hidden widths for one training run; the input
@@ -58,32 +64,22 @@ class TrainConfig:
     log_every: int = 50
 
     def validate(self) -> None:
-        for name in ("alpha", "beta", "eta0", "lambda0"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # `not value >= least` also refuses nan
+        for name, least in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if not value >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if not 0.0 < self.gamma_lr <= 1.0:
             raise ConfigError(f"gamma_lr must be in (0, 1], got {self.gamma_lr}")
-        if self.gamma_lambda < 0:
-            raise ConfigError(f"gamma_lambda must be >= 0, got {self.gamma_lambda}")
-        if self.total_steps < 0:
-            raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("hidden", "feature_dim", "residual_hidden", "domain_hidden"):
             value = getattr(self, name)
-            if value is not None and min(np.atleast_1d(value), default=1) < 1:
+            if value is not None and not (np.atleast_1d(value) >= 1).all():
                 raise ConfigError(f"{name} widths must be >= 1, got {value}")
-        if self.lr_decay_interval < 1:
-            raise ConfigError(
-                f"lr_decay_interval must be >= 1, got {self.lr_decay_interval}"
-            )
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}"
             )
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
-        if self.seed < 0 or self.seed > (1 << 64) - 1:
+        if not 0 <= self.seed <= (1 << 64) - 1:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def effective(self) -> "TrainConfig":

@@ -1,5 +1,6 @@
 """The finite-difference oracle over the full network."""
 
+import functools
 import time
 
 import pytest
@@ -24,6 +25,41 @@ def test_gradcheck_sweeps_every_parameter():
     # 9x4+4 and 4x1+1 domain layers
     assert report.checked == 96
     assert report.worst_param  # names the worst coordinate
+
+
+def test_gradcheck_reads_the_buffer_backward_fills(monkeypatch):
+    # the one backward pass has a destination for every parameter, each a
+    # view of one buffer laid out like the flat parameter vector
+    tapes = []
+    backward = gc.ad.backward
+
+    def spy(tape, loss):
+        tapes.append(tape)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(gc.ad, "backward", spy)
+    report = gc.run_gradcheck()
+    model = gc.build_tiny_instance()[0]
+    (tape,) = tapes
+    assert len(tape.grad_out) == len(model.parameters())
+    outs = list(tape.grad_out.values())
+    assert all(out.base is outs[0].base for out in outs)
+    assert outs[0].base.shape == (report.checked,)
+
+
+@pytest.mark.parametrize("target, kwargs, checked", [
+    ("DartModel", {"domain_on_joint": False}, 72),  # dart_c's wiring
+    ("DartModel", {"use_residual": False}, 96),  # dart_s's wiring
+    ("DartModel", {"domain_on_joint": False, "use_residual": False}, 72),
+    ("build_training_graph", {"harden_pseudo_labels": True}, 96),
+], ids=["marginal", "no_residual", "marginal_no_residual", "hard_pseudo_labels"])
+def test_gradcheck_passes_on_every_wiring(monkeypatch, target, kwargs, checked):
+    monkeypatch.setattr(gc.dm, target,
+                        functools.partial(getattr(gc.dm, target), **kwargs))
+    for seed in (1, 2, 3, 11):
+        report = gc.run_gradcheck(seed=seed)
+        assert report.passed, (seed, report)
+        assert report.checked == checked
 
 
 def test_gradcheck_alternate_seeds_also_pass():
