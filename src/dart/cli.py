@@ -282,7 +282,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     ckpt_shape = (model.input_dim, model.class_count,
                   model.domain_on_joint, model.use_residual)
     task_shape = (task.source.dim, task.source.class_count,
-                  *tr.WIRING[cfg.train.variant])
+                  *tr.VARIANTS[cfg.train.variant][:2])
     if ckpt_shape != task_shape:
         raise ConfigError(
             f"checkpoint (input width, class count, domain_on_joint, "

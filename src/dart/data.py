@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dart.autodiff import MAX_ENTRIES, Tensor, is_one_hot, one_hot
-from dart.errors import ConfigError, ContractError, DataFormatError
+from dart.errors import ConfigError, ContractError, DataFormatError, check_integer_fields
 from dart.rng import STREAM_DATA, Prng, derive_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -118,6 +118,7 @@ class TaskConfig:
     subsample: int = 0
 
     def validate(self) -> None:
+        check_integer_fields(self, "task.")
         if self.kind not in ("blobs", "idx"):
             raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
         if self.kind == "blobs":

@@ -120,12 +120,9 @@ def a_distance(features_src: Tensor, features_tgt: Tensor, rng: Prng) -> float:
 
 
 def run_ablation(variant: str, task: dd.Task, cfg: tr.TrainConfig) -> EvalReport:
-    if variant not in tr.VARIANTS:
-        raise ContractError(
-            f"variant must be one of {', '.join(tr.VARIANTS)}, got {variant!r}"
-        )
+    """Trains and evaluates ``variant`` on ``task`` with, and echoing,
+    ``cfg.effective()`` at that variant: cfg checked, its VARIANTS row applied."""
     run_cfg = replace(cfg, variant=variant).effective()
-    run_cfg.validate()
     model = tr.build_model(run_cfg, task.source,
                            Prng(derive_seed(run_cfg.seed, STREAM_INIT)))
     tr.train_loop(model, task.source, task.target, run_cfg)

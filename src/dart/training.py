@@ -10,25 +10,24 @@ SGD update of the model's flat parameter vector.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from dart import autodiff as ad
 from dart import model as dm
 from dart.autodiff import Tape, Tensor
-from dart.errors import ConfigError, ContractError, NumericError
+from dart.errors import ConfigError, ContractError, NumericError, check_integer_fields
 from dart.rng import STREAM_SAMPLING, Prng, derive_seed
 
-# variant -> (domain_on_joint, use_residual), the wiring it gives the model;
-# source_only shares full's wiring and differs only in effective()
-WIRING = {
-    "full": (True, True),
-    "dart_c": (False, True),
-    "dart_s": (True, False),
-    "source_only": (True, True),
+# variant -> (domain_on_joint, use_residual, adapts): build_model's wiring,
+# and whether the run trains the entropy and domain losses (effective())
+VARIANTS = {
+    "full": (True, True, True),
+    "dart_c": (False, True, True),
+    "dart_s": (True, False, True),
+    "source_only": (True, True, False),
 }
-VARIANTS = tuple(WIRING)
 
 METRICS_COLUMNS = ("step", "eta", "lambda", "loss_y", "loss_h", "loss_d",
                    "loss_total")
@@ -64,6 +63,7 @@ class TrainConfig:
     log_every: int = 50
 
     def validate(self) -> None:
+        check_integer_fields(self)
         # `not value >= least` also refuses nan
         for name, least in _LOWER_BOUNDS.items():
             value = getattr(self, name)
@@ -83,19 +83,18 @@ class TrainConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
     def effective(self) -> "TrainConfig":
-        """Variant-adjusted copy: source-only training zeroes both
-        adaptation weights; the wiring flags live on the model."""
-        cfg = TrainConfig(**vars(self))
-        if cfg.variant == "source_only":
-            cfg.alpha = 0.0
-            cfg.beta = 0.0
-        return cfg
+        """The config a run trains with: validated, then a copy with alpha
+        and beta at 0.0 if the variant's ``VARIANTS`` row does not adapt."""
+        self.validate()
+        adapts = VARIANTS[self.variant][2]
+        return replace(self) if adapts else replace(self, alpha=0.0, beta=0.0)
 
 
 def build_model(cfg: TrainConfig, source, rng: Prng | None) -> dm.DartModel:
     """The variant's network for ``source``'s input width and class count
-    (all zeros without ``rng``)."""
-    domain_on_joint, use_residual = WIRING[cfg.variant]
+    (all zeros without ``rng``), wired by its row of ``VARIANTS``."""
+    cfg.validate()
+    domain_on_joint, use_residual, _ = VARIANTS[cfg.variant]
     return dm.DartModel(
         input_dim=source.dim,
         hidden=cfg.hidden,
@@ -274,9 +273,8 @@ def train_loop(
     metrics_path=None,
 ) -> TrainReport:
     """Runs cfg.total_steps steps; logs every cfg.log_every steps plus the
-    final step. With a metrics path, rows go to a CSV with a header. The
-    variant's loss weights apply here (see ``TrainConfig.effective``)."""
-    cfg.validate()
+    final step. With a metrics path, rows go to a CSV with a header. The run
+    trains with ``cfg.effective()``: cfg checked, its VARIANTS row applied."""
     cfg = cfg.effective()
     if (source.dim, source.class_count) != (model.input_dim, model.class_count):
         raise ContractError(

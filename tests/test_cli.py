@@ -110,6 +110,38 @@ def test_nan_in_a_numeric_field_fails_validate_naming_it(kind, f):
         cfg.validate()
 
 
+@pytest.mark.parametrize("kind, f", [
+    pytest.param(kind, f, id=f"{kind.__name__}.{f.name}")
+    for kind in (tr.TrainConfig, dd.TaskConfig) for f in dataclasses.fields(kind)
+    if f.type in (int, int | None, tuple[int, ...])])
+def test_non_integer_in_an_integer_field_fails_validate_naming_it(kind, f):
+    # the parser's int converter refuses 2.5 at the key; a config built in
+    # Python must be refused by validate() too
+    cfg = kind(**{f.name: (2.5,) if f.type == tuple[int, ...] else 2.5})
+    with pytest.raises(ConfigError, match=f.name):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (tr.TrainConfig, "total_steps", 2.0),
+    (tr.TrainConfig, "residual_hidden", "8"),
+    (tr.TrainConfig, "hidden", 16),
+    (dd.TaskConfig, "per_class", 20.0),
+])
+def test_integer_fields_refuse_every_non_integer(kind, key, value):
+    with pytest.raises(ConfigError, match=key):
+        kind(**{key: value}).validate()
+
+
+def test_integer_fields_take_numpy_integers_and_none_where_typed():
+    tr.TrainConfig(total_steps=np.int64(3), hidden=(np.int32(4),), seed=np.uint64(7),
+                   residual_hidden=None).validate()
+    tr.TrainConfig(hidden=[4, 2]).validate()
+    dd.TaskConfig(per_class=np.int64(5)).validate()
+    with pytest.raises(ConfigError, match="domain_hidden"):
+        tr.TrainConfig(domain_hidden=None).validate()
+
+
 def test_readme_key_tables_list_exactly_the_config_keys():
     # the key column of README's two tables under "Config file"
     readme = pathlib.Path(__file__).parents[1] / "README.md"
@@ -130,6 +162,14 @@ def test_readme_autodiff_row_names_every_op():
            and f.__annotations__.get("return") == "Var"]
     assert len(ops) == 16
     assert set(ops) <= set(re.findall(r"`([^`]+)`", row))
+
+
+def test_readme_variant_row_names_every_variant():
+    # the values column of the `variant` row lists tr.VARIANTS, in order
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    (row,) = [line for line in readme.read_text(encoding="utf-8").splitlines()
+              if line.startswith("| `variant` |")]
+    assert re.findall(r"`([^`]+)`", row.split("|")[3]) == list(tr.VARIANTS)
 
 
 def readme_key_rows():

@@ -130,6 +130,12 @@ def test_blobs_rejects_bad_arguments():
         dd.make_blobs_task(1, dim=1)
 
 
+def test_blobs_refuse_a_non_integer_count():
+    # refused, not rounded into a task of some other size
+    with pytest.raises(ConfigError, match="task.per_class"):
+        dd.make_blobs_task(1, per_class=2.5)
+
+
 # ---------------------------------------------------------------------------
 # apply_shift
 

@@ -1,6 +1,7 @@
 """Accuracy, A-distance probe, ablation wiring, and report serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dart import data as dd
 from dart import evaluation as ev
 from dart import model as dm
 from dart import training as tr
-from dart.errors import ContractError, NumericError, ShapeError
+from dart.errors import ConfigError, ContractError, NumericError, ShapeError
 from dart.rng import Prng
 
 
@@ -235,8 +236,20 @@ def test_evaluate_model_runs_one_forward_per_domain(monkeypatch):
 
 def test_run_ablation_rejects_unknown_variant():
     task = dd.make_blobs_task(seed=4, per_class=20)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         ev.run_ablation("dann", task, short_cfg())
+
+
+def test_run_ablation_refuses_what_train_loop_refuses():
+    # source_only trains with alpha 0 whatever the config says, yet a
+    # negative alpha is refused on both paths, before any training
+    task = dd.make_blobs_task(seed=4, per_class=20)
+    cfg = replace(short_cfg(), alpha=-1.0)
+    with pytest.raises(ConfigError, match="alpha"):
+        ev.run_ablation("source_only", task, cfg)
+    with pytest.raises(ConfigError, match="alpha"):
+        tr.train_loop(tr.build_model(short_cfg(), task.source, None),
+                      task.source, task.target, replace(cfg, variant="source_only"))
 
 
 def test_source_only_no_shift_target_matches_source_accuracy():

@@ -69,22 +69,41 @@ def test_config_rejects_bad_values():
             tr.TrainConfig(**bad).validate()
 
 
-def test_effective_config_zeroes_weights_for_source_only():
-    cfg = tr.TrainConfig(variant="source_only", alpha=0.6, beta=1.0)
+@pytest.mark.parametrize("variant", tr.VARIANTS)
+def test_effective_config_zeroes_weights_for_source_only(variant):
+    # the adapts column alone decides whether alpha and beta survive
+    cfg = tr.TrainConfig(variant=variant, alpha=0.6, beta=1.0)
     eff = cfg.effective()
-    assert eff.alpha == 0.0 and eff.beta == 0.0
-    assert cfg.alpha == 0.6  # original untouched
-    assert tr.TrainConfig(variant="full").effective().alpha == 0.6
+    adapts = tr.VARIANTS[variant][2]
+    assert (eff.alpha, eff.beta) == ((0.6, 1.0) if adapts else (0.0, 0.0))
+    assert adapts == (variant != "source_only")
+    assert (cfg.alpha, cfg.beta) == (0.6, 1.0)  # original untouched
+    assert replace(eff, alpha=0.6, beta=1.0) == cfg
 
 
-def test_build_model_variant_wiring():
+@pytest.mark.parametrize("bad, key", [
+    ({"variant": "dann"}, "variant"),
+    # source_only zeroes alpha, but only after validate() has seen it
+    ({"variant": "source_only", "alpha": -1.0}, "alpha"),
+])
+def test_effective_config_refuses_an_invalid_config(bad, key):
+    with pytest.raises(ConfigError, match=key):
+        tr.TrainConfig(**bad).effective()
+
+
+@pytest.mark.parametrize("variant", tr.VARIANTS)
+def test_build_model_variant_wiring(variant):
     src, _ = small_task()
-    cfg = small_config(variant="dart_c")
-    m = tr.build_model(cfg, src, Prng(1))
-    assert m.domain_on_joint is False and m.use_residual is True
-    cfg = small_config(variant="dart_s")
-    m = tr.build_model(cfg, src, Prng(1))
-    assert m.domain_on_joint is True and m.use_residual is False
+    m = tr.build_model(small_config(variant=variant), src, Prng(1))
+    domain_on_joint, use_residual, _ = tr.VARIANTS[variant]
+    assert (m.domain_on_joint, m.use_residual) == (domain_on_joint, use_residual)
+
+
+def test_build_model_refuses_an_unknown_variant():
+    # the ConfigError of validate(), not a KeyError from the table lookup
+    src, _ = small_task()
+    with pytest.raises(ConfigError, match="variant must be one of"):
+        tr.build_model(tr.TrainConfig(variant="dann"), src, None)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +516,15 @@ def test_train_loop_non_finite_parameter_is_numeric_error():
     model.parameters()["extractor.0.bias"][0] = -np.inf
     with pytest.raises(NumericError, match="extractor.0.bias"):
         tr.train_loop(model, task.source, task.target, cfg)
+
+
+def test_train_loop_refuses_a_non_integer_step_count():
+    # refused before the first step, not by range() as a TypeError
+    task = dd.make_blobs_task(1, per_class=20)
+    model = tr.build_model(tr.TrainConfig(), task.source, Prng(1))
+    with pytest.raises(ConfigError, match="total_steps"):
+        tr.train_loop(model, task.source, task.target,
+                      tr.TrainConfig(total_steps=2.5))
 
 
 def test_train_loop_validates_widths():
