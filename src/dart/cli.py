@@ -87,7 +87,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_float(raw: str) -> float:
-    # refuse nan and inf at the key: inf passes validate()'s lower bounds
+    # refuse nan and inf at the key, so the message quotes the text given
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("value must be finite")
@@ -118,9 +118,9 @@ _RENAMED = {"total_steps": "steps", "batch_size": "batch", "out_dir": "out"}
 # key -> (section, attribute, converter): one key per field of TrainConfig
 # and TaskConfig (prefixed ``task.``) and per RunConfig field other than
 # the command and those two parts, named after the field unless renamed;
-# sections address RunConfig parts.
+# sections address RunConfig parts. A type with no parser fails a test.
 _KEYS = {
-    prefix + _RENAMED.get(f.name, f.name): (section, f.name, _PARSERS[f.type])
+    prefix + _RENAMED.get(f.name, f.name): (section, f.name, _PARSERS.get(f.type))
     for section, prefix, kind in (("train", "", tr.TrainConfig),
                                   ("task", "task.", dd.TaskConfig),
                                   ("run", "", RunConfig))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dart.autodiff import MAX_ENTRIES, Tensor, is_one_hot, one_hot
-from dart.errors import ConfigError, ContractError, DataFormatError, check_integer_fields
+from dart.errors import ConfigError, ContractError, DataFormatError, check_fields
 from dart.rng import STREAM_DATA, Prng, derive_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -118,15 +118,11 @@ class TaskConfig:
     subsample: int = 0
 
     def validate(self) -> None:
-        check_integer_fields(self, "task.")
-        if self.kind not in ("blobs", "idx"):
-            raise ConfigError(f"task.kind must be blobs or idx, got {self.kind!r}")
+        blobs = {"classes": 2, "per_class": 1, "dim": 2, "spread": 0}
+        check_fields(self, {"subsample": 0, **(blobs if self.kind == "blobs" else {})},
+                     {"kind": ("blobs", "idx"), "normalization": ("source", "none")},
+                     "task.")
         if self.kind == "blobs":
-            # `not value >= least` also refuses nan
-            for name, least in (("classes", 2), ("per_class", 1), ("dim", 2),
-                                ("spread", 0)):
-                if not getattr(self, name) >= least:
-                    raise ConfigError(f"task.{name} must be >= {least}")
             for width, key in ((self.dim, "dim"), (self.classes, "classes")):
                 entries = self.classes * self.per_class * width
                 if entries > MAX_ENTRIES:
@@ -138,12 +134,6 @@ class TaskConfig:
                 raise ConfigError("task.kind=idx requires task.images and task.labels")
         if not self.scale > 0:
             raise ConfigError("task.scale must be > 0")
-        if self.normalization not in ("source", "none"):
-            raise ConfigError(
-                f"task.normalization must be source or none, got {self.normalization!r}"
-            )
-        if not self.subsample >= 0:
-            raise ConfigError("task.subsample must be >= 0")
 
 
 def make_task(task_cfg: TaskConfig, seed: int) -> Task:

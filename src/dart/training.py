@@ -17,7 +17,7 @@ import numpy as np
 from dart import autodiff as ad
 from dart import model as dm
 from dart.autodiff import Tape, Tensor
-from dart.errors import ConfigError, ContractError, NumericError, check_integer_fields
+from dart.errors import ConfigError, ContractError, NumericError, check_fields
 from dart.rng import STREAM_SAMPLING, Prng, derive_seed
 
 # variant -> (domain_on_joint, use_residual, adapts): build_model's wiring,
@@ -33,10 +33,10 @@ METRICS_COLUMNS = ("step", "eta", "lambda", "loss_y", "loss_h", "loss_d",
                    "loss_total")
 
 
-# TrainConfig field -> its least valid value
-_LOWER_BOUNDS = {"alpha": 0, "beta": 0, "eta0": 0, "lambda0": 0, "gamma_lambda": 0,
-                 "total_steps": 0, "batch_size": 1, "lr_decay_interval": 1,
-                 "log_every": 1}
+# TrainConfig field -> its least valid value (of each entry, for hidden)
+_LEAST = {"alpha": 0, "beta": 0, "eta0": 0, "lambda0": 0, "gamma_lambda": 0,
+          "total_steps": 0, "batch_size": 1, "lr_decay_interval": 1, "log_every": 1,
+          "hidden": 1, "feature_dim": 1, "residual_hidden": 1, "domain_hidden": 1}
 
 
 @dataclass
@@ -63,22 +63,9 @@ class TrainConfig:
     log_every: int = 50
 
     def validate(self) -> None:
-        check_integer_fields(self)
-        # `not value >= least` also refuses nan
-        for name, least in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if not value >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        check_fields(self, _LEAST, {"variant": VARIANTS})
         if not 0.0 < self.gamma_lr <= 1.0:
             raise ConfigError(f"gamma_lr must be in (0, 1], got {self.gamma_lr}")
-        for name in ("hidden", "feature_dim", "residual_hidden", "domain_hidden"):
-            value = getattr(self, name)
-            if value is not None and not (np.atleast_1d(value) >= 1).all():
-                raise ConfigError(f"{name} widths must be >= 1, got {value}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}"
-            )
         if not 0 <= self.seed <= (1 << 64) - 1:
             raise ConfigError("seed must fit in 64 unsigned bits")
 

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import gc
 import inspect
+import math
 import os
 import pathlib
 import re
@@ -32,6 +33,7 @@ from dart.errors import (
     DataFormatError,
     NumericError,
     ShapeError,
+    fits_type,
 )
 from dart.rng import STREAM_INIT, Prng, derive_seed
 
@@ -92,18 +94,13 @@ def test_every_config_field_has_exactly_one_key():
     assert len(targets) == 17 + 12 + 4
 
 
-# validate() leaves these unbounded: Dataset names the non-finite samples
-# a non-finite shift makes
-NAN_EXEMPT = ("rotation", "translation")
-
-
 @pytest.mark.parametrize("kind, f", [
     pytest.param(kind, f, id=f"{kind.__name__}.{f.name}")
     for kind in (tr.TrainConfig, dd.TaskConfig) for f in dataclasses.fields(kind)
-    if f.type not in (str, bool) and f.name not in NAN_EXEMPT])
+    if f.type not in (str, bool)])
 def test_nan_in_a_numeric_field_fails_validate_naming_it(kind, f):
     # a config built in Python skips the parser's finiteness check, and nan
-    # compares False with every bound: each bound must still refuse it
+    # compares False with every bound: the type check must refuse it
     nan = float("nan")
     cfg = kind(**{f.name: (nan,) if typing.get_origin(f.type) is tuple else nan})
     with pytest.raises(ConfigError, match=f.name):
@@ -127,6 +124,9 @@ def test_non_integer_in_an_integer_field_fails_validate_naming_it(kind, f):
     (tr.TrainConfig, "residual_hidden", "8"),
     (tr.TrainConfig, "hidden", 16),
     (dd.TaskConfig, "per_class", 20.0),
+    (tr.TrainConfig, "total_steps", True),
+    (tr.TrainConfig, "residual_hidden", True),
+    (tr.TrainConfig, "hidden", (4, False)),
 ])
 def test_integer_fields_refuse_every_non_integer(kind, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -140,6 +140,57 @@ def test_integer_fields_take_numpy_integers_and_none_where_typed():
     dd.TaskConfig(per_class=np.int64(5)).validate()
     with pytest.raises(ConfigError, match="domain_hidden"):
         tr.TrainConfig(domain_hidden=None).validate()
+
+
+def test_fields_take_numpy_scalars_of_their_kind():
+    tr.TrainConfig(alpha=np.float64(0.5), beta=np.float32(2.0), eta0=np.int64(1),
+                   harden_pseudo_labels=np.bool_(True)).validate()
+    dd.TaskConfig(spread=np.float32(0.5), rotation=np.float64(0.1),
+                  translation=(np.float32(1.0), np.float64(-1.0))).validate()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 10**400],
+                         ids=["inf", "-inf", "10**400"])
+@pytest.mark.parametrize("kind, f", [
+    pytest.param(kind, f, id=f"{kind.__name__}.{f.name}")
+    for kind in (tr.TrainConfig, dd.TaskConfig) for f in dataclasses.fields(kind)
+    if f.type in (float, tuple[float, ...])])
+def test_non_finite_float_fails_validate_naming_it(kind, f, value):
+    # 10**400 is a real number that no float holds: float() overflows
+    cfg = kind(**{f.name: (value,) if f.type == tuple[float, ...] else value})
+    with pytest.raises(ConfigError, match=f.name):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (tr.TrainConfig, "harden_pseudo_labels", "no"),
+    (tr.TrainConfig, "harden_pseudo_labels", 1),
+    (tr.TrainConfig, "alpha", "1"),
+    (tr.TrainConfig, "beta", False),
+    (tr.TrainConfig, "variant", ["full"]),
+    (dd.TaskConfig, "translation", 2.5),
+    (dd.TaskConfig, "translation", ("1.5", -1.0)),
+    (dd.TaskConfig, "rotation", "x"),
+    (dd.TaskConfig, "kind", None),
+    (dd.TaskConfig, "images", 0),
+])
+def test_a_value_of_the_wrong_type_fails_validate_naming_it(kind, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be "):
+        kind(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("kind", [tr.TrainConfig, dd.TaskConfig, cli.RunConfig])
+def test_every_config_field_type_is_parsed_and_checked(kind):
+    # a field of a new type fails here by name: the parser table and the
+    # type check must both know it; RunConfig's sections are not keys
+    for f in dataclasses.fields(kind):
+        if dataclasses.is_dataclass(f.type):
+            continue
+        name = f"{kind.__name__}.{f.name}: {f.type}"
+        assert f.type in cli._PARSERS, f"{name} has no parser"
+        assert fits_type(f.type, getattr(kind(), f.name)), f"{name} refuses its default"
+        assert not fits_type(f.type, 1 if f.type is str else "1"), \
+            f"{name} takes a value of another type"
 
 
 def test_readme_key_tables_list_exactly_the_config_keys():
@@ -969,6 +1020,24 @@ def test_mutated_config_file_exits_with_a_documented_code(tmp_path, data):
     valid = ("\n".join(TINY_KEYS) + "\n").encode("ascii")
     path.write_bytes(mutate_bytes(data, valid))
     assert train_zero_steps(tmp_path, str(path)) in (0, 1, 2, 3)
+
+
+# what a config built in Python may hold in any one field
+ATOMS = (st.none() | st.booleans() | st.integers()
+         | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=6))
+VALUES = ATOMS | st.lists(ATOMS, max_size=3) | st.lists(ATOMS, max_size=3).map(tuple)
+CONFIG_FIELDS = [(kind, f.name) for kind in (tr.TrainConfig, dd.TaskConfig)
+                 for f in dataclasses.fields(kind)]
+
+
+@FUZZ
+@given(field=st.sampled_from(CONFIG_FIELDS), value=VALUES)
+def test_any_value_in_a_field_validates_or_names_it(field, value):
+    kind, name = field
+    try:
+        kind(**{name: value}).validate()
+    except ConfigError as exc:
+        assert name in str(exc)
 
 
 @FUZZ

@@ -136,6 +136,18 @@ def test_blobs_refuse_a_non_integer_count():
         dd.make_blobs_task(1, per_class=2.5)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("translation", 2.5),
+    ("rotation", "x"),
+    ("rotation", 10**400),
+])
+def test_blobs_refuse_a_shift_of_the_wrong_type_before_generating(monkeypatch, key,
+                                                                 value):
+    monkeypatch.setattr(dd, "gen_blobs", None)
+    with pytest.raises(ConfigError, match=f"task.{key}"):
+        dd.make_blobs_task(1, **{key: value})
+
+
 # ---------------------------------------------------------------------------
 # apply_shift
 

@@ -527,6 +527,24 @@ def test_train_loop_refuses_a_non_integer_step_count():
                       tr.TrainConfig(total_steps=2.5))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("harden_pseudo_labels", "no"),
+    ("alpha", 10**400),
+    ("eta0", 10**400),
+    ("lambda0", 10**400),
+    ("eta0", math.inf),
+])
+def test_train_loop_refuses_a_bad_field_before_the_first_step(monkeypatch, key, value):
+    # "no" would train with hardened pseudo-labels, 10**400 overflow in a
+    # schedule and inf end in a numeric failure: each is a ConfigError first
+    task = dd.make_blobs_task(1, per_class=20)
+    model = tr.build_model(tr.TrainConfig(), task.source, Prng(1))
+    monkeypatch.setattr(tr, "train_step", None)
+    with pytest.raises(ConfigError, match=key):
+        tr.train_loop(model, task.source, task.target,
+                      tr.TrainConfig(total_steps=3, **{key: value}))
+
+
 def test_train_loop_validates_widths():
     src, tgt = small_task()
     cfg = small_config()
