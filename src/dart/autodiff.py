@@ -9,9 +9,9 @@ gradients. Ops and rules call numpy's ufuncs and their ``reduce`` rather
 than the ndarray methods that wrap them (``.sum``, ``.max``), with the
 same bits and less overhead per node. :func:`backward` replays the nodes in
 strict reverse registration order, accumulating gradients additively over
-fan-out in one record on the tape, and returns a gradient for every leaf
-(a parameter's can go to a destination array given at registration, with
-the same bits). Leaves registered with
+fan-out in one record on the tape, a list indexed by id, and returns a
+gradient for every leaf (a parameter's can go to a destination array given
+at registration, with the same bits). Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
 :func:`multiply` skip the products that would only feed one. A rule
@@ -28,10 +28,27 @@ Constants and leaves registered with :meth:`Tape.parameter` (model
 parameters) skip the finiteness scan that :meth:`Tape.variable` makes:
 their owner checks them where they enter (``Dataset`` its samples, the
 model its parameters) and after training, and a non-finite value derived
-from them reaches the loss check. The A-distance probe trains without a tape:
-``dart.model.train_domain_probe`` repeats the forward ops and backward
-rules of matmul, add_bias, relu, sigmoid, clamp and log_eps for its fixed
-network, and a tier-1 test pins it to their bits.
+from them reaches the loss check.
+
+Record once, replay: a tape built for a fixed graph can run it again on
+new inputs without being rebuilt. Each op of a training step writes its
+forward pass with ``out=`` into arrays it makes when it is recorded, and
+saves them on the tape with its rule; its rule reads the operands it needs
+from ``Tape.values`` when it runs. After :meth:`Tape.rewind` the caller
+calls the same ops on the same tape in the same order: each op runs the
+same forward arithmetic into its saved arrays, refills the scalars its
+rule reads (a :func:`scalar_mul` scale, a :func:`gradient_reversal`
+coefficient), and :meth:`Tape.register` hands back its recorded id with
+the recorded rule, so :func:`backward` reruns the recorded nodes. A leaf
+takes the array it is given. A registration whose value is not the
+recorded array (an op that makes a fresh array, such as
+:func:`mean_rows`) replaces the recorded value and rule. ``training.
+train_step`` records the first step of a run and replays it on every
+later step whose batch has the recorded shapes. The A-distance probe
+trains without a tape: ``dart.model.train_domain_probe`` repeats the
+forward ops and backward rules of matmul, add_bias, relu, sigmoid, clamp
+and log_eps for its fixed network, and a tier-1 test pins it to their
+bits.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -46,6 +63,7 @@ of the system is built around:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,35 +127,66 @@ class Tape:
 
     ``values[i]`` holds the tensor for id ``i``; ``nodes`` holds, for each
     non-leaf id, the tuple ``(vid, parent_vids, backward_rule)``;
-    ``leaves`` holds the leaf ids in registration order, ``constants``
-    those that need no gradient, ``grad_out`` the gradient destination
-    of each leaf registered with one and ``grads`` the gradient so far of
-    each id the current (or last) :func:`backward` has reached. Parents
-    always precede their node in registration order, so the record is
+    ``leaves`` holds the leaf ids in registration order and ``constants``
+    those that need no gradient. Three more lists are indexed by id, None
+    where they hold nothing: ``grad_out`` the gradient destination of a
+    leaf registered with one, ``grads`` the gradient so far of each id the
+    current (or last) :func:`backward` has reached, and ``saved`` what the
+    op registered on each id saved for a replay, its rule and the arrays
+    its forward writes. ``pos`` is the id the next registration gets: the
+    tape's length while it records, less while it replays (see
+    :meth:`rewind`); ``saved`` has an entry for it either way, which an op
+    that records fills before it registers. Parents always
+    precede their node in registration order, so the record is
     topologically sorted by construction. A tape and its tensors belong to
     a single thread for the duration of a forward/backward pass.
     """
 
-    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "grads")
+    __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "grads",
+                 "saved", "pos", "__weakref__")
 
     def __init__(self):
         self.values: list[Tensor] = []
         self.nodes: list[tuple[int, tuple[int, ...], BackwardRule]] = []
         self.leaves: list[int] = []
         self.constants: set[int] = set()
-        self.grad_out: dict[int, Tensor] = {}
-        self.grads: dict[int, Tensor] = {}
+        self.grad_out: list[Tensor | None] = []
+        self.grads: list[Tensor | None] = []
+        self.saved: list[tuple | None] = [None]
+        self.pos = 0
+
+    def rewind(self) -> None:
+        """Starts a replay: the next registrations get the recorded ids
+        again, in order. The caller registers the recorded graph again:
+        leaves of the recorded shapes and the same ops in the same order,
+        each on the ids it was recorded on."""
+        self.pos = 0
+
+    def _append(self, value: Tensor) -> None:
+        self.values.append(value)
+        self.grad_out.append(None)
+        self.grads.append(None)
+        self.saved.append(None)
 
     def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
         finiteness scan; backward computes its gradient, into ``grad_out``
-        (a float64 array of the same shape) when given: a matmul computes
-        the first contribution there, and later ones add in place."""
-        vid = len(self.values)
-        self.values.append(arr)
-        self.leaves.append(vid)
-        if grad_out is not None:
-            self.grad_out[vid] = grad_out
+        (a float64 array of the same shape) when given: a matmul or
+        add_bias computes the first contribution there, and later ones add
+        in place. While the tape replays, the array takes the recorded
+        leaf's place."""
+        vid, values = self.pos, self.values
+        if vid < len(values):
+            if arr is not values[vid] and arr.shape != values[vid].shape:
+                raise ContractError(
+                    f"replayed leaf {vid} has shape {arr.shape}, "
+                    f"recorded {values[vid].shape}")
+            values[vid] = arr
+        else:
+            self._append(arr)
+            self.leaves.append(vid)
+        self.grad_out[vid] = grad_out
+        self.pos = vid + 1
         return Var(self, vid, arr)
 
     def variable(self, value) -> Var:
@@ -157,10 +206,18 @@ class Tape:
 
     def register(self, value: Tensor, parents: tuple[int, ...],
                  rule: BackwardRule) -> Var:
-        """Register an operation result with its backward rule."""
-        vid = len(self.values)
-        self.values.append(value)
-        self.nodes.append((vid, parents, rule))
+        """Register an operation result with its backward rule. While the
+        tape replays, the recorded node stays as it is if ``value`` is the
+        recorded array (an op wrote its forward into it); any other value
+        replaces the recorded one, and ``rule`` the recorded rule."""
+        vid, values = self.pos, self.values
+        if vid == len(values):
+            self._append(value)
+            self.nodes.append((vid, parents, rule))
+        elif value is not values[vid]:
+            values[vid] = value
+            self.nodes[bisect_left(self.nodes, (vid,))] = (vid, parents, rule)
+        self.pos = vid + 1
         return Var(self, vid, value)
 
 
@@ -174,17 +231,17 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     """Gradient of a scalar loss w.r.t. every leaf of the tape, by id.
 
     The seed gradient at the loss is 1; fan-out accumulates additively in
-    ``tape.grads``, which backward clears when it starts and from which it
-    pops a node's entry when the node's rule runs. Leaves the loss does not
-    depend on, constants, and leaves reached only through a rule's None get
-    zero gradients. A leaf with a gradient destination gets it back, filled
-    in place with the bits of the fresh-array path. The one invariant: the
-    leaf has an entry in ``grads`` exactly when a contribution has reached
-    it. So a matmul computes its weight's gradient into the destination
-    when there is no entry (``np.dot(av.T, g, out=dest)``), each later
-    contribution is added in place (``np.add(prev, pg, out)`` is
-    ``prev + pg``), a single one from another op is copied in, and none
-    gives zeros.
+    ``tape.grads``, which backward clears when it starts and in which it
+    drops a node's entry when the node's rule runs. Leaves the loss does
+    not depend on, constants, and leaves reached only through a rule's None
+    get zero gradients. A leaf with a gradient destination gets it back,
+    filled in place with the bits of the fresh-array path. The one
+    invariant: the leaf's entry in ``grads`` is not None exactly when a
+    contribution has reached it. So a matmul computes its weight's gradient
+    into the destination when the entry is None (``np.dot(av.T, g,
+    out=dest)``), and an add_bias its bias's, each later contribution is
+    added in place (``np.add(prev, pg, out)`` is ``prev + pg``), a single
+    one from another op is copied in, and none gives zeros.
     """
     loss_value = loss.value
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -192,29 +249,34 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
             f"backward requires a scalar loss, got shape {loss_value.shape}"
         )
     grads, constants, grad_out = tape.grads, tape.constants, tape.grad_out
-    grads.clear()
+    grads[:] = [None] * len(grads)
     grads[loss.vid] = np.ones(loss_value.shape)
     for vid, parents, rule in reversed(tape.nodes):
-        g = grads.pop(vid, None)  # a node is never a leaf: its gradient is spent
+        g = grads[vid]
         if g is None:
             continue
+        grads[vid] = None  # a node is never a leaf: its gradient is spent
         for pid, pg in zip(parents, rule(g)):
             if pg is None or pid in constants:
                 continue
-            prev = grads.get(pid)
-            grads[pid] = pg if prev is None else np.add(prev, pg, grad_out.get(pid))
-    for vid, out in grad_out.items():
-        g = grads.get(vid)
-        if g is not out:
+            prev = grads[pid]
+            grads[pid] = pg if prev is None else np.add(prev, pg, grad_out[pid])
+    values, leaf_grads = tape.values, {}
+    for vid in tape.leaves:
+        g, out = grads[vid], grad_out[vid]
+        if out is not None and g is not out:
             out[...] = 0.0 if g is None else g
-            grads[vid] = out
-    values = tape.values
-    return {vid: np.asarray(grads[vid]) if vid in grads
-            else np.zeros(values[vid].shape) for vid in tape.leaves}
+            grads[vid] = g = out
+        leaf_grads[vid] = np.zeros(values[vid].shape) if g is None else np.asarray(g)
+    return leaf_grads
 
 
 # ---------------------------------------------------------------------------
-# Operations
+# Operations. Each op of a training step runs one forward, into arrays it
+# makes and saves while the tape records (``saved`` is None) and gets back
+# while it replays; a rule holds the tape's lists, never the tape: a tape ->
+# node -> rule -> tape cycle would keep every step's tape alive until a gc
+# pass.
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -224,79 +286,106 @@ def matmul(a: Var, b: Var) -> Var:
         raise ShapeError(
             f"matmul shapes incompatible: {av.shape} x {bv.shape}"
         )
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        a_vid, b_vid, a_const = a.vid, b.vid, a.vid in tape.constants
+        values, dests, grads = tape.values, tape.grad_out, tape.grads
 
-    a_const = a.vid in tape.constants
-    # the rule holds the tape's gradient record, never the tape: a tape ->
-    # node -> rule -> tape cycle would keep every step's tape alive until a
-    # gc pass
-    b_vid, dest, grads = b.vid, tape.grad_out.get(b.vid), tape.grads
+        # np.dot gives @'s bits here, and is faster on a k=1 outer product
+        def rule(g):
+            return (None if a_const else np.dot(g, values[b_vid].T),
+                    np.dot(values[a_vid].T, g,
+                           out=dests[b_vid] if grads[b_vid] is None else None))
 
-    # np.dot gives @'s bits here, and is faster on a k=1 outer product
-    def rule(g, av=av, bv=bv):
-        return (None if a_const else np.dot(g, bv.T),
-                np.dot(av.T, g, out=None if b_vid in grads else dest))
-
-    return tape.register(np.dot(av, bv), (a.vid, b.vid), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty((av.shape[0], bv.shape[1]))
+    np.dot(av, bv, out=saved[1])
+    return tape.register(saved[1], (a.vid, b.vid), saved[0])
 
 
 def relu(x: Var) -> Var:
-    xv = x.value
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        mask = np.empty(xv.shape, dtype=bool)
+
+        def rule(g, mask=mask):
+            return (g * mask,)
+
+        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), mask
+    _, out, mask = saved
     # Gradient passes where the input is strictly positive.
-    mask = xv > 0.0
-
-    def rule(g, mask=mask):
-        return (g * mask,)
-
-    return x.tape.register(np.maximum(xv, 0.0), (x.vid,), rule)
+    np.greater(xv, 0.0, out=mask)
+    np.maximum(xv, 0.0, out=out)
+    return tape.register(out, (x.vid,), saved[0])
 
 
 def softmax_rows(z: Var) -> Var:
-    zv = z.value
+    tape, zv = z.tape, z.value
     if zv.ndim != 2 or zv.shape[1] < 1:
         raise ShapeError(f"softmax_rows needs a 2-d input, got {zv.shape}")
-    s = np.subtract(zv, np.maximum.reduce(zv, axis=1, keepdims=True))
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        s = np.empty(zv.shape)
+
+        def rule(g, s=s):
+            return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
+
+        saved = tape.saved[tape.pos] = rule, s, np.empty((zv.shape[0], 1))
+    _, s, row = saved
+    np.maximum.reduce(zv, axis=1, keepdims=True, out=row)
+    np.subtract(zv, row, out=s)
     np.exp(s, out=s)
-    s /= np.add.reduce(s, axis=1, keepdims=True)
-
-    def rule(g, s=s):
-        return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
-
-    return z.tape.register(s, (z.vid,), rule)
+    np.add.reduce(s, axis=1, keepdims=True, out=row)
+    np.divide(s, row, out=s)
+    return tape.register(s, (z.vid,), saved[0])
 
 
 def sigmoid(x: Var) -> Var:
-    xv = x.value
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        out = np.empty(xv.shape)
+
+        def rule(g, out=out):
+            return (g * out * (1.0 - out),)
+
+        saved = tape.saved[tape.pos] = (rule, out, np.empty(xv.shape),
+                                        np.empty(xv.shape, dtype=bool))
+    _, out, one_e, pos = saved
     # e = exp(-|x|), built in out, never overflows; e/(1+e), then 1/(1+e)
     # where x >= 0, are the usual two branches, bit for bit (minimum keeps
     # a nan's sign). Writing to out keeps a 0-d x's result a 0-d array.
-    out = np.negative(xv, out=np.empty_like(xv))
+    np.negative(xv, out=out)
     np.minimum(xv, out, out=out)
     np.exp(out, out=out)
-    one_e = np.add(1.0, out)
+    np.add(1.0, out, out=one_e)
     np.divide(out, one_e, out=out)
-    np.divide(1.0, one_e, out=out, where=np.greater_equal(xv, 0))
-
-    def rule(g, out=out):
-        return (g * out * (1.0 - out),)
-
-    return x.tape.register(out, (x.vid,), rule)
+    np.greater_equal(xv, 0, out=pos)
+    np.divide(1.0, one_e, out=out, where=pos)
+    return tape.register(out, (x.vid,), saved[0])
 
 
 def gradient_reversal(x: Var, lam: float) -> Var:
     """Identity forward; backward replaces the upstream gradient g by -lam*g.
 
     ``lam`` is a per-call coefficient, not a stored weight, so a schedule
-    can vary it every step without rebuilding anything.
+    can vary it every step without rebuilding anything: a replay refills
+    the cell the rule reads it from.
     """
     if lam < 0:
         raise ContractError(f"gradient_reversal needs lam >= 0, got {lam}")
-    neg = -float(lam)
+    tape = x.tape
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        neg = [0.0]
 
-    def rule(g, neg=neg):
-        return (neg * g,)
+        def rule(g, neg=neg):
+            return (neg[0] * g,)
 
+        saved = tape.saved[tape.pos] = rule, neg
+    saved[1][0] = -float(lam)
     # Forward output shares storage with the input: bitwise identical.
-    return x.tape.register(x.value, (x.vid,), rule)
+    return tape.register(x.value, (x.vid,), saved[0])
 
 
 def kron_rows(f: Var, y: Var) -> Var:
@@ -312,19 +401,25 @@ def kron_rows(f: Var, y: Var) -> Var:
         raise ShapeError(
             f"kron_rows row counts disagree: {fv.shape} vs {yv.shape}"
         )
-    n, m = fv.shape
-    c = yv.shape[1]
-    out = (fv[:, :, None] * yv[:, None, :]).reshape(n, m * c)
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        n, m = fv.shape
+        c = yv.shape[1]
+        f_vid, y_vid, values = f.vid, y.vid, tape.values
+        f_const, y_const = f_vid in tape.constants, y_vid in tape.constants
 
-    f_const, y_const = f.vid in tape.constants, y.vid in tape.constants
+        def rule(g):
+            g3 = g.reshape(n, m, c)
+            gf = None if f_const else np.add.reduce(
+                g3 * values[y_vid][:, None, :], axis=2)
+            gy = None if y_const else np.add.reduce(
+                g3 * values[f_vid][:, :, None], axis=1)
+            return gf, gy
 
-    def rule(g, fv=fv, yv=yv, n=n, m=m, c=c):
-        g3 = g.reshape(n, m, c)
-        gf = None if f_const else np.add.reduce(g3 * yv[:, None, :], axis=2)
-        gy = None if y_const else np.add.reduce(g3 * fv[:, :, None], axis=1)
-        return gf, gy
-
-    return tape.register(out, (f.vid, y.vid), rule)
+        out = np.empty((n, m * c))
+        saved = tape.saved[tape.pos] = rule, out, out.reshape(n, m, c)
+    np.multiply(fv[:, :, None], yv[:, None, :], out=saved[2])
+    return tape.register(saved[1], (f.vid, y.vid), saved[0])
 
 
 def log_eps(x: Var) -> Var:
@@ -333,13 +428,20 @@ def log_eps(x: Var) -> Var:
     The gradient is 1/x where x >= LOG_EPS and 0 below, so saturated
     entries neither explode nor propagate.
     """
-    xv = x.value
-    clamped = np.maximum(xv, LOG_EPS)
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        x_vid, values = x.vid, tape.values
+        clamped = np.empty(xv.shape)
 
-    def rule(g, xv=xv, clamped=clamped):
-        return (np.where(xv >= LOG_EPS, g / clamped, 0.0),)
+        def rule(g, clamped=clamped):
+            return (np.where(values[x_vid] >= LOG_EPS, g / clamped, 0.0),)
 
-    return x.tape.register(np.log(clamped), (x.vid,), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), clamped
+    _, out, clamped = saved
+    np.maximum(xv, LOG_EPS, out=clamped)
+    np.log(clamped, out=out)
+    return tape.register(out, (x.vid,), saved[0])
 
 
 def add(a: Var, b: Var) -> Var:
@@ -347,11 +449,14 @@ def add(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"add shapes disagree: {av.shape} vs {bv.shape}")
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        def rule(g):
+            return g, g
 
-    def rule(g):
-        return g, g
-
-    return tape.register(av + bv, (a.vid, b.vid), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
+    np.add(av, bv, out=saved[1])
+    return tape.register(saved[1], (a.vid, b.vid), saved[0])
 
 
 def subtract(a: Var, b: Var) -> Var:
@@ -359,11 +464,14 @@ def subtract(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"subtract shapes disagree: {av.shape} vs {bv.shape}")
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        def rule(g):
+            return g, -g
 
-    def rule(g):
-        return g, -g
-
-    return tape.register(av - bv, (a.vid, b.vid), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
+    np.subtract(av, bv, out=saved[1])
+    return tape.register(saved[1], (a.vid, b.vid), saved[0])
 
 
 def multiply(a: Var, b: Var) -> Var:
@@ -371,25 +479,39 @@ def multiply(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"multiply shapes disagree: {av.shape} vs {bv.shape}")
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        a_vid, b_vid, values = a.vid, b.vid, tape.values
+        a_const, b_const = a_vid in tape.constants, b_vid in tape.constants
 
-    a_const, b_const = a.vid in tape.constants, b.vid in tape.constants
+        def rule(g):
+            return (None if a_const else g * values[b_vid],
+                    None if b_const else g * values[a_vid])
 
-    def rule(g, av=av, bv=bv):
-        return None if a_const else g * bv, None if b_const else g * av
-
-    return tape.register(av * bv, (a.vid, b.vid), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
+    np.multiply(av, bv, out=saved[1])
+    return tape.register(saved[1], (a.vid, b.vid), saved[0])
 
 
 def scalar_mul(x: Var, s: float) -> Var:
     """``s * x``. A scale of exactly 0 (either sign) sends back no gradient
     (None), so :func:`backward` never differentiates what only this node
-    reaches: a loss term weighted 0 costs its forward pass alone."""
-    s = float(s)
+    reaches: a loss term weighted 0 costs its forward pass alone. A replay
+    refills the cell the rule reads the scale from."""
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        scale = [0.0]
 
-    def rule(g, s=s):
-        return (s * g,) if s else (None,)
+        def rule(g, scale=scale):
+            s = scale[0]
+            return (s * g,) if s else (None,)
 
-    return x.tape.register(s * x.value, (x.vid,), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), scale
+    _, out, scale = saved
+    scale[0] = s = float(s)
+    np.multiply(s, xv, out=out)
+    return tape.register(out, (x.vid,), saved[0])
 
 
 def add_bias(x: Var, bias: Var) -> Var:
@@ -400,15 +522,23 @@ def add_bias(x: Var, bias: Var) -> Var:
         raise ShapeError(
             f"add_bias shapes incompatible: {xv.shape} + {bv.shape}"
         )
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        b_vid, dests, grads = bias.vid, tape.grad_out, tape.grads
 
-    def rule(g):
-        return g, np.add.reduce(g, axis=0)
+        # the bias's first gradient goes straight into its destination
+        def rule(g):
+            return g, np.add.reduce(
+                g, axis=0, out=dests[b_vid] if grads[b_vid] is None else None)
 
-    return tape.register(xv + bv, (x.vid, bias.vid), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape)
+    np.add(xv, bv, out=saved[1])
+    return tape.register(saved[1], (x.vid, bias.vid), saved[0])
 
 
 def mean_rows(x: Var) -> Var:
-    """Mean over the row index: [n, c] -> [c]."""
+    """Mean over the row index: [n, c] -> [c]. No part of a training step
+    calls it, so it makes a fresh array on every call."""
     xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"mean_rows needs a 2-d input, got {xv.shape}")
@@ -421,29 +551,39 @@ def mean_rows(x: Var) -> Var:
 
 
 def sum_all(x: Var) -> Var:
-    xv = x.value
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        shape = xv.shape
 
-    def rule(g, shape=xv.shape):
-        out = np.empty(shape)
-        out.fill(g)
-        return (out,)
+        def rule(g):
+            out = np.empty(shape)
+            out.fill(g)
+            return (out,)
 
-    total = np.asarray(np.add.reduce(xv, axis=None))
-    return x.tape.register(total, (x.vid,), rule)
+        saved = tape.saved[tape.pos] = rule, np.empty(())
+    np.add.reduce(xv, axis=None, out=saved[1])
+    return tape.register(saved[1], (x.vid,), saved[0])
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
     """Elementwise clip, np.clip's bits; gradient passes only inside
     [lo, hi]."""
-    xv = x.value
-    out = np.minimum(hi, np.maximum(lo, xv))
+    tape, xv = x.tape, x.value
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        mask = np.empty(xv.shape, dtype=bool)
+
+        def rule(g, mask=mask):
+            return (g * mask,)
+
+        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), mask
+    _, out, mask = saved
+    np.maximum(lo, xv, out=out)
+    np.minimum(hi, out, out=out)
     # lo <= x <= hi exactly where the clip leaves x as it is (nan included)
-    mask = out == xv
-
-    def rule(g, mask=mask):
-        return (g * mask,)
-
-    return x.tape.register(out, (x.vid,), rule)
+    np.equal(out, xv, out=mask)
+    return tape.register(out, (x.vid,), saved[0])
 
 
 def stop_gradient(x: Var) -> Var:

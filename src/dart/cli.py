@@ -30,6 +30,7 @@ from dart.errors import (
     DataFormatError,
     NumericError,
     ShapeError,
+    check_fields,
 )
 from dart.rng import STREAM_INIT, Prng, derive_seed
 
@@ -205,6 +206,7 @@ def parse_config(argv: list[str]) -> RunConfig:
             _assign(cfg, key, getattr(args, key))
     if args.overwrite:
         cfg.overwrite = True
+    check_fields(cfg, {}, {})
     if not cfg.seeds:
         raise ConfigError("seeds must list at least one seed")
     cfg.task.validate()
@@ -251,10 +253,13 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands. Each checks the types of its RunConfig's fields first, as
+# parse_config does: a RunConfig built in Python has been through no
+# parser (overwrite="no" is a true string).
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    check_fields(cfg, {}, {})
     _refuse_overwrite(cfg, ["metrics.csv", "model.ckpt"])
     task = build_task(cfg)
     _check_batch(cfg.train, task)
@@ -274,6 +279,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    check_fields(cfg, {}, {})
     if not cfg.checkpoint:
         raise ConfigError("eval needs a checkpoint (checkpoint=... or --checkpoint)")
     _refuse_overwrite(cfg, ["report.txt"])
@@ -306,6 +312,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     # an --out that cannot be made fails at once. One task is held at a
     # time: the first run's is checked last and kept, the others are built
     # again from their seed.
+    check_fields(cfg, {}, {})
     _refuse_overwrite(cfg, ["results.csv", "reports.txt"])
     runs = [replace(cfg.train, seed=seed) for seed in cfg.seeds]
     for run in reversed(runs):
@@ -334,6 +341,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
+    check_fields(cfg, {}, {})
     report = gc.run_gradcheck(seed=cfg.train.seed)
     print(f"max relative error {report.max_rel_err:.3e} over "
           f"{report.checked} parameters (worst: {report.worst_param})")

@@ -5,8 +5,10 @@ The loop trains three parameter groups at once. The feature side
 gradients directly and the domain gradient through the reversal layer;
 the residual block learns only from the source classification loss; the
 domain classifier learns plain discrimination. All of it is one backward
-pass over a single tape per step into one flat gradient buffer, and one
-SGD update of the model's flat parameter vector.
+pass per step into one flat gradient buffer, and one SGD update of the
+model's flat parameter vector. The run's first step records its tape;
+later steps replay it, writing every op's forward into the arrays the
+record made.
 """
 
 import math
@@ -182,13 +184,17 @@ class PairedSampler:
 
 @dataclass
 class SgdState:
-    """Step counter, and the model's flat gradient buffer with its views
-    by parameter name: made by the first ``train_step``, dropped by
-    ``train_loop`` when it returns."""
+    """Step counter; the model's flat gradient buffer with its views by
+    parameter name; and the tape a step recorded, with the batch shapes and
+    ``harden_pseudo_labels`` it was recorded for (``tape_key``), which
+    later steps replay. Made by the first ``train_step`` for one model,
+    dropped by ``train_loop`` when it returns."""
 
     p: int = 0
     grad: Tensor | None = None
     grads: dict[str, Tensor] | None = None
+    tape: Tape | None = None
+    tape_key: tuple | None = None
 
 
 @dataclass
@@ -204,7 +210,12 @@ class StepMetrics:
 
 def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
                state: SgdState) -> StepMetrics:
-    """One forward/backward/update cycle; increments the step counter."""
+    """One forward/backward/update cycle; increments the step counter.
+
+    The graph is built by the same calls every step: on the tape the state
+    holds, rewound, when this batch has the shapes and this config the
+    ``harden_pseudo_labels`` the tape was recorded with (the graph is then
+    the recorded one), else on a fresh tape, which the state keeps."""
     p = state.p
     flat = model.flat_parameters()
     if state.grad is None:
@@ -214,7 +225,13 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
     lam = lambda_schedule(q, cfg.lambda0, cfg.gamma_lambda)
     eta = lr_schedule(p, cfg.eta0, cfg.gamma_lr, cfg.lr_decay_interval)
 
-    tape = Tape()
+    key = (batch.xs.shape, batch.ys.shape, batch.xt.shape,
+           cfg.harden_pseudo_labels)
+    tape = state.tape
+    if tape is not None and state.tape_key == key:
+        tape.rewind()
+    else:
+        tape = Tape()
     try:
         graph = dm.build_training_graph(
             model, tape, batch.xs, batch.ys, batch.xt, lam,
@@ -237,6 +254,7 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
 
     # fills state.grad; g * eta and p - that are p - eta * g, bit for bit
     ad.backward(tape, graph.total)
+    state.tape, state.tape_key = tape, key
     state.grad *= eta
     flat -= state.grad
 
@@ -286,7 +304,7 @@ def train_loop(
                     fh.write(format_metrics_row(metrics) + "\n")
     finally:
         # as large as the model: free it before the checkpoint is written
-        state.grad = state.grads = None
+        state.grad = state.grads = state.tape = None
         if fh:
             fh.close()
     dm.check_finite_parameters(model.parameters(), "after training")

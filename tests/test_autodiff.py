@@ -606,6 +606,77 @@ def test_backward_leaves_no_reference_cycle_through_the_tape():
 
 
 # ---------------------------------------------------------------------------
+# record once, replay
+
+
+def _every_op_graph(tape, x, w, b, y, lam, s):
+    """Each op of a training step, and mean_rows, on a constant x [4x3], a
+    parameter w [3x2] with a gradient destination, a variable b [2] and a
+    constant y [4x2]; returns the leaves, every value and the loss."""
+    leaves = [tape.constant(x), tape.parameter(w, np.full(w.shape, np.nan)),
+              tape.variable(b), tape.constant(y)]
+    xv, wv, bv, yv = leaves
+    r = ad.relu(ad.add_bias(ad.matmul(xv, wv), bv))
+    p = ad.softmax_rows(r)
+    q = ad.sigmoid(ad.gradient_reversal(ad.kron_rows(r, p), lam))
+    c = ad.clamp(q, 0.1, 0.9)
+    d = ad.subtract(ad.add(ad.multiply(ad.log_eps(p), yv), p), yv)
+    loss = ad.add(ad.scalar_mul(ad.sum_all(d), s),
+                  ad.sum_all(ad.mean_rows(ad.multiply(c, ad.kron_rows(yv, p)))))
+    return leaves, [r, p, q, c, d, loss], loss
+
+
+def test_a_replay_keeps_the_bytes_of_a_fresh_tape():
+    # a replay writes each op's forward into the arrays it recorded and
+    # reruns the recorded rules on this pass's operands, scale and lam
+    rng = Prng(67)
+
+    def draw(*shape):
+        return rng.uniform_block(math.prod(shape), -2.0, 2.0).reshape(shape)
+
+    tape = ad.Tape()
+    passes = [(0.5, -0.25), (1.5, 0.0), (0.0, 2.0), (0.75, 1.0)]
+    for i, (lam, s) in enumerate(passes):
+        labels = ad.one_hot([i % 2, 1, (i + 1) % 2, i // 2], 2)
+        args = (draw(4, 3), draw(3, 2), draw(2), labels, lam, s)
+        if i:
+            tape.rewind()
+        leaves, values, loss = _every_op_graph(tape, *args)
+        fresh_tape = ad.Tape()
+        fresh_leaves, fresh_values, fresh_loss = _every_op_graph(fresh_tape, *args)
+        assert len(tape.values) == len(fresh_tape.values)
+        assert len(tape.nodes) == len(fresh_tape.nodes)
+        for got, want in zip(values, fresh_values):
+            assert got.vid == want.vid
+            assert got.value.tobytes() == want.value.tobytes()
+        grads = ad.backward(tape, loss)
+        fresh_grads = ad.backward(fresh_tape, fresh_loss)
+        assert list(grads) == list(fresh_grads)
+        for vid, g in grads.items():
+            assert g.tobytes() == fresh_grads[vid].tobytes(), vid
+        assert grads[leaves[1].vid] is tape.grad_out[leaves[1].vid]
+
+
+def test_a_replayed_fresh_value_replaces_the_recorded_node():
+    # an op that makes a fresh array registers it over the recorded one,
+    # with its own rule; a leaf of another shape than recorded is refused
+    tape = ad.Tape()
+    x = tape.parameter(np.array([1.0, -2.0]))
+    y = ad.scalar_mul(x, 3.0)
+    ad.sum_all(y)
+    tape.rewind()
+    x2 = tape.parameter(np.array([4.0, 5.0]))
+    y2 = tape.register(x2.value * 2.0, (x2.vid,), lambda g: (2.0 * g,))
+    loss = ad.sum_all(y2)
+    assert (y2.vid, len(tape.values), len(tape.nodes)) == (y.vid, 3, 2)
+    assert tape.values[y.vid] is y2.value and float(loss.value) == 18.0
+    assert ad.backward(tape, loss)[x2.vid].tolist() == [2.0, 2.0]
+    tape.rewind()
+    with pytest.raises(ContractError, match="recorded"):
+        tape.parameter(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
 # constant leaves
 
 

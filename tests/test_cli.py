@@ -549,6 +549,19 @@ def test_train_refuses_overwrite_without_flag(tmp_path, capsys):
     ]) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "gradcheck"])
+def test_command_refuses_a_python_run_config_of_the_wrong_type(tmp_path,
+                                                               command):
+    # a RunConfig built in Python has had no parser: "no" is a true string,
+    # so an unchecked train would overwrite metrics.csv
+    (tmp_path / "metrics.csv").write_text("kept\n")
+    cfg = cli.RunConfig(command=command, out_dir=str(tmp_path), overwrite="no")
+    with pytest.raises(ConfigError, match="overwrite must be of type bool"):
+        cli._COMMANDS[command](cfg)
+    assert (tmp_path / "metrics.csv").read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["metrics.csv"]
+
+
 def test_diverging_run_exits_numeric_with_one_line(tmp_path, capsys):
     # eta0=1e300 overflows the first update; the loss check reports it
     # and numpy's overflow warnings on the way stay silent. Hardened

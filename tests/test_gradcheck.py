@@ -41,8 +41,8 @@ def test_gradcheck_reads_the_buffer_backward_fills(monkeypatch):
     report = gc.run_gradcheck()
     model = gc.build_tiny_instance()[0]
     (tape,) = tapes
-    assert len(tape.grad_out) == len(model.parameters())
-    outs = list(tape.grad_out.values())
+    outs = [out for out in tape.grad_out if out is not None]
+    assert len(outs) == len(model.parameters())
     assert all(out.base is outs[0].base for out in outs)
     assert outs[0].base.shape == (report.checked,)
 

@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 MODULES = ("autodiff", "model", "training", "rng", "evaluation", "data", "cli")
 
@@ -109,3 +111,38 @@ def test_tracer_books_a_source_only_step_without_its_zeroed_branches():
     assert calls == {"fwd": 60, "bwd": 22}
     assert tracer.row("train", "autodiff.kron_rows.fwd")[0] == 2
     assert tracer.runs[0]["kron_calls"] == 2
+
+
+@pytest.mark.parametrize("variant, rules", [("full", 60), ("source_only", 22)])
+def test_tracer_books_each_replayed_step_like_the_first(variant, rules):
+    # steps after the first replay the recorded tape through the same
+    # ad.<op>, Tape.register and ad.backward calls, so three steps book
+    # three times what one step books
+    mods = {name: importlib.import_module(f"dart.{name}") for name in MODULES}
+    dd, tr = mods["data"], mods["training"]
+    task = dd.make_blobs_task(1, per_class=20)
+    tracer_module = load_tracer()
+
+    def booked(steps):
+        cfg = tr.TrainConfig(variant=variant, total_steps=steps)
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install_coarse(mods)
+            tracer.install_fine()
+            model = tr.build_model(cfg, task.source, mods["rng"].Prng(1))
+            tr.train_loop(model, task.source, task.target, cfg)
+        finally:
+            tracer.uninstall()
+        calls = {kind: sum(tracer.row("train", f"autodiff.{op}.{kind}")[0]
+                           for op in tracer_module.OPS)
+                 for kind in ("fwd", "bwd")}
+        counts = {name: n for (phase, name), n in tracer.counts.items()
+                  if phase == "train"}
+        return calls, tracer.row("train", "autodiff.kron_rows.fwd")[0], counts
+
+    one, three = booked(1), booked(3)
+    assert one[:2] == ({"fwd": 60, "bwd": rules}, 2)
+    assert three[:2] == ({"fwd": 180, "bwd": 3 * rules}, 6)
+    assert set(one[2]) == {"autodiff.matmul.flops", "autodiff.kron_rows.bytes",
+                           "autodiff.tape_nodes"}
+    assert three[2] == {name: 3 * n for name, n in one[2].items()}

@@ -1,7 +1,9 @@
 """Schedules, samplers, the SGD step, and loop-level behavior."""
 
 import copy
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -697,3 +699,89 @@ def test_one_step_runs_the_rules_of_weighted_terms_only(monkeypatch, weights,
     tr.train_loop(tr.build_model(cfg, task.source, Prng(1)),
                   task.source, task.target, cfg)
     assert len(ran) == rules
+
+
+# ---------------------------------------------------------------------------
+# record once, replay
+
+REPLAYED = {**{variant: {"variant": variant} for variant in tr.VARIANTS},
+            "harden_pseudo_labels": {"harden_pseudo_labels": True}}
+
+
+@pytest.mark.parametrize("weights", REPLAYED.values(), ids=REPLAYED)
+def test_replayed_steps_keep_the_bytes_of_a_fresh_tape_every_step(monkeypatch,
+                                                                 weights):
+    task = dd.make_blobs_task(2, per_class=30)
+    cfg = tr.TrainConfig(total_steps=50, log_every=1, seed=4, **weights)
+    tapes = []
+    backward = ad.backward
+
+    def keeping_backward(tape, loss):
+        tapes.append(tape)
+        return backward(tape, loss)
+
+    def trained():
+        tapes.clear()
+        model = tr.build_model(cfg, task.source,
+                               Prng(derive_seed(cfg.seed, STREAM_INIT)))
+        report = tr.train_loop(model, task.source, task.target, cfg)
+        return (model.flat_parameters().tobytes(),
+                [tr.format_metrics_row(m) for m in report.history])
+
+    monkeypatch.setattr(ad, "backward", keeping_backward)
+    replayed = trained()
+    assert len(tapes) == 50 and all(tape is tapes[0] for tape in tapes)
+    train_step = tr.train_step
+
+    def fresh_step(model, batch, cfg, state):
+        state.tape = None
+        return train_step(model, batch, cfg, state)
+
+    monkeypatch.setattr(tr, "train_step", fresh_step)
+    assert trained() == replayed
+    assert len({id(tape) for tape in tapes}) == 50
+
+
+def test_the_recorded_tape_dies_when_train_loop_returns(monkeypatch):
+    # no tape -> node -> rule -> tape cycle: without a gc pass, dropping the
+    # state's reference frees the tape and every buffer it holds
+    refs = []
+    backward = ad.backward
+
+    def keeping_backward(tape, loss):
+        refs.append(weakref.ref(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", keeping_backward)
+    task = dd.make_blobs_task(1, per_class=20)
+    cfg = tr.TrainConfig(total_steps=5)
+    model = tr.build_model(cfg, task.source, Prng(1))
+    gc.disable()
+    try:
+        report = tr.train_loop(model, task.source, task.target, cfg)
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
+        assert report.state.tape is None
+    finally:
+        gc.enable()
+
+
+def test_a_batch_of_another_shape_records_afresh():
+    src, tgt = small_task()
+    cfg = small_config(eta0=0.1)
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    batch = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed).next_batch()
+    state = tr.SgdState()
+    tr.train_step(model, batch, cfg, state)
+    recorded = state.tape
+    tr.train_step(model, batch, cfg, state)
+    assert state.tape is recorded
+    for shorter in (tr.Batch(batch.xs[:6], batch.ys[:6], batch.xt[:6]),
+                    tr.Batch(batch.xs, batch.ys, batch.xt[:6])):
+        fresh_model = copy.deepcopy(model)
+        fresh = tr.SgdState(p=state.p)
+        want = tr.train_step(fresh_model, shorter, cfg, fresh)
+        assert tr.train_step(model, shorter, cfg, state) == want
+        assert state.tape is not recorded
+        assert model.flat_parameters().tobytes() == \
+            fresh_model.flat_parameters().tobytes()
+        recorded = state.tape
