@@ -209,22 +209,22 @@ class Tape:
         """Register an operation result with its backward rule. While the
         tape replays, the recorded node stays as it is if ``value`` is the
         recorded array (an op wrote its forward into it); any other value
-        replaces the recorded one, and ``rule`` the recorded rule."""
+        replaces the recorded one, and ``rule`` the recorded rule. An op
+        replayed on an id recorded as a leaf is refused (ContractError)."""
         vid, values = self.pos, self.values
         if vid == len(values):
             self._append(value)
             self.nodes.append((vid, parents, rule))
         elif value is not values[vid]:
+            nodes = self.nodes
+            i = bisect_left(nodes, (vid,))
+            if i == len(nodes) or nodes[i][0] != vid:
+                raise ContractError(
+                    f"replayed op on id {vid}, which was recorded as a leaf")
             values[vid] = value
-            self.nodes[bisect_left(self.nodes, (vid,))] = (vid, parents, rule)
+            nodes[i] = (vid, parents, rule)
         self.pos = vid + 1
         return Var(self, vid, value)
-
-
-def _check_same_tape(a: Var, b: Var) -> Tape:
-    if b.tape is not a.tape:
-        raise ContractError("operands live on different tapes")
-    return a.tape
 
 
 def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
@@ -276,11 +276,14 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 # makes and saves while the tape records (``saved`` is None) and gets back
 # while it replays; a rule holds the tape's lists, never the tape: a tape ->
 # node -> rule -> tape cycle would keep every step's tape alive until a gc
-# pass.
+# pass. A binary op checks inline that its operands share a tape: a helper
+# call per op was about 1% of a replayed step.
 
 
 def matmul(a: Var, b: Var) -> Var:
-    tape = _check_same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ContractError("operands live on different tapes")
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(
@@ -395,7 +398,9 @@ def kron_rows(f: Var, y: Var) -> Var:
     block of c entries. Gradients flow to both operands unless one is a
     constant.
     """
-    tape = _check_same_tape(f, y)
+    tape = f.tape
+    if y.tape is not tape:
+        raise ContractError("operands live on different tapes")
     fv, yv = f.value, y.value
     if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
         raise ShapeError(
@@ -407,13 +412,30 @@ def kron_rows(f: Var, y: Var) -> Var:
         c = yv.shape[1]
         f_vid, y_vid, values = f.vid, y.vid, tape.values
         f_const, y_const = f_vid in tape.constants, y_vid in tape.constants
+        # A sum laid out with its axis first adds whole (n, .) slices in
+        # order, with the bits of numpy's reduce over a strided axis or a
+        # contiguous one shorter than 8 (it sums 8 or more pairwise), and
+        # runs faster. So gf is laid out that way when c < 8 and gy unless
+        # c == 1 (its axis is then contiguous); else they keep the reduce.
+        by_c = np.empty((c, n, m)) if c < 8 else None
+        by_m = np.empty((m, n, c)) if c > 1 else None
 
         def rule(g):
-            g3 = g.reshape(n, m, c)
-            gf = None if f_const else np.add.reduce(
-                g3 * values[y_vid][:, None, :], axis=2)
-            gy = None if y_const else np.add.reduce(
-                g3 * values[f_vid][:, :, None], axis=1)
+            g3, fv, yv = g.reshape(n, m, c), values[f_vid], values[y_vid]
+            if f_const:
+                gf = None
+            elif by_c is None:
+                gf = np.add.reduce(g3 * yv[:, None, :], axis=2)
+            else:
+                gf = np.add.reduce(np.multiply(
+                    g3.transpose(2, 0, 1), yv.T[:, :, None], out=by_c), axis=0)
+            if y_const:
+                gy = None
+            elif by_m is None:
+                gy = np.add.reduce(g3 * fv[:, :, None], axis=1)
+            else:
+                gy = np.add.reduce(np.multiply(
+                    g3.transpose(1, 0, 2), fv.T[:, :, None], out=by_m), axis=0)
             return gf, gy
 
         out = np.empty((n, m * c))
@@ -445,7 +467,9 @@ def log_eps(x: Var) -> Var:
 
 
 def add(a: Var, b: Var) -> Var:
-    tape = _check_same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ContractError("operands live on different tapes")
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"add shapes disagree: {av.shape} vs {bv.shape}")
@@ -460,7 +484,9 @@ def add(a: Var, b: Var) -> Var:
 
 
 def subtract(a: Var, b: Var) -> Var:
-    tape = _check_same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ContractError("operands live on different tapes")
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"subtract shapes disagree: {av.shape} vs {bv.shape}")
@@ -475,7 +501,9 @@ def subtract(a: Var, b: Var) -> Var:
 
 
 def multiply(a: Var, b: Var) -> Var:
-    tape = _check_same_tape(a, b)
+    tape = a.tape
+    if b.tape is not tape:
+        raise ContractError("operands live on different tapes")
     av, bv = a.value, b.value
     if av.shape != bv.shape:
         raise ShapeError(f"multiply shapes disagree: {av.shape} vs {bv.shape}")
@@ -516,7 +544,9 @@ def scalar_mul(x: Var, s: float) -> Var:
 
 def add_bias(x: Var, bias: Var) -> Var:
     """Broadcast-add a bias row to every row of a 2-d tensor."""
-    tape = _check_same_tape(x, bias)
+    tape = x.tape
+    if bias.tape is not tape:
+        raise ContractError("operands live on different tapes")
     xv, bv = x.value, bias.value
     if xv.ndim != 2 or bv.ndim != 1 or xv.shape[1] != bv.shape[0]:
         raise ShapeError(

@@ -206,7 +206,6 @@ def parse_config(argv: list[str]) -> RunConfig:
             _assign(cfg, key, getattr(args, key))
     if args.overwrite:
         cfg.overwrite = True
-    check_fields(cfg, {}, {})
     if not cfg.seeds:
         raise ConfigError("seeds must list at least one seed")
     cfg.task.validate()
@@ -253,9 +252,9 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands. Each checks the types of its RunConfig's fields first, as
-# parse_config does: a RunConfig built in Python has been through no
-# parser (overwrite="no" is a true string).
+# Commands. Each checks the types of its RunConfig's fields first: a
+# RunConfig built in Python has been through no parser (overwrite="no" is
+# a true string).
 
 
 def cmd_train(cfg: RunConfig) -> int:

@@ -14,6 +14,7 @@ not disturb minibatch sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +42,18 @@ def mix64(x: int) -> int:
 def derive_seed(root_seed: int, stream: int) -> int:
     """Derive the seed of an independent stream from the root seed."""
     return mix64((root_seed + _GOLDEN * (stream + 1)) & _MASK)
+
+
+@functools.lru_cache(maxsize=8)
+def _swap_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher-Yates' bounds i + 1 for i = n-1 .. 1, and the largest draw
+    randint accepts for each: its limit 2**64 - 2**64 % bound, less 1,
+    which wraps to 2**64 - 1 (every draw) when the bound is a power of
+    two. Read-only: every shuffle of n items shares them."""
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    tops = (0 - (_MASK % bounds + 1) % bounds) - 1
+    bounds.flags.writeable = tops.flags.writeable = False
+    return bounds, tops
 
 
 class Prng:
@@ -123,12 +136,9 @@ class Prng:
         """
         n = len(items)
         start = self._state
-        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
+        bounds, tops = _swap_bounds(n)
         draws = self.block(bounds.size)
-        # randint's limit 2**64 - 2**64 % bound, which wraps to 0 (accept
-        # every draw) when the bound is a power of two
-        limits = 0 - (_MASK % bounds + 1) % bounds
-        accepted = (limits == 0) | (draws < limits)
+        accepted = draws <= tops
         k = bounds.size if accepted.all() else int(np.argmin(accepted))
         picks = (draws[:k] % bounds[:k]).tolist()
         if k < bounds.size:

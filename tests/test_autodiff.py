@@ -676,6 +676,21 @@ def test_a_replayed_fresh_value_replaces_the_recorded_node():
         tape.parameter(np.zeros(3))
 
 
+def test_a_replay_that_puts_an_op_on_a_recorded_leaf_is_refused():
+    # the op finds no node to replace at that id: the node after it is
+    # left as it is, and the replay stops
+    tape = ad.Tape()
+    x = tape.variable(np.ones((2, 2)))
+    w = tape.variable(np.ones((2, 2)))
+    ad.sum_all(ad.relu(ad.matmul(x, w)))
+    nodes = list(tape.nodes)
+    tape.rewind()
+    x = tape.variable(np.ones((2, 2)))
+    with pytest.raises(ContractError, match="recorded as a leaf"):
+        ad.relu(x)  # id 1 is the recorded leaf w
+    assert tape.nodes == nodes
+
+
 # ---------------------------------------------------------------------------
 # constant leaves
 
@@ -1015,6 +1030,20 @@ def test_op_keeps_the_bits_of_its_plain_numpy_form(name):
     assert len(grads) == len(want_grads)
     for got, want in zip(grads, want_grads):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("c", range(1, 13))
+def test_kron_rows_rule_keeps_the_plain_bits_at_every_width(c):
+    # the rule lays a sum out axis first only where numpy's reduce adds in
+    # the same order: gf for c < 8, gy for c > 1 (m >= 8 sums pairwise)
+    for n, m in [(1, 1), (5, 3), (7, 16), (32, 8)]:
+        rng = Prng(71 + 13 * c + m)
+        f = rng.uniform_block(n * m, -4.0, 4.0).reshape(n, m)
+        y = rng.uniform_block(n * c, -4.0, 4.0).reshape(n, c)
+        out, rule = forward_and_rule(ad.kron_rows, f, y)
+        g = upstream(out.shape)
+        for got, want in zip(rule(g), plain_kron_rows(f, y, g)[1]):
+            assert got.tobytes() == want.tobytes(), (n, m)
 
 
 @pytest.mark.parametrize("y, answer", [
