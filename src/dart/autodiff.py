@@ -14,16 +14,19 @@ gradient for every leaf (a parameter's can go to a destination array given
 at registration, with the same bits). Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one. A rule
-returns None for a gradient that is structurally zero (a constant
-parent, or a :func:`scalar_mul` scale of exactly 0), and backward adds
-nothing for it: what only such a gradient reaches is never
-differentiated, and a leaf left without one gets zeros. Where the
-dense products are finite their bytes hold: each skipped one is a signed
-zero, adding a zero to a nonzero sum is exact, and a sum of zeros moves
-only the sign of a zero, which ``p - eta * g`` drops for every ``p`` but
--0.0, and no update from +0.0 biases and finite weights makes -0.0. (A
-dense ``0 * inf`` would be nan; the skipped product is not computed.)
+:func:`multiply` skip the products that would only feed one. A dense
+layer is one node: :func:`matmul` takes an optional bias and an optional
+output ReLU, with the bits of :func:`add_bias` and then :func:`relu`
+(which stay ops of their own). A rule returns None for a gradient that
+is structurally zero (a constant parent, or a :func:`scalar_mul` scale
+of exactly 0), and backward adds nothing for it: what only such a
+gradient reaches is never differentiated, and a leaf left without one
+gets zeros. Where the dense products are finite their bytes hold: each
+skipped one is a signed zero, adding a zero to a nonzero sum is exact,
+and a sum of zeros moves only the sign of a zero, which ``p - eta * g``
+drops for every ``p`` but -0.0, and no update from +0.0 biases and
+finite weights makes -0.0. (A dense ``0 * inf`` would be nan; the
+skipped product is not computed.)
 Constants and leaves registered with :meth:`Tape.parameter` (model
 parameters) skip the finiteness scan that :meth:`Tape.variable` makes:
 their owner checks them where they enter (``Dataset`` its samples, the
@@ -39,16 +42,18 @@ calls the same ops on the same tape in the same order: each op runs the
 same forward arithmetic into its saved arrays, refills the scalars its
 rule reads (a :func:`scalar_mul` scale, a :func:`gradient_reversal`
 coefficient), and :meth:`Tape.register` hands back its recorded id with
-the recorded rule, so :func:`backward` reruns the recorded nodes. A leaf
-takes the array it is given. A registration whose value is not the
-recorded array (an op that makes a fresh array, such as
-:func:`mean_rows`) replaces the recorded value and rule. ``training.
-train_step`` records the first step of a run and replays it on every
-later step whose batch has the recorded shapes. The A-distance probe
-trains without a tape: ``dart.model.train_domain_probe`` repeats the
-forward ops and backward rules of matmul, add_bias, relu, sigmoid, clamp
-and log_eps for its fixed network, and a tier-1 test pins it to their
-bits.
+the recorded rule, so :func:`backward` reruns the recorded nodes. Each op
+saves its tag first, one per op and one per form of matmul, and refuses
+(ContractError) to replay on a record made by another op or by matmul
+in another bias or ReLU form. A leaf takes the array it is given. A
+registration whose value is not the recorded array (an op that makes a
+fresh array, such as :func:`mean_rows`) replaces the recorded value and
+rule. ``training.train_step`` records the first step of a run and
+replays it on every later step whose batch has the recorded shapes. The
+A-distance probe trains without a tape: ``dart.model.
+train_domain_probe`` repeats the forward ops and backward rules of
+matmul (with its bias and ReLU), sigmoid, clamp and log_eps for its
+fixed network, and a tier-1 test pins it to their bits.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -132,13 +137,13 @@ class Tape:
     where they hold nothing: ``grad_out`` the gradient destination of a
     leaf registered with one, ``grads`` the gradient so far of each id the
     current (or last) :func:`backward` has reached, and ``saved`` what the
-    op registered on each id saved for a replay, its rule and the arrays
-    its forward writes. ``pos`` is the id the next registration gets: the
-    tape's length while it records, less while it replays (see
+    op registered on each id saved for a replay: its tag, its rule and the
+    arrays its forward writes. ``pos`` is the id the next registration
+    gets: the tape's length while it records, less while it replays (see
     :meth:`rewind`); ``saved`` has an entry for it either way, which an op
-    that records fills before it registers. Parents always
-    precede their node in registration order, so the record is
-    topologically sorted by construction. A tape and its tensors belong to
+    that records fills before it registers. Parents always precede their
+    node in registration order, so the record is topologically sorted by
+    construction. A tape and its tensors belong to
     a single thread for the duration of a forward/backward pass.
     """
 
@@ -171,10 +176,10 @@ class Tape:
     def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
         finiteness scan; backward computes its gradient, into ``grad_out``
-        (a float64 array of the same shape) when given: a matmul or
-        add_bias computes the first contribution there, and later ones add
-        in place. While the tape replays, the array takes the recorded
-        leaf's place."""
+        (a float64 array of the same shape) when given: a matmul (for its
+        weight or bias) or an add_bias computes the first contribution
+        there, and later ones add in place. While the tape replays, the
+        array takes the recorded leaf's place."""
         vid, values = self.pos, self.values
         if vid < len(values):
             if arr is not values[vid] and arr.shape != values[vid].shape:
@@ -210,7 +215,8 @@ class Tape:
         tape replays, the recorded node stays as it is if ``value`` is the
         recorded array (an op wrote its forward into it); any other value
         replaces the recorded one, and ``rule`` the recorded rule. An op
-        replayed on an id recorded as a leaf is refused (ContractError)."""
+        replayed on an id recorded as a leaf is refused (ContractError), as
+        is one replayed on another op's record, by the op's tag check."""
         vid, values = self.pos, self.values
         if vid == len(values):
             self._append(value)
@@ -238,10 +244,11 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
     filled in place with the bits of the fresh-array path. The one
     invariant: the leaf's entry in ``grads`` is not None exactly when a
     contribution has reached it. So a matmul computes its weight's gradient
-    into the destination when the entry is None (``np.dot(av.T, g,
-    out=dest)``), and an add_bias its bias's, each later contribution is
-    added in place (``np.add(prev, pg, out)`` is ``prev + pg``), a single
-    one from another op is copied in, and none gives zeros.
+    into the destination when the entry is None (``np.dot(xv.T, g,
+    out=dest)``), and a matmul or an add_bias its bias's, each later
+    contribution is added in place (``np.add(prev, pg, out)`` is
+    ``prev + pg``), a single one from another op is copied in, and none
+    gives zeros.
     """
     loss_value = loss.value
     if loss_value.size != 1 or loss_value.ndim > 1:
@@ -278,31 +285,83 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 # node -> rule -> tape cycle would keep every step's tape alive until a gc
 # pass. A binary op checks inline that its operands share a tape: a helper
 # call per op was about 1% of a replayed step.
+#
+# What an op saves starts with its tag, one per op and one per form of
+# matmul. A replayed op compares the tag it finds with its own, by identity
+# (one compare; the tags are never compared by value), and refuses another
+# op's record: its rule would read the wrong arrays, or differentiate
+# another function with no error.
+_MATMUL, _MATMUL_RELU = "matmul", "matmul with relu"
+_MATMUL_BIAS, _MATMUL_BIAS_RELU = "matmul with bias", "matmul with bias and relu"
+_RELU, _SOFTMAX_ROWS, _SIGMOID = "relu", "softmax_rows", "sigmoid"
+_GRADIENT_REVERSAL, _KRON_ROWS = "gradient_reversal", "kron_rows"
+_LOG_EPS, _ADD, _SUBTRACT, _MULTIPLY = "log_eps", "add", "subtract", "multiply"
+_SCALAR_MUL, _ADD_BIAS, _SUM_ALL, _CLAMP = "scalar_mul", "add_bias", "sum_all", "clamp"
 
 
-def matmul(a: Var, b: Var) -> Var:
-    tape = a.tape
-    if b.tape is not tape:
+def _refuse_replay(tape: Tape, tag: str) -> None:
+    raise ContractError(
+        f"replayed {tag} on id {tape.pos}, recorded as {tape.saved[tape.pos][0]}")
+
+
+def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
+    """``x @ w``; with ``bias`` the bias row added to every row, and with
+    ``relu`` then max(., 0): a dense layer in one node. The value and the
+    gradients have the bits of ``relu(add_bias(matmul(x, w), bias))``, the
+    same numpy calls in the same order, and its rule computes the weight's
+    and the bias's first gradient into their destinations, as those ops'
+    rules do."""
+    tape = x.tape
+    if w.tape is not tape or bias is not None and bias.tape is not tape:
         raise ContractError("operands live on different tapes")
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ShapeError(
-            f"matmul shapes incompatible: {av.shape} x {bv.shape}"
+            f"matmul shapes incompatible: {xv.shape} x {wv.shape}"
         )
+    if bias is None:
+        form = _MATMUL_RELU if relu else _MATMUL
+        parents = x.vid, w.vid
+    else:
+        bv = bias.value
+        if bv.ndim != 1 or bv.shape[0] != wv.shape[1]:
+            raise ShapeError(
+                f"matmul bias {bv.shape} does not fit {xv.shape} x {wv.shape}")
+        form = _MATMUL_BIAS_RELU if relu else _MATMUL_BIAS
+        parents = x.vid, w.vid, bias.vid
     saved = tape.saved[tape.pos]
     if saved is None:
-        a_vid, b_vid, a_const = a.vid, b.vid, a.vid in tape.constants
+        x_vid, w_vid, x_const = x.vid, w.vid, x.vid in tape.constants
+        b_vid = None if bias is None else bias.vid
         values, dests, grads = tape.values, tape.grad_out, tape.grads
+        out = np.empty((xv.shape[0], wv.shape[1]))
+        mask = np.empty(out.shape, dtype=bool) if relu else None
 
-        # np.dot gives @'s bits here, and is faster on a k=1 outer product
+        # np.dot gives @'s bits here, and is faster on a k=1 outer product;
+        # a first gradient goes straight into its leaf's destination
         def rule(g):
-            return (None if a_const else np.dot(g, values[b_vid].T),
-                    np.dot(values[a_vid].T, g,
-                           out=dests[b_vid] if grads[b_vid] is None else None))
+            if relu:
+                g = g * mask
+            gx = None if x_const else np.dot(g, values[w_vid].T)
+            gw = np.dot(values[x_vid].T, g,
+                        out=dests[w_vid] if grads[w_vid] is None else None)
+            if b_vid is None:
+                return gx, gw
+            return gx, gw, np.add.reduce(
+                g, axis=0, out=dests[b_vid] if grads[b_vid] is None else None)
 
-        saved = tape.saved[tape.pos] = rule, np.empty((av.shape[0], bv.shape[1]))
-    np.dot(av, bv, out=saved[1])
-    return tape.register(saved[1], (a.vid, b.vid), saved[0])
+        saved = tape.saved[tape.pos] = form, rule, out, mask
+    elif saved[0] is not form:
+        _refuse_replay(tape, form)
+    _, rule, out, mask = saved
+    np.dot(xv, wv, out=out)
+    if bias is not None:
+        np.add(out, bv, out=out)
+    if relu:
+        # gradient passes where the input is strictly positive
+        np.greater(out, 0.0, out=mask)
+        np.maximum(out, 0.0, out=out)
+    return tape.register(out, parents, rule)
 
 
 def relu(x: Var) -> Var:
@@ -314,12 +373,14 @@ def relu(x: Var) -> Var:
         def rule(g, mask=mask):
             return (g * mask,)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), mask
-    _, out, mask = saved
+        saved = tape.saved[tape.pos] = _RELU, rule, np.empty(xv.shape), mask
+    elif saved[0] is not _RELU:
+        _refuse_replay(tape, _RELU)
+    _, _, out, mask = saved
     # Gradient passes where the input is strictly positive.
     np.greater(xv, 0.0, out=mask)
     np.maximum(xv, 0.0, out=out)
-    return tape.register(out, (x.vid,), saved[0])
+    return tape.register(out, (x.vid,), saved[1])
 
 
 def softmax_rows(z: Var) -> Var:
@@ -333,14 +394,17 @@ def softmax_rows(z: Var) -> Var:
         def rule(g, s=s):
             return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
 
-        saved = tape.saved[tape.pos] = rule, s, np.empty((zv.shape[0], 1))
-    _, s, row = saved
+        saved = tape.saved[tape.pos] = (_SOFTMAX_ROWS, rule, s,
+                                        np.empty((zv.shape[0], 1)))
+    elif saved[0] is not _SOFTMAX_ROWS:
+        _refuse_replay(tape, _SOFTMAX_ROWS)
+    _, _, s, row = saved
     np.maximum.reduce(zv, axis=1, keepdims=True, out=row)
     np.subtract(zv, row, out=s)
     np.exp(s, out=s)
     np.add.reduce(s, axis=1, keepdims=True, out=row)
     np.divide(s, row, out=s)
-    return tape.register(s, (z.vid,), saved[0])
+    return tape.register(s, (z.vid,), saved[1])
 
 
 def sigmoid(x: Var) -> Var:
@@ -352,9 +416,11 @@ def sigmoid(x: Var) -> Var:
         def rule(g, out=out):
             return (g * out * (1.0 - out),)
 
-        saved = tape.saved[tape.pos] = (rule, out, np.empty(xv.shape),
+        saved = tape.saved[tape.pos] = (_SIGMOID, rule, out, np.empty(xv.shape),
                                         np.empty(xv.shape, dtype=bool))
-    _, out, one_e, pos = saved
+    elif saved[0] is not _SIGMOID:
+        _refuse_replay(tape, _SIGMOID)
+    _, _, out, one_e, pos = saved
     # e = exp(-|x|), built in out, never overflows; e/(1+e), then 1/(1+e)
     # where x >= 0, are the usual two branches, bit for bit (minimum keeps
     # a nan's sign). Writing to out keeps a 0-d x's result a 0-d array.
@@ -365,7 +431,7 @@ def sigmoid(x: Var) -> Var:
     np.divide(out, one_e, out=out)
     np.greater_equal(xv, 0, out=pos)
     np.divide(1.0, one_e, out=out, where=pos)
-    return tape.register(out, (x.vid,), saved[0])
+    return tape.register(out, (x.vid,), saved[1])
 
 
 def gradient_reversal(x: Var, lam: float) -> Var:
@@ -385,10 +451,12 @@ def gradient_reversal(x: Var, lam: float) -> Var:
         def rule(g, neg=neg):
             return (neg[0] * g,)
 
-        saved = tape.saved[tape.pos] = rule, neg
-    saved[1][0] = -float(lam)
+        saved = tape.saved[tape.pos] = _GRADIENT_REVERSAL, rule, neg
+    elif saved[0] is not _GRADIENT_REVERSAL:
+        _refuse_replay(tape, _GRADIENT_REVERSAL)
+    saved[2][0] = -float(lam)
     # Forward output shares storage with the input: bitwise identical.
-    return tape.register(x.value, (x.vid,), saved[0])
+    return tape.register(x.value, (x.vid,), saved[1])
 
 
 def kron_rows(f: Var, y: Var) -> Var:
@@ -439,9 +507,11 @@ def kron_rows(f: Var, y: Var) -> Var:
             return gf, gy
 
         out = np.empty((n, m * c))
-        saved = tape.saved[tape.pos] = rule, out, out.reshape(n, m, c)
-    np.multiply(fv[:, :, None], yv[:, None, :], out=saved[2])
-    return tape.register(saved[1], (f.vid, y.vid), saved[0])
+        saved = tape.saved[tape.pos] = _KRON_ROWS, rule, out, out.reshape(n, m, c)
+    elif saved[0] is not _KRON_ROWS:
+        _refuse_replay(tape, _KRON_ROWS)
+    np.multiply(fv[:, :, None], yv[:, None, :], out=saved[3])
+    return tape.register(saved[2], (f.vid, y.vid), saved[1])
 
 
 def log_eps(x: Var) -> Var:
@@ -459,11 +529,13 @@ def log_eps(x: Var) -> Var:
         def rule(g, clamped=clamped):
             return (np.where(values[x_vid] >= LOG_EPS, g / clamped, 0.0),)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), clamped
-    _, out, clamped = saved
+        saved = tape.saved[tape.pos] = _LOG_EPS, rule, np.empty(xv.shape), clamped
+    elif saved[0] is not _LOG_EPS:
+        _refuse_replay(tape, _LOG_EPS)
+    _, _, out, clamped = saved
     np.maximum(xv, LOG_EPS, out=clamped)
     np.log(clamped, out=out)
-    return tape.register(out, (x.vid,), saved[0])
+    return tape.register(out, (x.vid,), saved[1])
 
 
 def add(a: Var, b: Var) -> Var:
@@ -478,9 +550,11 @@ def add(a: Var, b: Var) -> Var:
         def rule(g):
             return g, g
 
-        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
-    np.add(av, bv, out=saved[1])
-    return tape.register(saved[1], (a.vid, b.vid), saved[0])
+        saved = tape.saved[tape.pos] = _ADD, rule, np.empty(av.shape)
+    elif saved[0] is not _ADD:
+        _refuse_replay(tape, _ADD)
+    np.add(av, bv, out=saved[2])
+    return tape.register(saved[2], (a.vid, b.vid), saved[1])
 
 
 def subtract(a: Var, b: Var) -> Var:
@@ -495,9 +569,11 @@ def subtract(a: Var, b: Var) -> Var:
         def rule(g):
             return g, -g
 
-        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
-    np.subtract(av, bv, out=saved[1])
-    return tape.register(saved[1], (a.vid, b.vid), saved[0])
+        saved = tape.saved[tape.pos] = _SUBTRACT, rule, np.empty(av.shape)
+    elif saved[0] is not _SUBTRACT:
+        _refuse_replay(tape, _SUBTRACT)
+    np.subtract(av, bv, out=saved[2])
+    return tape.register(saved[2], (a.vid, b.vid), saved[1])
 
 
 def multiply(a: Var, b: Var) -> Var:
@@ -516,9 +592,11 @@ def multiply(a: Var, b: Var) -> Var:
             return (None if a_const else g * values[b_vid],
                     None if b_const else g * values[a_vid])
 
-        saved = tape.saved[tape.pos] = rule, np.empty(av.shape)
-    np.multiply(av, bv, out=saved[1])
-    return tape.register(saved[1], (a.vid, b.vid), saved[0])
+        saved = tape.saved[tape.pos] = _MULTIPLY, rule, np.empty(av.shape)
+    elif saved[0] is not _MULTIPLY:
+        _refuse_replay(tape, _MULTIPLY)
+    np.multiply(av, bv, out=saved[2])
+    return tape.register(saved[2], (a.vid, b.vid), saved[1])
 
 
 def scalar_mul(x: Var, s: float) -> Var:
@@ -535,11 +613,14 @@ def scalar_mul(x: Var, s: float) -> Var:
             s = scale[0]
             return (s * g,) if s else (None,)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), scale
-    _, out, scale = saved
+        saved = tape.saved[tape.pos] = (_SCALAR_MUL, rule, np.empty(xv.shape),
+                                        scale)
+    elif saved[0] is not _SCALAR_MUL:
+        _refuse_replay(tape, _SCALAR_MUL)
+    _, _, out, scale = saved
     scale[0] = s = float(s)
     np.multiply(s, xv, out=out)
-    return tape.register(out, (x.vid,), saved[0])
+    return tape.register(out, (x.vid,), saved[1])
 
 
 def add_bias(x: Var, bias: Var) -> Var:
@@ -561,9 +642,11 @@ def add_bias(x: Var, bias: Var) -> Var:
             return g, np.add.reduce(
                 g, axis=0, out=dests[b_vid] if grads[b_vid] is None else None)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape)
-    np.add(xv, bv, out=saved[1])
-    return tape.register(saved[1], (x.vid, bias.vid), saved[0])
+        saved = tape.saved[tape.pos] = _ADD_BIAS, rule, np.empty(xv.shape)
+    elif saved[0] is not _ADD_BIAS:
+        _refuse_replay(tape, _ADD_BIAS)
+    np.add(xv, bv, out=saved[2])
+    return tape.register(saved[2], (x.vid, bias.vid), saved[1])
 
 
 def mean_rows(x: Var) -> Var:
@@ -591,9 +674,11 @@ def sum_all(x: Var) -> Var:
             out.fill(g)
             return (out,)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(())
-    np.add.reduce(xv, axis=None, out=saved[1])
-    return tape.register(saved[1], (x.vid,), saved[0])
+        saved = tape.saved[tape.pos] = _SUM_ALL, rule, np.empty(())
+    elif saved[0] is not _SUM_ALL:
+        _refuse_replay(tape, _SUM_ALL)
+    np.add.reduce(xv, axis=None, out=saved[2])
+    return tape.register(saved[2], (x.vid,), saved[1])
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
@@ -607,13 +692,15 @@ def clamp(x: Var, lo: float, hi: float) -> Var:
         def rule(g, mask=mask):
             return (g * mask,)
 
-        saved = tape.saved[tape.pos] = rule, np.empty(xv.shape), mask
-    _, out, mask = saved
+        saved = tape.saved[tape.pos] = _CLAMP, rule, np.empty(xv.shape), mask
+    elif saved[0] is not _CLAMP:
+        _refuse_replay(tape, _CLAMP)
+    _, _, out, mask = saved
     np.maximum(lo, xv, out=out)
     np.minimum(hi, out, out=out)
     # lo <= x <= hi exactly where the clip leaves x as it is (nan included)
     np.equal(out, xv, out=mask)
-    return tape.register(out, (x.vid,), saved[0])
+    return tape.register(out, (x.vid,), saved[1])
 
 
 def stop_gradient(x: Var) -> Var:

@@ -94,11 +94,11 @@ def init_layers(params: dict[str, Tensor], names, widths,
 
 def mlp(x: Var, params: dict[str, Var], layers) -> Var:
     """The linear layers, given as ``layer_keys`` pairs, applied in order,
-    with a ReLU between consecutive layers and none after the last."""
+    with a ReLU between consecutive layers and none after the last: one
+    ``matmul`` node per layer, with its bias and its ReLU."""
+    last = len(layers) - 1
     for i, (w_key, b_key) in enumerate(layers):
-        if i:
-            x = ad.relu(x)
-        x = ad.add_bias(ad.matmul(x, params[w_key]), params[b_key])
+        x = ad.matmul(x, params[w_key], params[b_key], relu=i < last)
     return x
 
 

@@ -135,6 +135,116 @@ def test_matmul_products_equal_the_operator_bitwise(n, k, m):
 
 
 # ---------------------------------------------------------------------------
+# matmul's bias and ReLU: a dense layer in one node
+
+
+def _dense_layers(tape, data, x_leaf, dests, fused):
+    """Three dense layers and a bias-free ReLU layer on one tape: the first
+    two share the weight w and the bias b, the last two the weight u. With
+    ``fused`` each layer is one matmul node, else relu(add_bias(matmul)).
+    ``x_leaf`` registers the input ("constant" or "variable"); ``dests``
+    gives each parameter a nan-filled gradient destination. Returns the
+    layer values, the gradients by leaf name and the destinations."""
+    outs = {name: np.full(data[name].shape, np.nan) for name in "wbue"} if dests else {}
+    x = getattr(tape, x_leaf)(data["x"])
+    p = {name: tape.parameter(data[name], outs.get(name)) for name in "wbue"}
+
+    def layer(h, w, b=None, relu=False):
+        if fused:
+            return ad.matmul(h, w, b, relu=relu)
+        h = ad.matmul(h, w)
+        if b is not None:
+            h = ad.add_bias(h, b)
+        return ad.relu(h) if relu else h
+
+    h1 = layer(x, p["w"], p["b"], relu=True)
+    h2 = layer(h1, p["w"], p["b"], relu=True)
+    h3 = layer(h2, p["u"], p["e"])
+    h4 = layer(h2, p["u"], relu=True)
+    loss = ad.add(ad.sum_all(ad.multiply(h3, tape.constant(data["g3"]))),
+                  ad.sum_all(ad.multiply(h4, tape.constant(data["g4"]))))
+    grads = ad.backward(tape, loss)
+    p["x"] = x
+    return ([h.value for h in (h1, h2, h3, h4)],
+            {name: grads[var.vid] for name, var in p.items()}, outs)
+
+
+def _dense_data(seed):
+    rng = Prng(seed)
+
+    def draw(*shape):
+        return rng.uniform_block(math.prod(shape), -1.5, 1.5).reshape(shape)
+
+    data = {"x": draw(5, 3), "w": draw(3, 3), "b": draw(3), "u": draw(3, 2),
+            "e": draw(2), "g3": draw(5, 2), "g4": draw(5, 2)}
+    data["x"][0] = 0.0  # a row whose layers are their bias alone
+    data["g3"][1] = [0.0, -0.0]
+    return data
+
+
+@pytest.mark.parametrize("x_leaf", ["constant", "variable"])
+@pytest.mark.parametrize("dests", [False, True], ids=["fresh", "destinations"])
+def test_matmul_with_bias_and_relu_keeps_the_bits_of_the_three_ops(x_leaf, dests):
+    data = _dense_data(71)
+    values, grads, outs = _dense_layers(ad.Tape(), data, x_leaf, dests, fused=True)
+    want_values, want_grads, _ = _dense_layers(ad.Tape(), data, x_leaf, False,
+                                               fused=False)
+    for got, want in zip(values, want_values):
+        assert got.tobytes() == want.tobytes()
+    assert set(grads) == set(want_grads) == set("wbuex")
+    for name, g in grads.items():
+        assert g.tobytes() == want_grads[name].tobytes(), name
+        if name in outs:
+            assert g is outs[name], name
+    assert (grads["x"] == 0.0).all() == (x_leaf == "constant")
+
+
+def test_matmul_with_bias_and_relu_records_one_node_per_layer():
+    tape = ad.Tape()
+    _dense_layers(tape, _dense_data(71), "variable", True, fused=True)
+    kinds = [rule.__qualname__.split(".")[0] for _, _, rule in tape.nodes]
+    assert kinds[:4] == ["matmul"] * 4
+    assert [parents for _, parents, _ in tape.nodes[:4]] == [
+        (0, 1, 2), (5, 1, 2), (6, 3, 4), (6, 3)]
+
+
+def test_a_replayed_dense_layer_keeps_the_bits_of_a_fresh_tape():
+    tape = ad.Tape()
+    for seed in (71, 73, 79):
+        if seed != 71:
+            tape.rewind()
+        data = _dense_data(seed)
+        values, grads, outs = _dense_layers(tape, data, "variable", True,
+                                            fused=True)
+        want_values, want_grads, _ = _dense_layers(ad.Tape(), data, "variable",
+                                                   False, fused=False)
+        assert len(tape.nodes) == 9
+        for got, want in zip(values, want_values):
+            assert got.tobytes() == want.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_matmul_bias_of_another_width_raises_shape_error(width):
+    tape = ad.Tape()
+    x, w = tape.variable(np.ones((2, 3))), tape.variable(np.ones((3, 3)))
+    with pytest.raises(ShapeError, match="bias"):
+        ad.matmul(x, w, tape.variable(np.ones(width)), relu=True)
+    with pytest.raises(ShapeError, match="bias"):
+        ad.matmul(x, w, tape.variable(np.ones((1, 3))))
+    assert tape.nodes == []
+
+
+def test_matmul_bias_on_another_tape_is_refused():
+    tape = ad.Tape()
+    x, w = tape.variable(np.ones((2, 3))), tape.variable(np.ones((3, 3)))
+    with pytest.raises(ContractError, match="different tapes"):
+        ad.matmul(x, w, ad.Tape().variable(np.ones(3)))
+    assert tape.nodes == []
+
+
+# ---------------------------------------------------------------------------
 # relu
 
 
@@ -617,13 +727,16 @@ def _every_op_graph(tape, x, w, b, y, lam, s):
               tape.variable(b), tape.constant(y)]
     xv, wv, bv, yv = leaves
     r = ad.relu(ad.add_bias(ad.matmul(xv, wv), bv))
-    p = ad.softmax_rows(r)
+    # matmul's three other forms, one on the output of another
+    h = ad.matmul(xv, wv, bv, relu=True)
+    h = ad.add(ad.matmul(h, yv.tape.constant(np.eye(2)), bv), ad.matmul(xv, wv, relu=True))
+    p = ad.softmax_rows(ad.add(r, h))
     q = ad.sigmoid(ad.gradient_reversal(ad.kron_rows(r, p), lam))
     c = ad.clamp(q, 0.1, 0.9)
     d = ad.subtract(ad.add(ad.multiply(ad.log_eps(p), yv), p), yv)
     loss = ad.add(ad.scalar_mul(ad.sum_all(d), s),
                   ad.sum_all(ad.mean_rows(ad.multiply(c, ad.kron_rows(yv, p)))))
-    return leaves, [r, p, q, c, d, loss], loss
+    return leaves, [r, h, p, q, c, d, loss], loss
 
 
 def test_a_replay_keeps_the_bytes_of_a_fresh_tape():
@@ -689,6 +802,48 @@ def test_a_replay_that_puts_an_op_on_a_recorded_leaf_is_refused():
     with pytest.raises(ContractError, match="recorded as a leaf"):
         ad.relu(x)  # id 1 is the recorded leaf w
     assert tape.nodes == nodes
+
+
+def test_a_replay_that_calls_another_op_is_refused():
+    # subtract would run add's rule, and backward would return +1 for b
+    tape = ad.Tape()
+    a, b = tape.variable(np.ones(2)), tape.variable(np.ones(2))
+    ad.sum_all(ad.add(a, b))
+    nodes = list(tape.nodes)
+    tape.rewind()
+    a, b = tape.variable(np.ones(2)), tape.variable(np.ones(2))
+    with pytest.raises(ContractError,
+                       match="replayed subtract on id 2, recorded as add"):
+        ad.subtract(a, b)
+    assert tape.nodes == nodes
+
+
+MATMUL_FORMS = {"plain": (False, False), "relu": (False, True),
+                "bias": (True, False), "bias+relu": (True, True)}
+
+
+@pytest.mark.parametrize("recorded", list(MATMUL_FORMS))
+@pytest.mark.parametrize("replayed", list(MATMUL_FORMS))
+def test_a_replay_of_matmul_in_another_form_is_refused(recorded, replayed):
+    # the bias form's rule returns a third gradient, and the ReLU form's
+    # masks g: each form replays only the form it recorded
+    tape = ad.Tape()
+
+    def layer(form):
+        x, w = tape.variable(np.ones((2, 3))), tape.variable(np.ones((3, 2)))
+        b = tape.variable(np.ones(2))
+        with_bias, relu = MATMUL_FORMS[form]
+        return ad.sum_all(ad.matmul(x, w, b if with_bias else None, relu=relu))
+
+    layer(recorded)
+    tape.rewind()
+    if replayed == recorded:
+        assert float(layer(replayed).value) == 12.0 + 4.0 * MATMUL_FORMS[recorded][0]
+        assert len(tape.nodes) == 2
+    else:
+        with pytest.raises(ContractError, match="replayed matmul.* on id 3, "
+                                                "recorded as matmul"):
+            layer(replayed)
 
 
 # ---------------------------------------------------------------------------
