@@ -69,7 +69,7 @@ of the system is built around:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -287,10 +287,9 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 # call per op was about 1% of a replayed step.
 #
 # What an op saves starts with its tag, one per op and one per form of
-# matmul. A replayed op compares the tag it finds with its own, by identity
-# (one compare; the tags are never compared by value), and refuses another
-# op's record: its rule would read the wrong arrays, or differentiate
-# another function with no error.
+# matmul. A replayed op compares the tag it finds with its own by identity,
+# one compare per op, and refuses another op's record: its rule would read
+# the wrong arrays, or differentiate another function with no error.
 _MATMUL, _MATMUL_RELU = "matmul", "matmul with relu"
 _MATMUL_BIAS, _MATMUL_BIAS_RELU = "matmul with bias", "matmul with bias and relu"
 _RELU, _SOFTMAX_ROWS, _SIGMOID = "relu", "softmax_rows", "sigmoid"
@@ -299,7 +298,7 @@ _LOG_EPS, _ADD, _SUBTRACT, _MULTIPLY = "log_eps", "add", "subtract", "multiply"
 _SCALAR_MUL, _ADD_BIAS, _SUM_ALL, _CLAMP = "scalar_mul", "add_bias", "sum_all", "clamp"
 
 
-def _refuse_replay(tape: Tape, tag: str) -> None:
+def _refuse_replay(tape: Tape, tag: str) -> NoReturn:
     raise ContractError(
         f"replayed {tag} on id {tape.pos}, recorded as {tape.saved[tape.pos][0]}")
 
