@@ -14,18 +14,23 @@ gradient for every leaf (a parameter's can go to a destination array given
 at registration, with the same bits). Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one. A dense
-layer is one node: :func:`matmul` takes an optional bias and an optional
-output ReLU, with the bits of :func:`add_bias` and then :func:`relu`
-(which stay ops of their own). A rule returns None for a gradient that
-is structurally zero (a constant parent, or a :func:`scalar_mul` scale
-of exactly 0), and backward adds nothing for it: what only such a
-gradient reaches is never differentiated, and a leaf left without one
-gets zeros. Where the dense products are finite their bytes hold: each
-skipped one is a signed zero, adding a zero to a nonzero sum is exact,
-and a sum of zeros moves only the sign of a zero, which ``p - eta * g``
-drops for every ``p`` but -0.0, and no update from +0.0 biases and
-finite weights makes -0.0. (A dense ``0 * inf`` would be nan; the
+:func:`multiply` skip the products that would only feed one. Four ops
+have fused forms, each one node with the bits of the ops it stands for
+(which stay ops of their own): :func:`matmul` takes an optional bias and
+an optional output ReLU (:func:`add_bias`, then :func:`relu`),
+:func:`sigmoid` optional bounds (then :func:`clamp`), :func:`sum_all` an
+optional scale (then :func:`scalar_mul`), and :func:`log_eps` a
+complement flag (of :func:`subtract` from ones). So a ``full`` training
+step records 36 nodes and 18 leaves, and its backward runs 36 rules (14
+for ``source_only``, 33 at ``alpha=0``, 21 at ``beta=0``). A rule
+returns None for a gradient that is structurally zero (a constant parent,
+or a :func:`scalar_mul` scale of exactly 0), and backward adds nothing for
+it: what only such a gradient reaches is never differentiated, and a leaf
+left without one gets zeros. Where the dense products are finite their
+bytes hold: each skipped one is a signed zero, adding a zero to a nonzero
+sum is exact, and a sum of zeros moves only the sign of a zero, which
+``p - eta * g`` drops for every ``p`` but -0.0, and no update from +0.0
+biases and finite weights makes -0.0. (A dense ``0 * inf`` would be nan; the
 skipped product is not computed.)
 Constants and leaves registered with :meth:`Tape.parameter` (model
 parameters) skip the finiteness scan that :meth:`Tape.variable` makes:
@@ -40,20 +45,30 @@ saves them on the tape with its rule; its rule reads the operands it needs
 from ``Tape.values`` when it runs. After :meth:`Tape.rewind` the caller
 calls the same ops on the same tape in the same order: each op runs the
 same forward arithmetic into its saved arrays, refills the scalars its
-rule reads (a :func:`scalar_mul` scale, a :func:`gradient_reversal`
-coefficient), and :meth:`Tape.register` hands back its recorded id with
-the recorded rule, so :func:`backward` reruns the recorded nodes. Each op
-saves its tag first, one per op and one per form of matmul, and refuses
-(ContractError) to replay on a record made by another op or by matmul
-in another bias or ReLU form. A leaf takes the array it is given. A
-registration whose value is not the recorded array (an op that makes a
-fresh array, such as :func:`mean_rows`) replaces the recorded value and
-rule. ``training.train_step`` records the first step of a run and
-replays it on every later step whose batch has the recorded shapes. The
-A-distance probe trains without a tape: ``dart.model.
-train_domain_probe`` repeats the forward ops and backward rules of
-matmul (with its bias and ReLU), sigmoid, clamp and log_eps for its
-fixed network, and a tier-1 test pins it to their bits.
+rule reads (a :func:`scalar_mul` or :func:`sum_all` scale, a
+:func:`gradient_reversal` coefficient), and :meth:`Tape.register` hands
+back its recorded id with the recorded rule, so :func:`backward` reruns
+the recorded nodes. The replay contract, each part one compare per
+registration, refused with ContractError:
+
+* an op checks its tag (one per op and one per form) and its parent ids
+  against those it saved, so it never runs another op's rule or the
+  recorded rule on other operands; operand shapes are checked when an op
+  records, and a replay keeps every id's shape;
+* a leaf checks its kind, parameter or constant, and its shape against
+  the recorded leaf's, so it never lands on an op's id and never changes
+  which ids are constants;
+* :func:`backward` checks that the replay registered the whole record.
+
+A leaf takes the array it is given. A value registered with
+:meth:`Tape.register` that is not the recorded array (a node made without
+an op) replaces the recorded value, parents and rule.
+``training.train_step`` records the first step of a run and replays it on
+every later step whose batch has the recorded shapes. The A-distance
+probe trains without a tape: ``dart.model.train_domain_probe`` repeats
+the forward ops and backward rules of matmul (with its bias and ReLU),
+sigmoid (with its bounds) and log_eps (of d and of 1 - d) for its fixed
+network, and a tier-1 test pins it to their bits.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -108,6 +123,11 @@ def is_one_hot(y: Tensor) -> bool:
 
 BackwardRule = Callable[[np.ndarray], tuple]
 
+# What ``Tape.saved`` holds on the id of a constant leaf and of a node
+# registered without an op; a tag and no parents, as an op's record starts.
+CONSTANT = ("constant", ())
+REGISTERED = ("register", ())
+
 
 class Var:
     """Handle to a value registered on a tape: ``tape.values[vid]``."""
@@ -137,14 +157,16 @@ class Tape:
     where they hold nothing: ``grad_out`` the gradient destination of a
     leaf registered with one, ``grads`` the gradient so far of each id the
     current (or last) :func:`backward` has reached, and ``saved`` what the
-    op registered on each id saved for a replay: its tag, its rule and the
-    arrays its forward writes. ``pos`` is the id the next registration
-    gets: the tape's length while it records, less while it replays (see
+    op registered on each id saved for a replay: its tag, its parent ids,
+    its rule and the arrays its forward writes; on a leaf's id its kind,
+    CONSTANT or None for a parameter; REGISTERED on a node registered
+    without an op. ``pos`` is the id the next registration gets: the
+    tape's length while it records, less while it replays (see
     :meth:`rewind`); ``saved`` has an entry for it either way, which an op
     that records fills before it registers. Parents always precede their
     node in registration order, so the record is topologically sorted by
-    construction. A tape and its tensors belong to
-    a single thread for the duration of a forward/backward pass.
+    construction. A tape and its tensors belong to a single thread for the
+    duration of a forward/backward pass.
     """
 
     __slots__ = ("values", "nodes", "leaves", "constants", "grad_out", "grads",
@@ -163,8 +185,9 @@ class Tape:
     def rewind(self) -> None:
         """Starts a replay: the next registrations get the recorded ids
         again, in order. The caller registers the recorded graph again:
-        leaves of the recorded shapes and the same ops in the same order,
-        each on the ids it was recorded on."""
+        leaves of the recorded kinds and shapes and the same ops in the same
+        order on the same parents, each on the ids it was recorded on, up to
+        the end of the record before it calls :func:`backward`."""
         self.pos = 0
 
     def _append(self, value: Tensor) -> None:
@@ -173,15 +196,25 @@ class Tape:
         self.grads.append(None)
         self.saved.append(None)
 
-    def parameter(self, arr: Tensor, grad_out: Tensor | None = None) -> Var:
+    def parameter(self, arr: Tensor, grad_out: Tensor | None = None,
+                  kind: tuple | None = None) -> Var:
         """Register a float64 array as a leaf as given: no copy and no
         finiteness scan; backward computes its gradient, into ``grad_out``
         (a float64 array of the same shape) when given: a matmul (for its
         weight or bias) or an add_bias computes the first contribution
-        there, and later ones add in place. While the tape replays, the
-        array takes the recorded leaf's place."""
+        there, and later ones add in place. ``kind`` is None for a
+        parameter and CONSTANT for a constant (:meth:`constant` passes it).
+        While the tape replays, the array takes the recorded leaf's place;
+        a leaf of another kind or shape than the recorded one, or on an op's
+        id, is refused (ContractError): ``saved`` holds a leaf's kind."""
         vid, values = self.pos, self.values
         if vid < len(values):
+            recorded = self.saved[vid]
+            if recorded is not kind:
+                raise ContractError(
+                    f"replayed {'parameter' if kind is None else kind[0]} on "
+                    f"id {vid}, recorded as "
+                    f"{'parameter' if recorded is None else recorded[0]}")
             if arr is not values[vid] and arr.shape != values[vid].shape:
                 raise ContractError(
                     f"replayed leaf {vid} has shape {arr.shape}, "
@@ -190,6 +223,9 @@ class Tape:
         else:
             self._append(arr)
             self.leaves.append(vid)
+            if kind is not None:
+                self.saved[vid] = kind
+                self.constants.add(vid)
         self.grad_out[vid] = grad_out
         self.pos = vid + 1
         return Var(self, vid, arr)
@@ -205,28 +241,34 @@ class Tape:
     def constant(self, value) -> Var:
         """Register a float64 leaf that needs no gradient (an input, label
         or mask) without a finiteness scan; backward reports zeros for it."""
-        var = self.parameter(np.asarray(value, dtype=np.float64))
-        self.constants.add(var.vid)
-        return var
+        return self.parameter(np.asarray(value, dtype=np.float64), None, CONSTANT)
 
     def register(self, value: Tensor, parents: tuple[int, ...],
                  rule: BackwardRule) -> Var:
         """Register an operation result with its backward rule. While the
         tape replays, the recorded node stays as it is if ``value`` is the
-        recorded array (an op wrote its forward into it); any other value
-        replaces the recorded one, and ``rule`` the recorded rule. An op
+        recorded array (an op wrote its forward into it); any other value of
+        the recorded shape replaces the recorded one, and ``rule`` and
+        ``parents`` the recorded ones. A node registered here, not by an op,
+        saves REGISTERED, so no leaf and no op replays on its id. An op
         replayed on an id recorded as a leaf is refused (ContractError), as
-        is one replayed on another op's record, by the op's tag check."""
+        is one replayed on another op's record, by the op's own check."""
         vid, values = self.pos, self.values
         if vid == len(values):
             self._append(value)
             self.nodes.append((vid, parents, rule))
+            if self.saved[vid] is None:
+                self.saved[vid] = REGISTERED
         elif value is not values[vid]:
             nodes = self.nodes
             i = bisect_left(nodes, (vid,))
             if i == len(nodes) or nodes[i][0] != vid:
                 raise ContractError(
                     f"replayed op on id {vid}, which was recorded as a leaf")
+            if value.shape != values[vid].shape:
+                raise ContractError(
+                    f"replayed node {vid} has shape {value.shape}, "
+                    f"recorded {values[vid].shape}")
             values[vid] = value
             nodes[i] = (vid, parents, rule)
         self.pos = vid + 1
@@ -255,6 +297,10 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss_value.shape}"
         )
+    if tape.pos != len(tape.values):
+        raise ContractError(
+            f"backward on a tape replayed up to id {tape.pos} of the "
+            f"{len(tape.values)} it recorded")
     grads, constants, grad_out = tape.grads, tape.constants, tape.grad_out
     grads[:] = [None] * len(grads)
     grads[loss.vid] = np.ones(loss_value.shape)
@@ -286,21 +332,29 @@ def backward(tape: Tape, loss: Var) -> dict[int, Tensor]:
 # pass. A binary op checks inline that its operands share a tape: a helper
 # call per op was about 1% of a replayed step.
 #
-# What an op saves starts with its tag, one per op and one per form of
-# matmul. A replayed op compares the tag it finds with its own by identity,
-# one compare per op, and refuses another op's record: its rule would read
-# the wrong arrays, or differentiate another function with no error.
+# What an op saves starts with its tag, one per op and one per form, and
+# its parent ids. A replayed op compares both with its own in one test and
+# refuses another record: its rule would read the wrong arrays, or
+# differentiate another function with no error. The operands' shapes are
+# checked only while an op records. A replay keeps every id's shape: a leaf
+# is checked as it enters, and an op writes its saved arrays, so equal
+# parents are operands of the recorded shapes.
 _MATMUL, _MATMUL_RELU = "matmul", "matmul with relu"
 _MATMUL_BIAS, _MATMUL_BIAS_RELU = "matmul with bias", "matmul with bias and relu"
-_RELU, _SOFTMAX_ROWS, _SIGMOID = "relu", "softmax_rows", "sigmoid"
+_RELU, _SOFTMAX_ROWS = "relu", "softmax_rows"
+_SIGMOID, _SIGMOID_CLAMP = "sigmoid", "sigmoid with clamp"
 _GRADIENT_REVERSAL, _KRON_ROWS = "gradient_reversal", "kron_rows"
-_LOG_EPS, _ADD, _SUBTRACT, _MULTIPLY = "log_eps", "add", "subtract", "multiply"
-_SCALAR_MUL, _ADD_BIAS, _SUM_ALL, _CLAMP = "scalar_mul", "add_bias", "sum_all", "clamp"
+_LOG_EPS, _LOG_EPS_COMPLEMENT = "log_eps", "log_eps of 1 - x"
+_ADD, _SUBTRACT, _MULTIPLY = "add", "subtract", "multiply"
+_SCALAR_MUL, _ADD_BIAS, _MEAN_ROWS = "scalar_mul", "add_bias", "mean_rows"
+_SUM_ALL, _SUM_ALL_SCALED, _CLAMP = "sum_all", "sum_all with scale", "clamp"
 
 
-def _refuse_replay(tape: Tape, tag: str) -> NoReturn:
+def _refuse_replay(tape: Tape, tag: str, parents: tuple[int, ...]) -> NoReturn:
+    recorded = tape.saved[tape.pos]
     raise ContractError(
-        f"replayed {tag} on id {tape.pos}, recorded as {tape.saved[tape.pos][0]}")
+        f"replayed {tag} on id {tape.pos}, recorded as {recorded[0]}; "
+        f"parents {parents}, recorded {recorded[1]}")
 
 
 def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
@@ -313,23 +367,23 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
     tape = x.tape
     if w.tape is not tape or bias is not None and bias.tape is not tape:
         raise ContractError("operands live on different tapes")
-    xv, wv = x.value, w.value
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ShapeError(
-            f"matmul shapes incompatible: {xv.shape} x {wv.shape}"
-        )
     if bias is None:
         form = _MATMUL_RELU if relu else _MATMUL
         parents = x.vid, w.vid
     else:
-        bv = bias.value
-        if bv.ndim != 1 or bv.shape[0] != wv.shape[1]:
-            raise ShapeError(
-                f"matmul bias {bv.shape} does not fit {xv.shape} x {wv.shape}")
         form = _MATMUL_BIAS_RELU if relu else _MATMUL_BIAS
         parents = x.vid, w.vid, bias.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        xv, wv = x.value, w.value
+        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+            raise ShapeError(
+                f"matmul shapes incompatible: {xv.shape} x {wv.shape}"
+            )
+        if bias is not None and (bias.value.ndim != 1
+                                 or bias.value.shape[0] != wv.shape[1]):
+            raise ShapeError(f"matmul bias {bias.value.shape} does not fit "
+                             f"{xv.shape} x {wv.shape}")
         x_vid, w_vid, x_const = x.vid, w.vid, x.vid in tape.constants
         b_vid = None if bias is None else bias.vid
         values, dests, grads = tape.values, tape.grad_out, tape.grads
@@ -349,13 +403,13 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
             return gx, gw, np.add.reduce(
                 g, axis=0, out=dests[b_vid] if grads[b_vid] is None else None)
 
-        saved = tape.saved[tape.pos] = form, rule, out, mask
-    elif saved[0] is not form:
-        _refuse_replay(tape, form)
-    _, rule, out, mask = saved
-    np.dot(xv, wv, out=out)
+        saved = tape.saved[tape.pos] = form, parents, rule, out, mask
+    elif saved[0] is not form or saved[1] != parents:
+        _refuse_replay(tape, form, parents)
+    _, _, rule, out, mask = saved
+    np.dot(x.value, w.value, out=out)
     if bias is not None:
-        np.add(out, bv, out=out)
+        np.add(out, bias.value, out=out)
     if relu:
         # gradient passes where the input is strictly positive
         np.greater(out, 0.0, out=mask)
@@ -364,62 +418,77 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
 
 
 def relu(x: Var) -> Var:
-    tape, xv = x.tape, x.value
+    tape, parents = x.tape, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        mask = np.empty(xv.shape, dtype=bool)
+        mask = np.empty(x.value.shape, dtype=bool)
 
         def rule(g, mask=mask):
             return (g * mask,)
 
-        saved = tape.saved[tape.pos] = _RELU, rule, np.empty(xv.shape), mask
-    elif saved[0] is not _RELU:
-        _refuse_replay(tape, _RELU)
-    _, _, out, mask = saved
+        saved = tape.saved[tape.pos] = (_RELU, parents, rule,
+                                        np.empty(x.value.shape), mask)
+    elif saved[0] is not _RELU or saved[1] != parents:
+        _refuse_replay(tape, _RELU, parents)
+    _, _, rule, out, mask = saved
     # Gradient passes where the input is strictly positive.
-    np.greater(xv, 0.0, out=mask)
-    np.maximum(xv, 0.0, out=out)
-    return tape.register(out, (x.vid,), saved[1])
+    np.greater(x.value, 0.0, out=mask)
+    np.maximum(x.value, 0.0, out=out)
+    return tape.register(out, parents, rule)
 
 
 def softmax_rows(z: Var) -> Var:
-    tape, zv = z.tape, z.value
-    if zv.ndim != 2 or zv.shape[1] < 1:
-        raise ShapeError(f"softmax_rows needs a 2-d input, got {zv.shape}")
+    tape, parents = z.tape, (z.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        s = np.empty(zv.shape)
+        shape = z.value.shape
+        if len(shape) != 2 or shape[1] < 1:
+            raise ShapeError(f"softmax_rows needs a 2-d input, got {shape}")
+        s = np.empty(shape)
 
         def rule(g, s=s):
             return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
 
-        saved = tape.saved[tape.pos] = (_SOFTMAX_ROWS, rule, s,
-                                        np.empty((zv.shape[0], 1)))
-    elif saved[0] is not _SOFTMAX_ROWS:
-        _refuse_replay(tape, _SOFTMAX_ROWS)
-    _, _, s, row = saved
+        saved = tape.saved[tape.pos] = (_SOFTMAX_ROWS, parents, rule, s,
+                                        np.empty((shape[0], 1)))
+    elif saved[0] is not _SOFTMAX_ROWS or saved[1] != parents:
+        _refuse_replay(tape, _SOFTMAX_ROWS, parents)
+    _, _, rule, s, row = saved
+    zv = z.value
     np.maximum.reduce(zv, axis=1, keepdims=True, out=row)
     np.subtract(zv, row, out=s)
     np.exp(s, out=s)
     np.add.reduce(s, axis=1, keepdims=True, out=row)
     np.divide(s, row, out=s)
-    return tape.register(s, (z.vid,), saved[1])
+    return tape.register(s, parents, rule)
 
 
-def sigmoid(x: Var) -> Var:
-    tape, xv = x.tape, x.value
+def sigmoid(x: Var, lo: float | None = None, hi: float | None = None) -> Var:
+    """Elementwise logistic function; given ``lo`` and ``hi``, then clipped
+    to [lo, hi] in the same node, with the bits of
+    ``clamp(sigmoid(x), lo, hi)``: the same numpy calls in the same order,
+    and a rule that masks the upstream gradient as clamp's does."""
+    tape, parents = x.tape, (x.vid,)
+    form = _SIGMOID if lo is None else _SIGMOID_CLAMP
     saved = tape.saved[tape.pos]
     if saved is None:
-        out = np.empty(xv.shape)
+        shape = x.value.shape
+        out = np.empty(shape)
+        d, mask = (out, None) if lo is None else (
+            np.empty(shape), np.empty(shape, dtype=bool))
 
-        def rule(g, out=out):
+        def rule(g):
+            if mask is not None:
+                g = g * mask
             return (g * out * (1.0 - out),)
 
-        saved = tape.saved[tape.pos] = (_SIGMOID, rule, out, np.empty(xv.shape),
-                                        np.empty(xv.shape, dtype=bool))
-    elif saved[0] is not _SIGMOID:
-        _refuse_replay(tape, _SIGMOID)
-    _, _, out, one_e, pos = saved
+        saved = tape.saved[tape.pos] = (form, parents, rule, d, out, mask,
+                                        np.empty(shape),
+                                        np.empty(shape, dtype=bool))
+    elif saved[0] is not form or saved[1] != parents:
+        _refuse_replay(tape, form, parents)
+    _, _, rule, d, out, mask, one_e, pos = saved
+    xv = x.value
     # e = exp(-|x|), built in out, never overflows; e/(1+e), then 1/(1+e)
     # where x >= 0, are the usual two branches, bit for bit (minimum keeps
     # a nan's sign). Writing to out keeps a 0-d x's result a 0-d array.
@@ -430,7 +499,12 @@ def sigmoid(x: Var) -> Var:
     np.divide(out, one_e, out=out)
     np.greater_equal(xv, 0, out=pos)
     np.divide(1.0, one_e, out=out, where=pos)
-    return tape.register(out, (x.vid,), saved[1])
+    if mask is not None:
+        # clamp's calls on out
+        np.maximum(lo, out, out=d)
+        np.minimum(hi, d, out=d)
+        np.equal(d, out, out=mask)
+    return tape.register(d, parents, rule)
 
 
 def gradient_reversal(x: Var, lam: float) -> Var:
@@ -442,7 +516,7 @@ def gradient_reversal(x: Var, lam: float) -> Var:
     """
     if lam < 0:
         raise ContractError(f"gradient_reversal needs lam >= 0, got {lam}")
-    tape = x.tape
+    tape, parents = x.tape, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
         neg = [0.0]
@@ -450,12 +524,12 @@ def gradient_reversal(x: Var, lam: float) -> Var:
         def rule(g, neg=neg):
             return (neg[0] * g,)
 
-        saved = tape.saved[tape.pos] = _GRADIENT_REVERSAL, rule, neg
-    elif saved[0] is not _GRADIENT_REVERSAL:
-        _refuse_replay(tape, _GRADIENT_REVERSAL)
-    saved[2][0] = -float(lam)
+        saved = tape.saved[tape.pos] = _GRADIENT_REVERSAL, parents, rule, neg
+    elif saved[0] is not _GRADIENT_REVERSAL or saved[1] != parents:
+        _refuse_replay(tape, _GRADIENT_REVERSAL, parents)
+    saved[3][0] = -float(lam)
     # Forward output shares storage with the input: bitwise identical.
-    return tape.register(x.value, (x.vid,), saved[1])
+    return tape.register(x.value, parents, saved[2])
 
 
 def kron_rows(f: Var, y: Var) -> Var:
@@ -468,13 +542,14 @@ def kron_rows(f: Var, y: Var) -> Var:
     tape = f.tape
     if y.tape is not tape:
         raise ContractError("operands live on different tapes")
-    fv, yv = f.value, y.value
-    if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
-        raise ShapeError(
-            f"kron_rows row counts disagree: {fv.shape} vs {yv.shape}"
-        )
+    parents = f.vid, y.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        fv, yv = f.value, y.value
+        if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
+            raise ShapeError(
+                f"kron_rows row counts disagree: {fv.shape} vs {yv.shape}"
+            )
         n, m = fv.shape
         c = yv.shape[1]
         f_vid, y_vid, values = f.vid, y.vid, tape.values
@@ -506,84 +581,106 @@ def kron_rows(f: Var, y: Var) -> Var:
             return gf, gy
 
         out = np.empty((n, m * c))
-        saved = tape.saved[tape.pos] = _KRON_ROWS, rule, out, out.reshape(n, m, c)
-    elif saved[0] is not _KRON_ROWS:
-        _refuse_replay(tape, _KRON_ROWS)
-    np.multiply(fv[:, :, None], yv[:, None, :], out=saved[3])
-    return tape.register(saved[2], (f.vid, y.vid), saved[1])
+        saved = tape.saved[tape.pos] = (_KRON_ROWS, parents, rule, out,
+                                        out.reshape(n, m, c))
+    elif saved[0] is not _KRON_ROWS or saved[1] != parents:
+        _refuse_replay(tape, _KRON_ROWS, parents)
+    np.multiply(f.value[:, :, None], y.value[:, None, :], out=saved[4])
+    return tape.register(saved[3], parents, saved[2])
 
 
-def log_eps(x: Var) -> Var:
-    """Elementwise ln(max(x, LOG_EPS)) for nonnegative x.
+def log_eps(x: Var, complement: bool = False) -> Var:
+    """Elementwise ln(max(x, LOG_EPS)) for nonnegative x; with
+    ``complement``, of 1 - x for x <= 1, in one node with the bits of
+    ``log_eps(subtract(ones, x))``: ``np.subtract(1.0, x)`` first, and a
+    rule that negates the plain one's.
 
-    The gradient is 1/x where x >= LOG_EPS and 0 below, so saturated
-    entries neither explode nor propagate.
+    The gradient is 1/x (of 1 - x) where that is >= LOG_EPS and 0 below,
+    so saturated entries neither explode nor propagate.
     """
-    tape, xv = x.tape, x.value
+    tape, parents = x.tape, (x.vid,)
+    form = _LOG_EPS_COMPLEMENT if complement else _LOG_EPS
     saved = tape.saved[tape.pos]
     if saved is None:
-        x_vid, values = x.vid, tape.values
-        clamped = np.empty(xv.shape)
+        x_vid, values, shape = x.vid, tape.values, x.value.shape
+        clamped = np.empty(shape)
+        if complement:
+            t = np.empty(shape)
 
-        def rule(g, clamped=clamped):
-            return (np.where(values[x_vid] >= LOG_EPS, g / clamped, 0.0),)
+            def rule(g):
+                return (np.negative(np.where(t >= LOG_EPS, g / clamped, 0.0)),)
+        else:
+            t = None
 
-        saved = tape.saved[tape.pos] = _LOG_EPS, rule, np.empty(xv.shape), clamped
-    elif saved[0] is not _LOG_EPS:
-        _refuse_replay(tape, _LOG_EPS)
-    _, _, out, clamped = saved
+            def rule(g):
+                return (np.where(values[x_vid] >= LOG_EPS, g / clamped, 0.0),)
+
+        saved = tape.saved[tape.pos] = (form, parents, rule, np.empty(shape),
+                                        clamped, t)
+    elif saved[0] is not form or saved[1] != parents:
+        _refuse_replay(tape, form, parents)
+    _, _, rule, out, clamped, t = saved
+    xv = x.value
+    if t is not None:
+        xv = np.subtract(1.0, xv, out=t)
     np.maximum(xv, LOG_EPS, out=clamped)
     np.log(clamped, out=out)
-    return tape.register(out, (x.vid,), saved[1])
+    return tape.register(out, parents, rule)
 
 
 def add(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    av, bv = a.value, b.value
-    if av.shape != bv.shape:
-        raise ShapeError(f"add shapes disagree: {av.shape} vs {bv.shape}")
+    parents = a.vid, b.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        if a.value.shape != b.value.shape:
+            raise ShapeError(
+                f"add shapes disagree: {a.value.shape} vs {b.value.shape}")
+
         def rule(g):
             return g, g
 
-        saved = tape.saved[tape.pos] = _ADD, rule, np.empty(av.shape)
-    elif saved[0] is not _ADD:
-        _refuse_replay(tape, _ADD)
-    np.add(av, bv, out=saved[2])
-    return tape.register(saved[2], (a.vid, b.vid), saved[1])
+        saved = tape.saved[tape.pos] = _ADD, parents, rule, np.empty(a.value.shape)
+    elif saved[0] is not _ADD or saved[1] != parents:
+        _refuse_replay(tape, _ADD, parents)
+    np.add(a.value, b.value, out=saved[3])
+    return tape.register(saved[3], parents, saved[2])
 
 
 def subtract(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    av, bv = a.value, b.value
-    if av.shape != bv.shape:
-        raise ShapeError(f"subtract shapes disagree: {av.shape} vs {bv.shape}")
+    parents = a.vid, b.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        if a.value.shape != b.value.shape:
+            raise ShapeError(
+                f"subtract shapes disagree: {a.value.shape} vs {b.value.shape}")
+
         def rule(g):
             return g, -g
 
-        saved = tape.saved[tape.pos] = _SUBTRACT, rule, np.empty(av.shape)
-    elif saved[0] is not _SUBTRACT:
-        _refuse_replay(tape, _SUBTRACT)
-    np.subtract(av, bv, out=saved[2])
-    return tape.register(saved[2], (a.vid, b.vid), saved[1])
+        saved = tape.saved[tape.pos] = (_SUBTRACT, parents, rule,
+                                        np.empty(a.value.shape))
+    elif saved[0] is not _SUBTRACT or saved[1] != parents:
+        _refuse_replay(tape, _SUBTRACT, parents)
+    np.subtract(a.value, b.value, out=saved[3])
+    return tape.register(saved[3], parents, saved[2])
 
 
 def multiply(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    av, bv = a.value, b.value
-    if av.shape != bv.shape:
-        raise ShapeError(f"multiply shapes disagree: {av.shape} vs {bv.shape}")
+    parents = a.vid, b.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        if a.value.shape != b.value.shape:
+            raise ShapeError(
+                f"multiply shapes disagree: {a.value.shape} vs {b.value.shape}")
         a_vid, b_vid, values = a.vid, b.vid, tape.values
         a_const, b_const = a_vid in tape.constants, b_vid in tape.constants
 
@@ -591,11 +688,12 @@ def multiply(a: Var, b: Var) -> Var:
             return (None if a_const else g * values[b_vid],
                     None if b_const else g * values[a_vid])
 
-        saved = tape.saved[tape.pos] = _MULTIPLY, rule, np.empty(av.shape)
-    elif saved[0] is not _MULTIPLY:
-        _refuse_replay(tape, _MULTIPLY)
-    np.multiply(av, bv, out=saved[2])
-    return tape.register(saved[2], (a.vid, b.vid), saved[1])
+        saved = tape.saved[tape.pos] = (_MULTIPLY, parents, rule,
+                                        np.empty(a.value.shape))
+    elif saved[0] is not _MULTIPLY or saved[1] != parents:
+        _refuse_replay(tape, _MULTIPLY, parents)
+    np.multiply(a.value, b.value, out=saved[3])
+    return tape.register(saved[3], parents, saved[2])
 
 
 def scalar_mul(x: Var, s: float) -> Var:
@@ -603,7 +701,7 @@ def scalar_mul(x: Var, s: float) -> Var:
     (None), so :func:`backward` never differentiates what only this node
     reaches: a loss term weighted 0 costs its forward pass alone. A replay
     refills the cell the rule reads the scale from."""
-    tape, xv = x.tape, x.value
+    tape, parents = x.tape, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
         scale = [0.0]
@@ -612,14 +710,14 @@ def scalar_mul(x: Var, s: float) -> Var:
             s = scale[0]
             return (s * g,) if s else (None,)
 
-        saved = tape.saved[tape.pos] = (_SCALAR_MUL, rule, np.empty(xv.shape),
-                                        scale)
-    elif saved[0] is not _SCALAR_MUL:
-        _refuse_replay(tape, _SCALAR_MUL)
-    _, _, out, scale = saved
+        saved = tape.saved[tape.pos] = (_SCALAR_MUL, parents, rule,
+                                        np.empty(x.value.shape), scale)
+    elif saved[0] is not _SCALAR_MUL or saved[1] != parents:
+        _refuse_replay(tape, _SCALAR_MUL, parents)
+    _, _, rule, out, scale = saved
     scale[0] = s = float(s)
-    np.multiply(s, xv, out=out)
-    return tape.register(out, (x.vid,), saved[1])
+    np.multiply(s, x.value, out=out)
+    return tape.register(out, parents, rule)
 
 
 def add_bias(x: Var, bias: Var) -> Var:
@@ -627,13 +725,14 @@ def add_bias(x: Var, bias: Var) -> Var:
     tape = x.tape
     if bias.tape is not tape:
         raise ContractError("operands live on different tapes")
-    xv, bv = x.value, bias.value
-    if xv.ndim != 2 or bv.ndim != 1 or xv.shape[1] != bv.shape[0]:
-        raise ShapeError(
-            f"add_bias shapes incompatible: {xv.shape} + {bv.shape}"
-        )
+    parents = x.vid, bias.vid
     saved = tape.saved[tape.pos]
     if saved is None:
+        xv, bv = x.value, bias.value
+        if xv.ndim != 2 or bv.ndim != 1 or xv.shape[1] != bv.shape[0]:
+            raise ShapeError(
+                f"add_bias shapes incompatible: {xv.shape} + {bv.shape}"
+            )
         b_vid, dests, grads = bias.vid, tape.grad_out, tape.grads
 
         # the bias's first gradient goes straight into its destination
@@ -641,65 +740,87 @@ def add_bias(x: Var, bias: Var) -> Var:
             return g, np.add.reduce(
                 g, axis=0, out=dests[b_vid] if grads[b_vid] is None else None)
 
-        saved = tape.saved[tape.pos] = _ADD_BIAS, rule, np.empty(xv.shape)
-    elif saved[0] is not _ADD_BIAS:
-        _refuse_replay(tape, _ADD_BIAS)
-    np.add(xv, bv, out=saved[2])
-    return tape.register(saved[2], (x.vid, bias.vid), saved[1])
+        saved = tape.saved[tape.pos] = _ADD_BIAS, parents, rule, np.empty(xv.shape)
+    elif saved[0] is not _ADD_BIAS or saved[1] != parents:
+        _refuse_replay(tape, _ADD_BIAS, parents)
+    np.add(x.value, bias.value, out=saved[3])
+    return tape.register(saved[3], parents, saved[2])
 
 
 def mean_rows(x: Var) -> Var:
-    """Mean over the row index: [n, c] -> [c]. No part of a training step
-    calls it, so it makes a fresh array on every call."""
-    xv = x.value
-    if xv.ndim != 2:
-        raise ShapeError(f"mean_rows needs a 2-d input, got {xv.shape}")
-    n = xv.shape[0]
-
-    def rule(g, n=n, shape=xv.shape):
-        return (np.broadcast_to(g / n, shape).copy(),)
-
-    return x.tape.register(np.add.reduce(xv, axis=0) / n, (x.vid,), rule)
-
-
-def sum_all(x: Var) -> Var:
-    tape, xv = x.tape, x.value
+    """Mean over the row index: [n, c] -> [c]."""
+    tape, parents = x.tape, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape = xv.shape
+        shape = x.value.shape
+        if len(shape) != 2:
+            raise ShapeError(f"mean_rows needs a 2-d input, got {shape}")
+        n = shape[0]
+
+        def rule(g):
+            return (np.broadcast_to(g / n, shape).copy(),)
+
+        saved = tape.saved[tape.pos] = (_MEAN_ROWS, parents, rule,
+                                        np.empty(shape[1]), n)
+    elif saved[0] is not _MEAN_ROWS or saved[1] != parents:
+        _refuse_replay(tape, _MEAN_ROWS, parents)
+    _, _, rule, out, n = saved
+    np.add.reduce(x.value, axis=0, out=out)
+    np.divide(out, n, out=out)
+    return tape.register(out, parents, rule)
+
+
+def sum_all(x: Var, scale: float | None = None) -> Var:
+    """Sum of every entry, a 0-d array; given ``scale``, times it in the
+    same node, with the bits of ``scalar_mul(sum_all(x), scale)``: the
+    same numpy calls, and a rule that fills the gradient with
+    ``scale * g``. A scale of 0 is differentiated like any other: only
+    :func:`scalar_mul` skips the branch it weights 0. A replay refills the
+    cell the rule reads the scale from."""
+    tape, parents = x.tape, (x.vid,)
+    form = _SUM_ALL if scale is None else _SUM_ALL_SCALED
+    saved = tape.saved[tape.pos]
+    if saved is None:
+        shape, cell = x.value.shape, [0.0]
 
         def rule(g):
             out = np.empty(shape)
-            out.fill(g)
+            out.fill(g if scale is None else cell[0] * g)
             return (out,)
 
-        saved = tape.saved[tape.pos] = _SUM_ALL, rule, np.empty(())
-    elif saved[0] is not _SUM_ALL:
-        _refuse_replay(tape, _SUM_ALL)
-    np.add.reduce(xv, axis=None, out=saved[2])
-    return tape.register(saved[2], (x.vid,), saved[1])
+        saved = tape.saved[tape.pos] = form, parents, rule, np.empty(()), cell
+    elif saved[0] is not form or saved[1] != parents:
+        _refuse_replay(tape, form, parents)
+    _, _, rule, out, cell = saved
+    np.add.reduce(x.value, axis=None, out=out)
+    if scale is not None:
+        cell[0] = s = float(scale)
+        np.multiply(s, out, out=out)
+    return tape.register(out, parents, rule)
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
     """Elementwise clip, np.clip's bits; gradient passes only inside
     [lo, hi]."""
-    tape, xv = x.tape, x.value
+    tape, parents = x.tape, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        mask = np.empty(xv.shape, dtype=bool)
+        mask = np.empty(x.value.shape, dtype=bool)
 
         def rule(g, mask=mask):
             return (g * mask,)
 
-        saved = tape.saved[tape.pos] = _CLAMP, rule, np.empty(xv.shape), mask
-    elif saved[0] is not _CLAMP:
-        _refuse_replay(tape, _CLAMP)
-    _, _, out, mask = saved
+        saved = tape.saved[tape.pos] = (_CLAMP, parents, rule,
+                                        np.empty(x.value.shape), mask)
+    elif saved[0] is not _CLAMP or saved[1] != parents:
+        _refuse_replay(tape, _CLAMP, parents)
+    _, _, rule, out, mask = saved
+    xv = x.value
     np.maximum(lo, xv, out=out)
     np.minimum(hi, out, out=out)
     # lo <= x <= hi exactly where the clip leaves x as it is (nan included)
     np.equal(out, xv, out=mask)
-    return tape.register(out, (x.vid,), saved[1])
+    return tape.register(out, parents, rule)
 
 
 def stop_gradient(x: Var) -> Var:

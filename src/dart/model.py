@@ -253,8 +253,8 @@ def source_probs(model: DartModel, ws: dict[str, Var], z: Var) -> Var:
 def domain_head(x: Var, params: dict[str, Var]) -> Var:
     """The DOMAIN_LAYERS discriminator: relu hidden layer, then a sigmoid
     output clamped inside the open interval (0, 1)."""
-    d = ad.sigmoid(mlp(x, params, DOMAIN_KEYS))
-    return ad.clamp(d, DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
+    return ad.sigmoid(mlp(x, params, DOMAIN_KEYS),
+                      DOMAIN_PROB_EPS, 1.0 - DOMAIN_PROB_EPS)
 
 
 def check_finite_parameters(params: dict[str, Tensor], when: str) -> None:
@@ -283,14 +283,14 @@ def classification_loss(y_pred: Var, y_true: Tensor) -> Var:
     n = y_true.shape[0]
     mask = y_pred.tape.constant(y_true)
     picked = ad.multiply(ad.log_eps(y_pred), mask)
-    return ad.scalar_mul(ad.sum_all(picked), -1.0 / n)
+    return ad.sum_all(picked, -1.0 / n)
 
 
 def entropy_loss(y_pred: Var) -> Var:
     """Minibatch mean Shannon entropy of predicted class distributions."""
     n = y_pred.shape[0]
     plogp = ad.multiply(y_pred, ad.log_eps(y_pred))
-    return ad.scalar_mul(ad.sum_all(plogp), -1.0 / n)
+    return ad.sum_all(plogp, -1.0 / n)
 
 
 def check_domain_probabilities(d: Tensor, side: str) -> None:
@@ -314,11 +314,8 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     check_domain_probabilities(d_tgt.value, "target")
     ns = d_src.value.shape[0]
     nt = d_tgt.value.shape[0]
-    src_term = ad.scalar_mul(ad.sum_all(ad.log_eps(d_src)), -1.0 / ns)
-    ones = d_tgt.tape.constant(np.ones(d_tgt.value.shape))
-    tgt_term = ad.scalar_mul(
-        ad.sum_all(ad.log_eps(ad.subtract(ones, d_tgt))), -1.0 / nt
-    )
+    src_term = ad.sum_all(ad.log_eps(d_src), -1.0 / ns)
+    tgt_term = ad.sum_all(ad.log_eps(d_tgt, complement=True), -1.0 / nt)
     return ad.add(src_term, tgt_term)
 
 
@@ -383,13 +380,14 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
         np.greater_equal(a2, 0, out=pos)
         np.divide(e, one_e, out=out)
         np.divide(1.0, one_e, out=out, where=pos)
-        # ad.clamp and its mask. d = hi, where 1 - d < LOG_EPS, only where
-        # out > hi (1 / (1 + e) never rounds to hi), and the mask cuts those
-        # rows; elsewhere d and 1 - d are at or above LOG_EPS, so log_eps's
-        # rule is a division of the BCE's -1/n weight, whose sign the
-        # target's 1 - d flips. A cut target row's zero gets the other sign
-        # than on the tape, which no update sees: p - eta * (+-0.0) is p
-        # for every p but -0.0, which no parameter starts at or reaches.
+        # ad.sigmoid's clamp and its mask. d = hi, where 1 - d < LOG_EPS,
+        # only where out > hi (1 / (1 + e) never rounds to hi), and the mask
+        # cuts those rows; elsewhere d and 1 - d are at or above LOG_EPS, so
+        # log_eps's rule (of 1 - d on the target side) is a division of
+        # sum_all's -1/n scale, whose sign the complement's rule flips. A
+        # cut target row's zero gets the other sign than on the tape, which
+        # no update sees: p - eta * (+-0.0) is p for every p but -0.0,
+        # which no parameter starts at or reaches.
         np.maximum(lo, out, out=d)
         np.minimum(hi, d, out=d)
         np.equal(d, out, out=inside)

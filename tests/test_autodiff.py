@@ -846,6 +846,62 @@ def test_a_replay_of_matmul_in_another_form_is_refused(recorded, replayed):
             layer(replayed)
 
 
+# each fused form, the two ops whose bits it keeps and the plain form,
+# with a setting that a replay may change; the inputs reach the clamp, 1 - x
+# below LOG_EPS, and 1 - x < 0
+FUSED_FORMS = {
+    "sigmoid with clamp": (lambda x, s: ad.sigmoid(x, s, 1.0 - s),
+                           lambda x, s: ad.clamp(ad.sigmoid(x), s, 1.0 - s),
+                           lambda x, s: ad.sigmoid(x), (0.2, 1e-12)),
+    "sum_all with scale": (lambda x, s: ad.sum_all(x, s),
+                           lambda x, s: ad.scalar_mul(ad.sum_all(x), s),
+                           lambda x, s: ad.sum_all(x), (-1.0 / 3.0, 0.7)),
+    "log_eps of 1 - x": (
+        lambda x, s: ad.log_eps(x, complement=True),
+        lambda x, s: ad.log_eps(ad.subtract(x.tape.constant(np.ones(x.shape)), x)),
+        lambda x, s: ad.log_eps(x), (None, None)),
+}
+
+
+@pytest.mark.parametrize("form", list(FUSED_FORMS))
+def test_a_fused_form_keeps_the_bits_of_its_two_ops(form):
+    # value and gradient, recorded and then replayed on new inputs and a
+    # new setting, against the two ops on a fresh tape
+    fused, pair, _, settings = FUSED_FORMS[form]
+    rng = Prng(83)
+    tape = ad.Tape()
+    for i, s in enumerate(settings):
+        x = rng.uniform_block(12, -40.0, 40.0).reshape(3, 4)
+        x[0] = [1.0, 1.0 - 1e-13, 1.0 + 1e-9, 0.0]
+        y = rng.uniform_block(12, -2.0, 2.0).reshape(3, 4)
+        outs, grads = [], []
+        for op, t in ((fused, tape), (pair, ad.Tape())):
+            if i and t is tape:
+                t.rewind()
+            dest = np.full(x.shape, np.nan)
+            out = op(t.parameter(x.copy(), dest), s)
+            weights = t.constant(y if out.shape else np.array(1.5))
+            ad.backward(t, ad.sum_all(ad.multiply(out, weights)))
+            outs.append(out.value.tobytes())
+            grads.append(dest.tobytes())
+        assert len(tape.nodes) == 3
+        assert outs[0] == outs[1]
+        assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("form", list(FUSED_FORMS))
+def test_a_fused_form_replays_only_the_form_it_recorded(form):
+    fused, _, plain, (s, _) = FUSED_FORMS[form]
+    for first, second in ((fused, plain), (plain, fused)):
+        tape = ad.Tape()
+        first(tape.parameter(np.full(2, 0.5)), s)
+        tape.rewind()
+        x = tape.parameter(np.full(2, 0.5))
+        with pytest.raises(ContractError, match="replayed (sigmoid|sum_all|log_eps)"
+                                                ".* on id 1, recorded as"):
+            second(x, s)
+
+
 # ---------------------------------------------------------------------------
 # constant leaves
 

@@ -567,7 +567,7 @@ def test_train_loop_validates_widths():
 
 
 @pytest.mark.parametrize("step,nodes", [
-    ("full", 43), ("dart_c", 41), ("dart_s", 40), ("source_only", 43),
+    ("full", 36), ("dart_c", 34), ("dart_s", 33), ("source_only", 36),
 ], ids=["full", "dart_c", "dart_s", "source_only"])
 def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
     # the golden digests catch a changed value, not an added no-op node;
@@ -679,8 +679,8 @@ def test_zero_weighted_terms_keep_the_dense_rules_bytes(monkeypatch, weights):
 
 
 @pytest.mark.parametrize("weights,rules", [
-    ({"variant": "full"}, 43), ({"variant": "source_only"}, 15),
-    ({"alpha": 0.0}, 39), ({"beta": 0.0}, 23),
+    ({"variant": "full"}, 36), ({"variant": "source_only"}, 14),
+    ({"alpha": 0.0}, 33), ({"beta": 0.0}, 21),
 ], ids=["full", "source_only", "alpha=0", "beta=0"])
 def test_one_step_runs_the_rules_of_weighted_terms_only(monkeypatch, weights,
                                                         rules):
