@@ -263,6 +263,8 @@ class Tape:
             nodes = self.nodes
             i = bisect_left(nodes, (vid,))
             if i == len(nodes) or nodes[i][0] != vid:
+                # an op saved its record over the leaf's kind: restore it
+                self.saved[vid] = CONSTANT if vid in self.constants else None
                 raise ContractError(
                     f"replayed op on id {vid}, which was recorded as a leaf")
             if value.shape != values[vid].shape:
@@ -367,6 +369,7 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
     tape = x.tape
     if w.tape is not tape or bias is not None and bias.tape is not tape:
         raise ContractError("operands live on different tapes")
+    xv, wv = x.value, w.value
     if bias is None:
         form = _MATMUL_RELU if relu else _MATMUL
         parents = x.vid, w.vid
@@ -375,7 +378,6 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
         parents = x.vid, w.vid, bias.vid
     saved = tape.saved[tape.pos]
     if saved is None:
-        xv, wv = x.value, w.value
         if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
             raise ShapeError(
                 f"matmul shapes incompatible: {xv.shape} x {wv.shape}"
@@ -407,7 +409,7 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
     elif saved[0] is not form or saved[1] != parents:
         _refuse_replay(tape, form, parents)
     _, _, rule, out, mask = saved
-    np.dot(x.value, w.value, out=out)
+    np.dot(xv, wv, out=out)
     if bias is not None:
         np.add(out, bias.value, out=out)
     if relu:
@@ -418,43 +420,41 @@ def matmul(x: Var, w: Var, bias: Var | None = None, relu: bool = False) -> Var:
 
 
 def relu(x: Var) -> Var:
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        mask = np.empty(x.value.shape, dtype=bool)
+        mask = np.empty(xv.shape, dtype=bool)
 
         def rule(g, mask=mask):
             return (g * mask,)
 
         saved = tape.saved[tape.pos] = (_RELU, parents, rule,
-                                        np.empty(x.value.shape), mask)
+                                        np.empty(xv.shape), mask)
     elif saved[0] is not _RELU or saved[1] != parents:
         _refuse_replay(tape, _RELU, parents)
     _, _, rule, out, mask = saved
     # Gradient passes where the input is strictly positive.
-    np.greater(x.value, 0.0, out=mask)
-    np.maximum(x.value, 0.0, out=out)
+    np.greater(xv, 0.0, out=mask)
+    np.maximum(xv, 0.0, out=out)
     return tape.register(out, parents, rule)
 
 
 def softmax_rows(z: Var) -> Var:
-    tape, parents = z.tape, (z.vid,)
+    tape, zv, parents = z.tape, z.value, (z.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape = z.value.shape
-        if len(shape) != 2 or shape[1] < 1:
-            raise ShapeError(f"softmax_rows needs a 2-d input, got {shape}")
-        s = np.empty(shape)
+        if zv.ndim != 2 or zv.shape[1] < 1:
+            raise ShapeError(f"softmax_rows needs a 2-d input, got {zv.shape}")
+        s = np.empty(zv.shape)
 
         def rule(g, s=s):
             return (s * (g - np.add.reduce(g * s, axis=1, keepdims=True)),)
 
         saved = tape.saved[tape.pos] = (_SOFTMAX_ROWS, parents, rule, s,
-                                        np.empty((shape[0], 1)))
+                                        np.empty((zv.shape[0], 1)))
     elif saved[0] is not _SOFTMAX_ROWS or saved[1] != parents:
         _refuse_replay(tape, _SOFTMAX_ROWS, parents)
     _, _, rule, s, row = saved
-    zv = z.value
     np.maximum.reduce(zv, axis=1, keepdims=True, out=row)
     np.subtract(zv, row, out=s)
     np.exp(s, out=s)
@@ -468,11 +468,11 @@ def sigmoid(x: Var, lo: float | None = None, hi: float | None = None) -> Var:
     to [lo, hi] in the same node, with the bits of
     ``clamp(sigmoid(x), lo, hi)``: the same numpy calls in the same order,
     and a rule that masks the upstream gradient as clamp's does."""
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     form = _SIGMOID if lo is None else _SIGMOID_CLAMP
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape = x.value.shape
+        shape = xv.shape
         out = np.empty(shape)
         d, mask = (out, None) if lo is None else (
             np.empty(shape), np.empty(shape, dtype=bool))
@@ -488,7 +488,6 @@ def sigmoid(x: Var, lo: float | None = None, hi: float | None = None) -> Var:
     elif saved[0] is not form or saved[1] != parents:
         _refuse_replay(tape, form, parents)
     _, _, rule, d, out, mask, one_e, pos = saved
-    xv = x.value
     # e = exp(-|x|), built in out, never overflows; e/(1+e), then 1/(1+e)
     # where x >= 0, are the usual two branches, bit for bit (minimum keeps
     # a nan's sign). Writing to out keeps a 0-d x's result a 0-d array.
@@ -542,10 +541,9 @@ def kron_rows(f: Var, y: Var) -> Var:
     tape = f.tape
     if y.tape is not tape:
         raise ContractError("operands live on different tapes")
-    parents = f.vid, y.vid
+    fv, yv, parents = f.value, y.value, (f.vid, y.vid)
     saved = tape.saved[tape.pos]
     if saved is None:
-        fv, yv = f.value, y.value
         if fv.ndim != 2 or yv.ndim != 2 or fv.shape[0] != yv.shape[0]:
             raise ShapeError(
                 f"kron_rows row counts disagree: {fv.shape} vs {yv.shape}"
@@ -585,7 +583,7 @@ def kron_rows(f: Var, y: Var) -> Var:
                                         out.reshape(n, m, c))
     elif saved[0] is not _KRON_ROWS or saved[1] != parents:
         _refuse_replay(tape, _KRON_ROWS, parents)
-    np.multiply(f.value[:, :, None], y.value[:, None, :], out=saved[4])
+    np.multiply(fv[:, :, None], yv[:, None, :], out=saved[4])
     return tape.register(saved[3], parents, saved[2])
 
 
@@ -598,11 +596,11 @@ def log_eps(x: Var, complement: bool = False) -> Var:
     The gradient is 1/x (of 1 - x) where that is >= LOG_EPS and 0 below,
     so saturated entries neither explode nor propagate.
     """
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     form = _LOG_EPS_COMPLEMENT if complement else _LOG_EPS
     saved = tape.saved[tape.pos]
     if saved is None:
-        x_vid, values, shape = x.vid, tape.values, x.value.shape
+        x_vid, values, shape = x.vid, tape.values, xv.shape
         clamped = np.empty(shape)
         if complement:
             t = np.empty(shape)
@@ -620,7 +618,6 @@ def log_eps(x: Var, complement: bool = False) -> Var:
     elif saved[0] is not form or saved[1] != parents:
         _refuse_replay(tape, form, parents)
     _, _, rule, out, clamped, t = saved
-    xv = x.value
     if t is not None:
         xv = np.subtract(1.0, xv, out=t)
     np.maximum(xv, LOG_EPS, out=clamped)
@@ -632,20 +629,19 @@ def add(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    parents = a.vid, b.vid
+    av, bv, parents = a.value, b.value, (a.vid, b.vid)
     saved = tape.saved[tape.pos]
     if saved is None:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(
-                f"add shapes disagree: {a.value.shape} vs {b.value.shape}")
+        if av.shape != bv.shape:
+            raise ShapeError(f"add shapes disagree: {av.shape} vs {bv.shape}")
 
         def rule(g):
             return g, g
 
-        saved = tape.saved[tape.pos] = _ADD, parents, rule, np.empty(a.value.shape)
+        saved = tape.saved[tape.pos] = _ADD, parents, rule, np.empty(av.shape)
     elif saved[0] is not _ADD or saved[1] != parents:
         _refuse_replay(tape, _ADD, parents)
-    np.add(a.value, b.value, out=saved[3])
+    np.add(av, bv, out=saved[3])
     return tape.register(saved[3], parents, saved[2])
 
 
@@ -653,21 +649,19 @@ def subtract(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    parents = a.vid, b.vid
+    av, bv, parents = a.value, b.value, (a.vid, b.vid)
     saved = tape.saved[tape.pos]
     if saved is None:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(
-                f"subtract shapes disagree: {a.value.shape} vs {b.value.shape}")
+        if av.shape != bv.shape:
+            raise ShapeError(f"subtract shapes disagree: {av.shape} vs {bv.shape}")
 
         def rule(g):
             return g, -g
 
-        saved = tape.saved[tape.pos] = (_SUBTRACT, parents, rule,
-                                        np.empty(a.value.shape))
+        saved = tape.saved[tape.pos] = _SUBTRACT, parents, rule, np.empty(av.shape)
     elif saved[0] is not _SUBTRACT or saved[1] != parents:
         _refuse_replay(tape, _SUBTRACT, parents)
-    np.subtract(a.value, b.value, out=saved[3])
+    np.subtract(av, bv, out=saved[3])
     return tape.register(saved[3], parents, saved[2])
 
 
@@ -675,12 +669,11 @@ def multiply(a: Var, b: Var) -> Var:
     tape = a.tape
     if b.tape is not tape:
         raise ContractError("operands live on different tapes")
-    parents = a.vid, b.vid
+    av, bv, parents = a.value, b.value, (a.vid, b.vid)
     saved = tape.saved[tape.pos]
     if saved is None:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(
-                f"multiply shapes disagree: {a.value.shape} vs {b.value.shape}")
+        if av.shape != bv.shape:
+            raise ShapeError(f"multiply shapes disagree: {av.shape} vs {bv.shape}")
         a_vid, b_vid, values = a.vid, b.vid, tape.values
         a_const, b_const = a_vid in tape.constants, b_vid in tape.constants
 
@@ -688,11 +681,10 @@ def multiply(a: Var, b: Var) -> Var:
             return (None if a_const else g * values[b_vid],
                     None if b_const else g * values[a_vid])
 
-        saved = tape.saved[tape.pos] = (_MULTIPLY, parents, rule,
-                                        np.empty(a.value.shape))
+        saved = tape.saved[tape.pos] = _MULTIPLY, parents, rule, np.empty(av.shape)
     elif saved[0] is not _MULTIPLY or saved[1] != parents:
         _refuse_replay(tape, _MULTIPLY, parents)
-    np.multiply(a.value, b.value, out=saved[3])
+    np.multiply(av, bv, out=saved[3])
     return tape.register(saved[3], parents, saved[2])
 
 
@@ -701,7 +693,7 @@ def scalar_mul(x: Var, s: float) -> Var:
     (None), so :func:`backward` never differentiates what only this node
     reaches: a loss term weighted 0 costs its forward pass alone. A replay
     refills the cell the rule reads the scale from."""
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
         scale = [0.0]
@@ -711,12 +703,12 @@ def scalar_mul(x: Var, s: float) -> Var:
             return (s * g,) if s else (None,)
 
         saved = tape.saved[tape.pos] = (_SCALAR_MUL, parents, rule,
-                                        np.empty(x.value.shape), scale)
+                                        np.empty(xv.shape), scale)
     elif saved[0] is not _SCALAR_MUL or saved[1] != parents:
         _refuse_replay(tape, _SCALAR_MUL, parents)
     _, _, rule, out, scale = saved
     scale[0] = s = float(s)
-    np.multiply(s, x.value, out=out)
+    np.multiply(s, xv, out=out)
     return tape.register(out, parents, rule)
 
 
@@ -725,10 +717,9 @@ def add_bias(x: Var, bias: Var) -> Var:
     tape = x.tape
     if bias.tape is not tape:
         raise ContractError("operands live on different tapes")
-    parents = x.vid, bias.vid
+    xv, bv, parents = x.value, bias.value, (x.vid, bias.vid)
     saved = tape.saved[tape.pos]
     if saved is None:
-        xv, bv = x.value, bias.value
         if xv.ndim != 2 or bv.ndim != 1 or xv.shape[1] != bv.shape[0]:
             raise ShapeError(
                 f"add_bias shapes incompatible: {xv.shape} + {bv.shape}"
@@ -743,19 +734,18 @@ def add_bias(x: Var, bias: Var) -> Var:
         saved = tape.saved[tape.pos] = _ADD_BIAS, parents, rule, np.empty(xv.shape)
     elif saved[0] is not _ADD_BIAS or saved[1] != parents:
         _refuse_replay(tape, _ADD_BIAS, parents)
-    np.add(x.value, bias.value, out=saved[3])
+    np.add(xv, bv, out=saved[3])
     return tape.register(saved[3], parents, saved[2])
 
 
 def mean_rows(x: Var) -> Var:
     """Mean over the row index: [n, c] -> [c]."""
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape = x.value.shape
-        if len(shape) != 2:
-            raise ShapeError(f"mean_rows needs a 2-d input, got {shape}")
-        n = shape[0]
+        if xv.ndim != 2:
+            raise ShapeError(f"mean_rows needs a 2-d input, got {xv.shape}")
+        n, shape = xv.shape[0], xv.shape
 
         def rule(g):
             return (np.broadcast_to(g / n, shape).copy(),)
@@ -765,7 +755,7 @@ def mean_rows(x: Var) -> Var:
     elif saved[0] is not _MEAN_ROWS or saved[1] != parents:
         _refuse_replay(tape, _MEAN_ROWS, parents)
     _, _, rule, out, n = saved
-    np.add.reduce(x.value, axis=0, out=out)
+    np.add.reduce(xv, axis=0, out=out)
     np.divide(out, n, out=out)
     return tape.register(out, parents, rule)
 
@@ -777,11 +767,11 @@ def sum_all(x: Var, scale: float | None = None) -> Var:
     ``scale * g``. A scale of 0 is differentiated like any other: only
     :func:`scalar_mul` skips the branch it weights 0. A replay refills the
     cell the rule reads the scale from."""
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     form = _SUM_ALL if scale is None else _SUM_ALL_SCALED
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape, cell = x.value.shape, [0.0]
+        shape, cell = xv.shape, [0.0]
 
         def rule(g):
             out = np.empty(shape)
@@ -792,7 +782,7 @@ def sum_all(x: Var, scale: float | None = None) -> Var:
     elif saved[0] is not form or saved[1] != parents:
         _refuse_replay(tape, form, parents)
     _, _, rule, out, cell = saved
-    np.add.reduce(x.value, axis=None, out=out)
+    np.add.reduce(xv, axis=None, out=out)
     if scale is not None:
         cell[0] = s = float(scale)
         np.multiply(s, out, out=out)
@@ -802,20 +792,19 @@ def sum_all(x: Var, scale: float | None = None) -> Var:
 def clamp(x: Var, lo: float, hi: float) -> Var:
     """Elementwise clip, np.clip's bits; gradient passes only inside
     [lo, hi]."""
-    tape, parents = x.tape, (x.vid,)
+    tape, xv, parents = x.tape, x.value, (x.vid,)
     saved = tape.saved[tape.pos]
     if saved is None:
-        mask = np.empty(x.value.shape, dtype=bool)
+        mask = np.empty(xv.shape, dtype=bool)
 
         def rule(g, mask=mask):
             return (g * mask,)
 
         saved = tape.saved[tape.pos] = (_CLAMP, parents, rule,
-                                        np.empty(x.value.shape), mask)
+                                        np.empty(xv.shape), mask)
     elif saved[0] is not _CLAMP or saved[1] != parents:
         _refuse_replay(tape, _CLAMP, parents)
     _, _, rule, out, mask = saved
-    xv = x.value
     np.maximum(lo, xv, out=out)
     np.minimum(hi, out, out=out)
     # lo <= x <= hi exactly where the clip leaves x as it is (nan included)

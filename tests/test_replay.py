@@ -68,6 +68,22 @@ def test_an_op_replayed_on_other_parents_is_refused():
         ad.multiply(a, a)
 
 
+def test_a_refused_op_leaves_the_record_as_it_was():
+    # the op saves its record on the parameter's id before register
+    # refuses it; the recorded program must still replay afterwards
+    tape = ad.Tape()
+    x, w = tape.parameter(np.ones(2)), tape.parameter(np.array([2.0, 3.0]))
+    ad.sum_all(ad.multiply(x, w))
+    tape.rewind()
+    x = tape.parameter(np.ones(2))
+    with pytest.raises(ContractError, match="recorded as a leaf"):
+        ad.relu(x)
+    tape.rewind()
+    x, w = tape.parameter(np.ones(2)), tape.parameter(np.array([2.0, 3.0]))
+    loss = ad.sum_all(ad.multiply(x, w))
+    assert ad.backward(tape, loss)[x.vid].tolist() == [2.0, 3.0]
+
+
 def test_backward_refuses_a_replay_that_stops_short():
     # c is never registered again, so backward would zero its destination
     # and report it as a leaf of this pass
