@@ -14,15 +14,17 @@ gradient for every leaf (a parameter's can go to a destination array given
 at registration, with the same bits). Leaves registered with
 :meth:`Tape.constant` (inputs, labels, masks) need no gradient: theirs is
 reported as zero, and :func:`matmul`, :func:`kron_rows` and
-:func:`multiply` skip the products that would only feed one. Four ops
+:func:`multiply` skip the products that would only feed one. Three ops
 have fused forms, each one node with the bits of the ops it stands for
 (which stay ops of their own): :func:`matmul` takes an optional bias and
 an optional output ReLU (:func:`add_bias`, then :func:`relu`),
-:func:`sigmoid` optional bounds (then :func:`clamp`), :func:`sum_all` an
-optional scale (then :func:`scalar_mul`), and :func:`log_eps` a
-complement flag (of :func:`subtract` from ones). So a ``full`` training
-step records 36 nodes and 18 leaves, and its backward runs 36 rules (14
-for ``source_only``, 33 at ``alpha=0``, 21 at ``beta=0``). A rule
+:func:`sigmoid` optional bounds (then :func:`clamp`), and :func:`log_eps`
+a complement flag (of :func:`subtract` from ones) and summed forms, each
+a whole loss term: ``scale`` times the sum of the logs (of
+:func:`sum_all`, then :func:`scalar_mul`), weighted by a constant mask or
+by x itself (of :func:`multiply` first). So a ``full`` training step
+records 30 nodes and 18 leaves, and its backward runs 30 rules (12 for
+``source_only``, 29 at ``alpha=0``, 17 at ``beta=0``). A rule
 returns None for a gradient that is structurally zero (a constant parent,
 or a :func:`scalar_mul` scale of exactly 0), and backward adds nothing for
 it: what only such a gradient reaches is never differentiated, and a leaf
@@ -45,11 +47,12 @@ saves them on the tape with its rule; its rule reads the operands it needs
 from ``Tape.values`` when it runs. After :meth:`Tape.rewind` the caller
 calls the same ops on the same tape in the same order: each op runs the
 same forward arithmetic into its saved arrays, refills the scalars its
-rule reads (a :func:`scalar_mul` or :func:`sum_all` scale, a
+rule reads (a :func:`scalar_mul` or summed :func:`log_eps` scale, a
 :func:`gradient_reversal` coefficient), and :meth:`Tape.register` hands
 back its recorded id with the recorded rule, so :func:`backward` reruns
-the recorded nodes. The replay contract, each part one compare per
-registration, refused with ContractError:
+the recorded nodes; ``rewind(start)`` keeps the parameter leaves below
+``start``. The replay contract, each part one compare per registration
+or rewind, refused with ContractError:
 
 * an op checks its tag (one per op and one per form) and its parent ids
   against those it saved, so it never runs another op's rule or the
@@ -58,17 +61,19 @@ registration, refused with ContractError:
 * a leaf checks its kind, parameter or constant, and its shape against
   the recorded leaf's, so it never lands on an op's id and never changes
   which ids are constants;
-* :func:`backward` checks that the replay registered the whole record.
+* :func:`backward` checks that the replay registered the whole record;
+* :meth:`Tape.rewind` keeps only parameter leaves of the record.
 
 A leaf takes the array it is given. A value registered with
 :meth:`Tape.register` that is not the recorded array (a node made without
 an op) replaces the recorded value, parents and rule.
-``training.train_step`` records the first step of a run and replays it on
-every later step whose batch has the recorded shapes. The A-distance
-probe trains without a tape: ``dart.model.train_domain_probe`` repeats
-the forward ops and backward rules of matmul (with its bias and ReLU),
-sigmoid (with its bounds) and log_eps (of d and of 1 - d) for its fixed
-network, and a tier-1 test pins it to their bits.
+``training.train_step`` records the first step of a run, parameters first,
+and replays it past them on every later step whose batch has the recorded
+shapes. The A-distance probe trains without a tape:
+``dart.model.train_domain_probe`` repeats the forward ops and backward
+rules of matmul (with its bias and ReLU), sigmoid (with its bounds) and
+log_eps (of d and of 1 - d) for its fixed network, and a tier-1 test pins
+it to their bits.
 
 Beyond the usual arithmetic this module provides the two operators the rest
 of the system is built around:
@@ -182,13 +187,24 @@ class Tape:
         self.saved: list[tuple | None] = [None]
         self.pos = 0
 
-    def rewind(self) -> None:
+    def rewind(self, start: int = 0) -> None:
         """Starts a replay: the next registrations get the recorded ids
-        again, in order. The caller registers the recorded graph again:
-        leaves of the recorded kinds and shapes and the same ops in the same
-        order on the same parents, each on the ids it was recorded on, up to
-        the end of the record before it calls :func:`backward`."""
-        self.pos = 0
+        again, in order, from ``start``; the ids below it keep their leaves,
+        arrays and gradient destinations, so each must be a parameter leaf
+        (a kept constant or op would keep its last value; ContractError, as
+        for a ``start`` past the record). The caller registers the rest of
+        the recorded graph again: leaves of the recorded kinds and shapes
+        and the same ops in the same order on the same parents, up to the
+        end of the record before it calls :func:`backward`."""
+        kept = self.saved[:start]
+        if start > len(self.values):
+            raise ContractError(
+                f"rewind to id {start} past the {len(self.values)} recorded")
+        if kept.count(None) != start:
+            vid = next(i for i, saved in enumerate(kept) if saved is not None)
+            raise ContractError(f"rewind to id {start} keeps id {vid}, recorded "
+                                f"as {kept[vid][0]}, not a parameter")
+        self.pos = start
 
     def _append(self, value: Tensor) -> None:
         self.values.append(value)
@@ -346,10 +362,14 @@ _MATMUL_BIAS, _MATMUL_BIAS_RELU = "matmul with bias", "matmul with bias and relu
 _RELU, _SOFTMAX_ROWS = "relu", "softmax_rows"
 _SIGMOID, _SIGMOID_CLAMP = "sigmoid", "sigmoid with clamp"
 _GRADIENT_REVERSAL, _KRON_ROWS = "gradient_reversal", "kron_rows"
-_LOG_EPS, _LOG_EPS_COMPLEMENT = "log_eps", "log_eps of 1 - x"
+# log_eps' tags by (complement, kind: None for the elementwise form)
+_LOG_EPS_FORMS = {(c, kind): "log_eps" + " of 1 - x" * c + suffix
+                  for c in (False, True) for kind, suffix in (
+                      (None, ""), ("sum", " summed"),
+                      ("mask", " summed with a mask"), ("x", " summed with x"))}
 _ADD, _SUBTRACT, _MULTIPLY = "add", "subtract", "multiply"
 _SCALAR_MUL, _ADD_BIAS, _MEAN_ROWS = "scalar_mul", "add_bias", "mean_rows"
-_SUM_ALL, _SUM_ALL_SCALED, _CLAMP = "sum_all", "sum_all with scale", "clamp"
+_SUM_ALL, _CLAMP = "sum_all", "clamp"
 
 
 def _refuse_replay(tape: Tape, tag: str, parents: tuple[int, ...]) -> NoReturn:
@@ -587,41 +607,80 @@ def kron_rows(f: Var, y: Var) -> Var:
     return tape.register(saved[3], parents, saved[2])
 
 
-def log_eps(x: Var, complement: bool = False) -> Var:
+def log_eps(x: Var, complement: bool = False, scale: float | None = None,
+            weight: Var | None = None) -> Var:
     """Elementwise ln(max(x, LOG_EPS)) for nonnegative x; with
     ``complement``, of 1 - x for x <= 1, in one node with the bits of
     ``log_eps(subtract(ones, x))``: ``np.subtract(1.0, x)`` first, and a
     rule that negates the plain one's.
 
+    Given ``scale``, the summed form: ``scale * sum(weight * log)`` as one
+    0-d node, where ``weight`` is None, a constant (a label mask) or x.
+    It has the bits of ``scalar_mul(sum_all(.), scale)`` of the logs, of
+    ``multiply(log_eps(x), mask)`` or of ``multiply(x, log_eps(x))``: the
+    same numpy calls in the same order, and a rule that forms what those
+    ops' rules and backward's sums form. A scale of 0 is differentiated
+    like any other: only :func:`scalar_mul` skips the branch it weights 0.
+    A replay refills the cell the rule reads the scale from.
+
     The gradient is 1/x (of 1 - x) where that is >= LOG_EPS and 0 below,
     so saturated entries neither explode nor propagate.
     """
-    tape, xv, parents = x.tape, x.value, (x.vid,)
-    form = _LOG_EPS_COMPLEMENT if complement else _LOG_EPS
+    tape, xv = x.tape, x.value
+    if weight is None:
+        kind, parents = (None if scale is None else "sum"), (x.vid,)
+    elif weight.tape is not tape:
+        raise ContractError("operands live on different tapes")
+    else:
+        kind = "x" if weight.vid == x.vid else "mask"
+        parents = (x.vid,) if kind == "x" else (x.vid, weight.vid)
+    form = _LOG_EPS_FORMS[complement, kind]
     saved = tape.saved[tape.pos]
     if saved is None:
+        if (kind is not None and scale is None
+                or kind == "mask" and weight.vid not in tape.constants):
+            raise ContractError("a log_eps weight is x or a constant, with a scale")
+        if kind == "mask" and weight.value.shape != xv.shape:
+            raise ShapeError(
+                f"log_eps weight {weight.value.shape} does not fit {xv.shape}")
         x_vid, values, shape = x.vid, tape.values, xv.shape
-        clamped = np.empty(shape)
-        if complement:
-            t = np.empty(shape)
+        clamped, logs = np.empty(shape), np.empty(shape)
+        t = np.empty(shape) if complement else None
+        cell = [0.0]
 
-            def rule(g):
-                return (np.negative(np.where(t >= LOG_EPS, g / clamped, 0.0)),)
-        else:
-            t = None
+        def rule(g):
+            if kind is not None:
+                g = cell[0] * g  # sum_all's gradient, s * g in every entry
+                if kind == "mask":
+                    g = g * values[parents[1]]
+            gx = g * values[x_vid] if kind == "x" else g
+            gx = np.where((t if complement else values[x_vid]) >= LOG_EPS,
+                          gx / clamped, 0.0)
+            if complement:
+                gx = np.negative(gx)
+            if kind == "x":  # multiply's gradient for x, then the log's
+                gx = np.add(g * logs, gx)
+            return (gx, None) if kind == "mask" else (gx,)
 
-            def rule(g):
-                return (np.where(values[x_vid] >= LOG_EPS, g / clamped, 0.0),)
-
-        saved = tape.saved[tape.pos] = (form, parents, rule, np.empty(shape),
-                                        clamped, t)
+        out = logs if kind is None else np.empty(())
+        terms = np.empty(shape) if kind in ("mask", "x") else logs
+        saved = tape.saved[tape.pos] = (form, parents, rule, out, clamped, t,
+                                        logs, terms, cell)
     elif saved[0] is not form or saved[1] != parents:
         _refuse_replay(tape, form, parents)
-    _, _, rule, out, clamped, t = saved
+    _, _, rule, out, clamped, t, logs, terms, cell = saved
     if t is not None:
         xv = np.subtract(1.0, xv, out=t)
     np.maximum(xv, LOG_EPS, out=clamped)
-    np.log(clamped, out=out)
+    np.log(clamped, out=logs)
+    if kind is not None:
+        if kind == "mask":
+            np.multiply(logs, weight.value, out=terms)
+        elif kind == "x":
+            np.multiply(x.value, logs, out=terms)
+        np.add.reduce(terms, axis=None, out=out)
+        cell[0] = s = float(scale)
+        np.multiply(s, out, out=out)
     return tape.register(out, parents, rule)
 
 
@@ -760,33 +819,23 @@ def mean_rows(x: Var) -> Var:
     return tape.register(out, parents, rule)
 
 
-def sum_all(x: Var, scale: float | None = None) -> Var:
-    """Sum of every entry, a 0-d array; given ``scale``, times it in the
-    same node, with the bits of ``scalar_mul(sum_all(x), scale)``: the
-    same numpy calls, and a rule that fills the gradient with
-    ``scale * g``. A scale of 0 is differentiated like any other: only
-    :func:`scalar_mul` skips the branch it weights 0. A replay refills the
-    cell the rule reads the scale from."""
+def sum_all(x: Var) -> Var:
+    """Sum of every entry, a 0-d array."""
     tape, xv, parents = x.tape, x.value, (x.vid,)
-    form = _SUM_ALL if scale is None else _SUM_ALL_SCALED
     saved = tape.saved[tape.pos]
     if saved is None:
-        shape, cell = xv.shape, [0.0]
+        shape = xv.shape
 
         def rule(g):
             out = np.empty(shape)
-            out.fill(g if scale is None else cell[0] * g)
+            out.fill(g)
             return (out,)
 
-        saved = tape.saved[tape.pos] = form, parents, rule, np.empty(()), cell
-    elif saved[0] is not form or saved[1] != parents:
-        _refuse_replay(tape, form, parents)
-    _, _, rule, out, cell = saved
-    np.add.reduce(xv, axis=None, out=out)
-    if scale is not None:
-        cell[0] = s = float(scale)
-        np.multiply(s, out, out=out)
-    return tape.register(out, parents, rule)
+        saved = tape.saved[tape.pos] = _SUM_ALL, parents, rule, np.empty(())
+    elif saved[0] is not _SUM_ALL or saved[1] != parents:
+        _refuse_replay(tape, _SUM_ALL, parents)
+    np.add.reduce(xv, axis=None, out=saved[3])
+    return tape.register(saved[3], parents, saved[2])
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:

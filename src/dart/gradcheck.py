@@ -92,12 +92,13 @@ def run_gradcheck(seed: int = DEFAULT_SEED) -> GradcheckReport:
     flat = model.flat_parameters()
     analytic = np.empty_like(flat)
     tape = Tape()
-    graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, alpha, beta,
-                                    grads=model.views_of(analytic))
+    ws = dm.bind(model.parameters(), tape, model.views_of(analytic))
+    graph = dm.build_training_graph(model, ws, xs, ys, xt, lam, alpha, beta)
     ad.backward(tape, graph.total)
 
     def losses_now():
-        g = dm.build_training_graph(model, Tape(), xs, ys, xt, lam, alpha, beta)
+        ws = dm.bind(model.parameters(), Tape())
+        g = dm.build_training_graph(model, ws, xs, ys, xt, lam, alpha, beta)
         return float(g.ly.value), float(g.lh.value), float(g.ld.value)
 
     # (label, sign of ld's difference) of each entry of flat

@@ -229,7 +229,9 @@ def bind(params: dict[str, Tensor], tape: Tape,
     finiteness scan: init makes the arrays finite, ``set_parameter`` and
     ``load_checkpoint`` check them on the way in, training after its last
     update and ``forward_features`` before it binds. ``backward`` writes
-    each parameter's gradient into ``grads[name]`` when given. (The
+    each parameter's gradient into ``grads[name]`` when given. On a fresh
+    tape they take the ids below ``len(params)``, which ``Tape.rewind``
+    keeps, so a training step binds once per recorded tape. (The
     A-distance probe trains without a tape, by ``train_domain_probe``.)"""
     grads = grads or {}
     return {name: tape.parameter(arr, grads.get(name)) for name, arr in params.items()}
@@ -280,17 +282,13 @@ def classification_loss(y_pred: Var, y_true: Tensor) -> Var:
         raise ShapeError(
             f"predictions {y_pred.shape} vs labels {y_true.shape}"
         )
-    n = y_true.shape[0]
     mask = y_pred.tape.constant(y_true)
-    picked = ad.multiply(ad.log_eps(y_pred), mask)
-    return ad.sum_all(picked, -1.0 / n)
+    return ad.log_eps(y_pred, scale=-1.0 / y_true.shape[0], weight=mask)
 
 
 def entropy_loss(y_pred: Var) -> Var:
     """Minibatch mean Shannon entropy of predicted class distributions."""
-    n = y_pred.shape[0]
-    plogp = ad.multiply(y_pred, ad.log_eps(y_pred))
-    return ad.sum_all(plogp, -1.0 / n)
+    return ad.log_eps(y_pred, scale=-1.0 / y_pred.shape[0], weight=y_pred)
 
 
 def check_domain_probabilities(d: Tensor, side: str) -> None:
@@ -312,10 +310,9 @@ def domain_loss(d_src: Var, d_tgt: Var) -> Var:
     """Binary cross-entropy with source labeled 1 and target labeled 0."""
     check_domain_probabilities(d_src.value, "source")
     check_domain_probabilities(d_tgt.value, "target")
-    ns = d_src.value.shape[0]
-    nt = d_tgt.value.shape[0]
-    src_term = ad.sum_all(ad.log_eps(d_src), -1.0 / ns)
-    tgt_term = ad.sum_all(ad.log_eps(d_tgt, complement=True), -1.0 / nt)
+    src_term = ad.log_eps(d_src, scale=-1.0 / d_src.value.shape[0])
+    tgt_term = ad.log_eps(d_tgt, complement=True,
+                          scale=-1.0 / d_tgt.value.shape[0])
     return ad.add(src_term, tgt_term)
 
 
@@ -383,8 +380,8 @@ def train_domain_probe(params: dict[str, Tensor], x_src: Tensor, x_tgt: Tensor,
         # ad.sigmoid's clamp and its mask. d = hi, where 1 - d < LOG_EPS,
         # only where out > hi (1 / (1 + e) never rounds to hi), and the mask
         # cuts those rows; elsewhere d and 1 - d are at or above LOG_EPS, so
-        # log_eps's rule (of 1 - d on the target side) is a division of
-        # sum_all's -1/n scale, whose sign the complement's rule flips. A
+        # the summed log_eps's rule (of 1 - d on the target side) is a
+        # division of its -1/n scale, whose sign the complement flips. A
         # cut target row's zero gets the other sign than on the tape, which
         # no update sees: p - eta * (+-0.0) is p for every p but -0.0,
         # which no parameter starts at or reaches.
@@ -433,7 +430,7 @@ class TrainingGraph:
 
 def build_training_graph(
     model: DartModel,
-    tape: Tape,
+    ws: dict[str, Var],
     xs: Tensor,
     ys: Tensor,
     xt: Tensor,
@@ -441,18 +438,17 @@ def build_training_graph(
     alpha: float,
     beta: float,
     harden_pseudo_labels: bool = False,
-    grads: dict[str, Tensor] | None = None,
 ) -> TrainingGraph:
-    """One full forward pass over a source/target minibatch pair.
+    """One full forward pass over a source/target minibatch pair, on the
+    tape the caller bound ``model``'s parameters ``ws`` on (``bind``).
 
     The source-side fusion pairs features with the true one-hot labels;
     the target side pairs features with the predicted class distribution
     (the pseudo-label), which stays differentiable unless
     ``harden_pseudo_labels`` replaces it with its one-hot argmax, a
-    constant that cuts its gradient. ``grads`` are the parameters'
-    gradient destinations (see ``bind``).
+    constant that cuts its gradient.
     """
-    ws = bind(model.parameters(), tape, grads)
+    tape = next(iter(ws.values())).tape
     xs_v = tape.constant(xs)
     xt_v = tape.constant(xt)
 

@@ -172,9 +172,9 @@ class PairedSampler:
         si = self.src.next_indices()
         ti = self.tgt.next_indices()
         return Batch(
-            xs=self.source.samples[si],
-            ys=self.source.labels[si],
-            xt=self.target.samples[ti],
+            xs=self.source.samples.take(si, axis=0),
+            ys=self.source.labels.take(si, axis=0),
+            xt=self.target.samples.take(ti, axis=0),
         )
 
 
@@ -185,15 +185,18 @@ class PairedSampler:
 @dataclass
 class SgdState:
     """Step counter; the model's flat gradient buffer with its views by
-    parameter name; and the tape a step recorded, with the batch shapes and
-    ``harden_pseudo_labels`` it was recorded for (``tape_key``), which
-    later steps replay. Made by the first ``train_step`` for one model,
-    dropped by ``train_loop`` when it returns."""
+    parameter name; and the tape a step recorded, with the parameters bound
+    on it, the vector they view and the batch shapes and
+    ``harden_pseudo_labels`` it was recorded for, which later steps replay.
+    Made by the first ``train_step`` for one model, dropped by
+    ``train_loop`` when it returns."""
 
     p: int = 0
     grad: Tensor | None = None
     grads: dict[str, Tensor] | None = None
     tape: Tape | None = None
+    params: dict[str, ad.Var] | None = None
+    flat: Tensor | None = None
     tape_key: tuple | None = None
 
 
@@ -213,9 +216,10 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
     """One forward/backward/update cycle; increments the step counter.
 
     The graph is built by the same calls every step: on the tape the state
-    holds, rewound, when this batch has the shapes and this config the
-    ``harden_pseudo_labels`` the tape was recorded with (the graph is then
-    the recorded one), else on a fresh tape, which the state keeps."""
+    holds, rewound past its parameters, when this model has the vector,
+    this batch the shapes and this config the ``harden_pseudo_labels`` the
+    tape was recorded with (the graph is then the recorded one), else on a
+    fresh tape, which the state keeps, with the parameters bound."""
     p = state.p
     flat = model.flat_parameters()
     if state.grad is None:
@@ -227,17 +231,17 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
 
     key = (batch.xs.shape, batch.ys.shape, batch.xt.shape,
            cfg.harden_pseudo_labels)
-    tape = state.tape
-    if tape is not None and state.tape_key == key:
-        tape.rewind()
+    tape, ws = state.tape, state.params
+    if tape is not None and state.tape_key == key and state.flat is flat:
+        tape.rewind(len(ws))
     else:
         tape = Tape()
+        ws = dm.bind(model.parameters(), tape, state.grads)
     try:
         graph = dm.build_training_graph(
-            model, tape, batch.xs, batch.ys, batch.xt, lam,
+            model, ws, batch.xs, batch.ys, batch.xt, lam,
             cfg.alpha, cfg.beta,
             harden_pseudo_labels=cfg.harden_pseudo_labels,
-            grads=state.grads,
         )
     except NumericError as exc:
         # domain_loss stops at a non-finite domain probability
@@ -254,7 +258,7 @@ def train_step(model: dm.DartModel, batch: Batch, cfg: TrainConfig,
 
     # fills state.grad; g * eta and p - that are p - eta * g, bit for bit
     ad.backward(tape, graph.total)
-    state.tape, state.tape_key = tape, key
+    state.tape, state.params, state.flat, state.tape_key = tape, ws, flat, key
     state.grad *= eta
     flat -= state.grad
 
@@ -304,7 +308,7 @@ def train_loop(
                     fh.write(format_metrics_row(metrics) + "\n")
     finally:
         # as large as the model: free it before the checkpoint is written
-        state.grad = state.grads = state.tape = None
+        state.grad = state.grads = state.tape = state.params = state.flat = None
         if fh:
             fh.close()
     dm.check_finite_parameters(model.parameters(), "after training")

@@ -84,7 +84,8 @@ def test_criterion_1_gradient_oracle(capsys):
 
 def _domain_grads_through_grl(model, xs, ys, xt, lam):
     tape = Tape()
-    graph = dm.build_training_graph(model, tape, xs, ys, xt, lam, 0.6, 1.0)
+    ws = dm.bind(model.parameters(), tape)
+    graph = dm.build_training_graph(model, ws, xs, ys, xt, lam, 0.6, 1.0)
     grads = ad.backward(tape, graph.ld)
     return {
         name: grads[graph.params[name].vid]
@@ -240,7 +241,8 @@ def test_criterion_4_loss_analytics(capsys):
 
     model, xs, ys, xt = gc.build_tiny_instance()
     tape = Tape()
-    g = dm.build_training_graph(model, tape, xs, ys, xt, 0.7, 0.6, 1.0)
+    ws = dm.bind(model.parameters(), tape)
+    g = dm.build_training_graph(model, ws, xs, ys, xt, 0.7, 0.6, 1.0)
     lyv, lhv, ldv = float(g.ly.value), float(g.lh.value), float(g.ld.value)
     expected = (lyv + 0.6 * lhv) + 1.0 * ldv
     comp_err = abs(float(g.total.value) - expected)

@@ -853,9 +853,6 @@ FUSED_FORMS = {
     "sigmoid with clamp": (lambda x, s: ad.sigmoid(x, s, 1.0 - s),
                            lambda x, s: ad.clamp(ad.sigmoid(x), s, 1.0 - s),
                            lambda x, s: ad.sigmoid(x), (0.2, 1e-12)),
-    "sum_all with scale": (lambda x, s: ad.sum_all(x, s),
-                           lambda x, s: ad.scalar_mul(ad.sum_all(x), s),
-                           lambda x, s: ad.sum_all(x), (-1.0 / 3.0, 0.7)),
     "log_eps of 1 - x": (
         lambda x, s: ad.log_eps(x, complement=True),
         lambda x, s: ad.log_eps(ad.subtract(x.tape.constant(np.ones(x.shape)), x)),
@@ -897,9 +894,96 @@ def test_a_fused_form_replays_only_the_form_it_recorded(form):
         first(tape.parameter(np.full(2, 0.5)), s)
         tape.rewind()
         x = tape.parameter(np.full(2, 0.5))
-        with pytest.raises(ContractError, match="replayed (sigmoid|sum_all|log_eps)"
+        with pytest.raises(ContractError, match="replayed (sigmoid|log_eps)"
                                                 ".* on id 1, recorded as"):
             second(x, s)
+
+
+# each summed form of log_eps and the op chain whose bits it keeps, each
+# called with a scale and a weight array, which only the mask form reads
+LOG_EPS_SUMS = {
+    "plain": (lambda x, s, w: ad.log_eps(x, scale=s),
+              lambda x, s, w: ad.scalar_mul(ad.sum_all(ad.log_eps(x)), s)),
+    "complement": (
+        lambda x, s, w: ad.log_eps(x, complement=True, scale=s),
+        lambda x, s, w: ad.scalar_mul(
+            ad.sum_all(ad.log_eps(x, complement=True)), s)),
+    "label mask": (
+        lambda x, s, w: ad.log_eps(x, scale=s, weight=x.tape.constant(w)),
+        lambda x, s, w: ad.scalar_mul(ad.sum_all(
+            ad.multiply(ad.log_eps(x), x.tape.constant(w))), s)),
+    "self-weight": (
+        lambda x, s, w: ad.log_eps(x, scale=s, weight=x),
+        lambda x, s, w: ad.scalar_mul(
+            ad.sum_all(ad.multiply(x, ad.log_eps(x))), s)),
+}
+
+
+@pytest.mark.parametrize("form", list(LOG_EPS_SUMS))
+def test_a_summed_log_eps_keeps_the_bits_of_its_op_chain(form):
+    # value, gradient and destination, recorded and then replayed on new
+    # inputs, weights and scale, against the chain on a fresh tape; the
+    # inputs are at LOG_EPS, below it, near 1 and above 1
+    fused, chain = LOG_EPS_SUMS[form]
+    rng = Prng(89)
+    tape = ad.Tape()
+    for i, s in enumerate((-1.0 / 3.0, 0.7)):
+        x = rng.uniform_block(12, -0.5, 1.5).reshape(3, 4)
+        x[0] = [ad.LOG_EPS, ad.LOG_EPS / 2, 0.0, -1.0]
+        x[1, :3] = [1.0 - ad.LOG_EPS, 1.0 - 1e-13, 1.0 + 1e-9]
+        w = np.eye(3, 4)[[2 * i, 1, 0]] + rng.uniform_block(12, 0.0, 1.0).reshape(3, 4)
+        results = []
+        for op, t in ((fused, tape), (chain, ad.Tape())):
+            if i and t is tape:
+                t.rewind()
+            dest = np.full(x.shape, np.nan)
+            out = op(t.parameter(x.copy(), dest), s, w)
+            ad.backward(t, ad.scalar_mul(out, 1.5))
+            results.append((out.shape, out.value.tobytes(), dest.tobytes()))
+        assert len(tape.nodes) == 2
+        assert results[0] == results[1]
+
+
+# every form of log_eps, each called with a constant it may weight by
+LOG_EPS_FORMS = {
+    "elementwise": lambda x, c: ad.log_eps(x),
+    "complement": lambda x, c: ad.log_eps(x, complement=True),
+    "summed": lambda x, c: ad.log_eps(x, scale=0.5),
+    "summed complement": lambda x, c: ad.log_eps(x, complement=True, scale=0.5),
+    "label mask": lambda x, c: ad.log_eps(x, scale=0.5, weight=c),
+    "self-weight": lambda x, c: ad.log_eps(x, scale=0.5, weight=x),
+}
+
+
+@pytest.mark.parametrize("recorded", list(LOG_EPS_FORMS))
+def test_a_log_eps_form_replays_only_the_form_it_recorded(recorded):
+    for replayed in LOG_EPS_FORMS:
+        tape = ad.Tape()
+        x = tape.parameter(np.full(2, 0.5))
+        LOG_EPS_FORMS[recorded](x, tape.constant(np.ones(2)))
+        tape.rewind(1)
+        c = tape.constant(np.ones(2))
+        if replayed == recorded:
+            LOG_EPS_FORMS[replayed](x, c)
+            continue
+        with pytest.raises(ContractError, match="replayed log_eps.* on id 2, "
+                                                "recorded as log_eps"):
+            LOG_EPS_FORMS[replayed](x, c)
+
+
+def test_log_eps_takes_x_or_a_constant_as_its_weight_with_a_scale():
+    tape = ad.Tape()
+    x, p = tape.parameter(np.full(2, 0.5)), tape.parameter(np.ones(2))
+    for weight, scale in ((x, None), (p, 1.0)):
+        with pytest.raises(ContractError, match="x or a constant, with a scale"):
+            ad.log_eps(x, scale=scale, weight=weight)
+    with pytest.raises(ShapeError, match=r"weight \(3,\) does not fit \(2,\)"):
+        ad.log_eps(x, scale=1.0, weight=tape.constant(np.ones(3)))
+    with pytest.raises(ContractError, match="different tapes"):
+        ad.log_eps(x, scale=1.0, weight=ad.Tape().constant(np.ones(2)))
+    # the refusals saved nothing: the next op records on the same id
+    assert float(ad.log_eps(x, scale=1.0, weight=x).value) == math.log(0.5)
+    assert len(tape.nodes) == 1
 
 
 # ---------------------------------------------------------------------------

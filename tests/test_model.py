@@ -368,7 +368,8 @@ def test_training_graph_losses_are_consistent():
     m = tiny_model(rng=Prng(29))
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
-    g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
+    ws = dm.bind(m.parameters(), tape)
+    g = dm.build_training_graph(m, ws, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     total = scalar(g.total)
     parts = scalar(g.ly) + 0.6 * scalar(g.lh) + 1.0 * scalar(g.ld)
     assert abs(total - parts) <= math.ulp(parts)
@@ -381,7 +382,8 @@ def test_lambda_zero_blocks_domain_gradient_to_features():
     m = tiny_model(rng=Prng(31))
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
-    g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.0, alpha=0.6, beta=1.0)
+    ws = dm.bind(m.parameters(), tape)
+    g = dm.build_training_graph(m, ws, xs, ys, xt, lam=0.0, alpha=0.6, beta=1.0)
     grads = ad.backward(tape, g.ld)
     for name in m.feature_param_names():
         assert np.all(grads[g.params[name].vid] == 0.0), name
@@ -398,7 +400,8 @@ def test_adversarial_direction_grl_vs_identity():
 
     def feature_grads(lam):
         tape = Tape()
-        g = dm.build_training_graph(m, tape, xs, ys, xt, lam=lam, alpha=0.0, beta=1.0)
+        ws = dm.bind(m.parameters(), tape)
+        g = dm.build_training_graph(m, ws, xs, ys, xt, lam=lam, alpha=0.0, beta=1.0)
         grads = ad.backward(tape, g.ld)
         return {n: grads[g.params[n].vid] for n in m.feature_param_names()}
 
@@ -417,7 +420,8 @@ def test_marginal_wiring_never_builds_fusion(kron_calls):
     m = tiny_model(rng=Prng(41), domain_on_joint=False)
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
-    g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
+    ws = dm.bind(m.parameters(), tape)
+    g = dm.build_training_graph(m, ws, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     ad.backward(tape, g.total)
     assert len(kron_calls) == 0
 
@@ -426,7 +430,8 @@ def test_joint_wiring_builds_two_fusions_per_pass(kron_calls):
     m = tiny_model(rng=Prng(43))
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
-    dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
+    ws = dm.bind(m.parameters(), tape)
+    dm.build_training_graph(m, ws, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     assert len(kron_calls) == 2
 
 
@@ -434,7 +439,8 @@ def test_residual_disabled_gets_zero_gradient():
     m = tiny_model(rng=Prng(47), use_residual=False)
     xs, ys, xt = batch_fixture(m)
     tape = Tape()
-    g = dm.build_training_graph(m, tape, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
+    ws = dm.bind(m.parameters(), tape)
+    g = dm.build_training_graph(m, ws, xs, ys, xt, lam=0.5, alpha=0.6, beta=1.0)
     grads = ad.backward(tape, g.total)
     for name in m.residual_param_names():
         assert np.all(grads[g.params[name].vid] == 0.0), name
@@ -449,8 +455,9 @@ def test_hardened_pseudo_labels_are_one_hot_in_fusion():
 
     def bottleneck_grad(harden):
         tape = Tape()
+        ws = dm.bind(m.parameters(), tape)
         g = dm.build_training_graph(
-            m, tape, xs, ys, xt, lam=1.0, alpha=0.6, beta=1.0,
+            m, ws, xs, ys, xt, lam=1.0, alpha=0.6, beta=1.0,
             harden_pseudo_labels=harden,
         )
         grads = ad.backward(tape, g.ld)

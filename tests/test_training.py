@@ -249,8 +249,9 @@ def test_train_step_updates_match_minus_eta_grad():
 
     from dart.autodiff import Tape, backward
     tape = Tape()
+    ws = dm.bind(frozen.parameters(), tape)
     graph = dm.build_training_graph(
-        frozen, tape, batch.xs, batch.ys, batch.xt,
+        frozen, ws, batch.xs, batch.ys, batch.xt,
         metrics.lam, cfg.alpha, cfg.beta,
     )
     grads = backward(tape, graph.total)
@@ -276,7 +277,8 @@ def test_train_step_fills_one_flat_gradient_buffer():
     assert not np.shares_memory(grad, model.flat_parameters())
 
     tape = ad.Tape()
-    graph = dm.build_training_graph(frozen, tape, batch.xs, batch.ys, batch.xt,
+    ws = dm.bind(frozen.parameters(), tape)
+    graph = dm.build_training_graph(frozen, ws, batch.xs, batch.ys, batch.xt,
                                     tr.lambda_schedule(0.0, cfg.lambda0, cfg.gamma_lambda),
                                     cfg.alpha, cfg.beta)
     grads = ad.backward(tape, graph.total)
@@ -339,8 +341,9 @@ def test_train_step_gradient_against_finite_differences():
 
     from dart.autodiff import Tape, backward
     tape = Tape()
+    ws = dm.bind(model.parameters(), tape)
     graph = dm.build_training_graph(
-        model, tape, batch.xs, batch.ys, batch.xt, lam, cfg.alpha, cfg.beta
+        model, ws, batch.xs, batch.ys, batch.xt, lam, cfg.alpha, cfg.beta
     )
     grads = backward(tape, graph.total)
 
@@ -349,8 +352,9 @@ def test_train_step_gradient_against_finite_differences():
 
     def losses_now():
         t2 = Tape()
+        ws = dm.bind(model.parameters(), t2)
         g2 = dm.build_training_graph(
-            model, t2, batch.xs, batch.ys, batch.xt, lam, cfg.alpha, cfg.beta
+            model, ws, batch.xs, batch.ys, batch.xt, lam, cfg.alpha, cfg.beta
         )
         return float(g2.ly.value), float(g2.lh.value), float(g2.ld.value)
 
@@ -567,11 +571,12 @@ def test_train_loop_validates_widths():
 
 
 @pytest.mark.parametrize("step,nodes", [
-    ("full", 36), ("dart_c", 34), ("dart_s", 33), ("source_only", 36),
+    ("full", 30), ("dart_c", 28), ("dart_s", 27), ("source_only", 30),
 ], ids=["full", "dart_c", "dart_s", "source_only"])
 def test_one_step_records_fixed_tape_node_count(monkeypatch, step, nodes):
     # the golden digests catch a changed value, not an added no-op node;
-    # each dense layer is one matmul node, with its bias and its ReLU
+    # each dense layer is one matmul node, with its bias and its ReLU, and
+    # each loss term one summed log_eps node
     recorded = []
     backward = ad.backward
 
@@ -679,8 +684,8 @@ def test_zero_weighted_terms_keep_the_dense_rules_bytes(monkeypatch, weights):
 
 
 @pytest.mark.parametrize("weights,rules", [
-    ({"variant": "full"}, 36), ({"variant": "source_only"}, 14),
-    ({"alpha": 0.0}, 33), ({"beta": 0.0}, 21),
+    ({"variant": "full"}, 30), ({"variant": "source_only"}, 12),
+    ({"alpha": 0.0}, 29), ({"beta": 0.0}, 17),
 ], ids=["full", "source_only", "alpha=0", "beta=0"])
 def test_one_step_runs_the_rules_of_weighted_terms_only(monkeypatch, weights,
                                                         rules):
@@ -764,6 +769,31 @@ def test_the_recorded_tape_dies_when_train_loop_returns(monkeypatch):
         assert report.state.tape is None
     finally:
         gc.enable()
+
+
+def test_a_state_reused_with_another_model_records_afresh():
+    # the recorded tape's parameter leaves are views of the first model's
+    # vector; another model of the same shapes records its own tape
+    src, tgt = small_task()
+    cfg = small_config(eta0=0.1)
+    model = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed, STREAM_INIT)))
+    other = tr.build_model(cfg, src, Prng(derive_seed(cfg.seed + 1, STREAM_INIT)))
+    fresh_other = copy.deepcopy(other)
+    batch = tr.PairedSampler(src, tgt, cfg.batch_size, cfg.seed).next_batch()
+    state = tr.SgdState()
+    tr.train_step(model, batch, cfg, state)
+    tapes = [state.tape]
+    fresh = tr.SgdState(p=state.p)
+    for _ in range(2):
+        want = tr.train_step(fresh_other, batch, cfg, fresh)
+        assert tr.train_step(other, batch, cfg, state) == want
+        assert state.flat is other.flat_parameters()
+        assert other.flat_parameters().tobytes() == \
+            fresh_other.flat_parameters().tobytes()
+        assert state.grad.tobytes() == fresh.grad.tobytes()
+        tapes.append(state.tape)
+    # other's first step records a tape, and its second replays it
+    assert tapes[1] is not tapes[0] and tapes[2] is tapes[1]
 
 
 def test_a_batch_of_another_shape_records_afresh():
