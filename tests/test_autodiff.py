@@ -931,7 +931,8 @@ def test_a_summed_log_eps_keeps_the_bits_of_its_op_chain(form):
         x = rng.uniform_block(12, -0.5, 1.5).reshape(3, 4)
         x[0] = [ad.LOG_EPS, ad.LOG_EPS / 2, 0.0, -1.0]
         x[1, :3] = [1.0 - ad.LOG_EPS, 1.0 - 1e-13, 1.0 + 1e-9]
-        w = np.eye(3, 4)[[2 * i, 1, 0]] + rng.uniform_block(12, 0.0, 1.0).reshape(3, 4)
+        w = rng.uniform_block(12, 0.0, 1.0).reshape(3, 4)
+        w += np.eye(3, 4)[[2 * i, 1, 0]]
         results = []
         for op, t in ((fused, tape), (chain, ad.Tape())):
             if i and t is tape:
