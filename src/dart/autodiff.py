@@ -192,14 +192,14 @@ class Tape:
         again, in order, from ``start``; the ids below it keep their leaves,
         arrays and gradient destinations, so each must be a parameter leaf
         (a kept constant or op would keep its last value; ContractError, as
-        for a ``start`` past the record). The caller registers the rest of
+        for a ``start`` outside the record). The caller registers the rest of
         the recorded graph again: leaves of the recorded kinds and shapes
         and the same ops in the same order on the same parents, up to the
         end of the record before it calls :func:`backward`."""
         kept = self.saved[:start]
-        if start > len(self.values):
+        if not 0 <= start <= len(self.values):
             raise ContractError(
-                f"rewind to id {start} past the {len(self.values)} recorded")
+                f"rewind to id {start}, outside the {len(self.values)} recorded")
         if kept.count(None) != start:
             vid = next(i for i, saved in enumerate(kept) if saved is not None)
             raise ContractError(f"rewind to id {start} keeps id {vid}, recorded "
